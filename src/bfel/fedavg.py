@@ -1,56 +1,44 @@
-"""First-order baseline: plain local SGD and sample-count-weighted averaging."""
+"""First-order baseline: plain local SGD and sample-count-weighted averaging.
+
+These are FedAvg's client and server steps for `fedcurv.run_round`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from . import models
-from .data import Dataset, shuffled_batches
-from .fedcurv import AggregationError, EmptyDatasetError, HyperParams
-from .models import ModelSpec, ParameterVector, lr_schedule, require_same_layout
+from .data import Dataset
+from .fedcurv import (AggregationError, ClientUpdate, GlobalModelState,
+                      HyperParams, local_train)
+from .models import ModelSpec, ParameterVector, require_same_layout
 
 
-@dataclass(frozen=True)
-class PlainClientUpdate:
-    client_id: int
-    round: int
-    theta_local: ParameterVector
-    sample_count: int
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-
-
-def local_train_plain(
+def client_round(
     spec: ModelSpec,
     theta_global: ParameterVector,
     local_dataset: Dataset,
     hp: HyperParams,
+    client_id: int,
+    round_no: int,
     seed: int,
     epoch_offset: int = 0,
-) -> ParameterVector:
-    """E epochs of mini-batch SGD on the unregularized loss, from theta_global."""
-    if len(local_dataset) == 0:
-        raise EmptyDatasetError("cannot train on an empty dataset")
-    rng = np.random.default_rng(seed)
-    theta = theta_global
-    for epoch in range(hp.local_epochs):
-        lr = hp.eta_local
-        if hp.lr_decay:
-            lr = lr_schedule(hp.eta_local, epoch_offset + epoch)
-        if lr == 0.0:
-            continue
-        for idx in shuffled_batches(len(local_dataset), hp.batch_size, rng):
-            batch = local_dataset.subset(idx).as_batch()
-            _, grad = models.loss_and_grad(spec, theta, batch)
-            theta = models.sgd_step(theta, grad, lr)
-    return theta
+) -> ClientUpdate:
+    """FedAvg client step: E epochs of unregularized SGD from theta_global."""
+    theta_local = local_train(
+        spec, theta_global, None, local_dataset, replace(hp, lam=0.0), seed,
+        epoch_offset,
+    )
+    return ClientUpdate(
+        client_id=client_id,
+        round=round_no,
+        theta_local=theta_local,
+        sample_count=len(local_dataset),
+    )
 
 
-def average_models(updates: list[PlainClientUpdate]) -> ParameterVector:
+def average_models(updates: list[ClientUpdate]) -> ParameterVector:
     """Sample-count-weighted mean of the client models, summed in id order."""
     if not updates:
         raise AggregationError("no client updates to average")
@@ -61,3 +49,10 @@ def average_models(updates: list[PlainClientUpdate]) -> ParameterVector:
     for u in ordered:
         acc += (u.sample_count / total_n) * u.theta_local.values
     return ordered[0].theta_local.with_values(acc)
+
+
+def server_step(
+    state: GlobalModelState, updates: list[ClientUpdate], hp: HyperParams
+) -> GlobalModelState:
+    """FedAvg server step: the weighted mean model becomes the global model."""
+    return replace(state, theta_global=average_models(updates), round=state.round + 1)

@@ -1,10 +1,11 @@
-"""Curvature-regularized federated learning.
+"""Curvature-regularized federated learning and the shared round driver.
 
 Client side: diagonal Fisher estimation at the broadcast global model,
 then local SGD on a loss anchored to that model by a Fisher-weighted
 quadratic penalty. Server side: unweighted aggregation of client Fisher
 diagonals and gradients, followed by an inverse-curvature-scaled step on
-the global model.
+the global model. `run_round` drives one round of any algorithm given its
+client and server steps; the FedCurv steps are the defaults.
 """
 
 from __future__ import annotations
@@ -69,21 +70,27 @@ class HyperParams:
             raise ValueError("client_fraction must be in (0, 1]")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
 class ClientUpdate:
+    """One client's round output; FedAvg updates carry no fisher or gradient."""
+
     client_id: int
     round: int
-    fisher: FisherDiagonal
-    gradient: ParameterVector
     theta_local: ParameterVector
     sample_count: int
+    fisher: FisherDiagonal | None = None
+    gradient: ParameterVector | None = None
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if not (
+        if (self.fisher is None) != (self.gradient is None):
+            raise ValueError("fisher and gradient must be given together")
+        if self.fisher is not None and not (
             self.fisher.layout == self.gradient.layout == self.theta_local.layout
         ):
             raise LayoutMismatchError("client update fields have mixed layouts")
@@ -156,7 +163,7 @@ def regularized_gradient(
 def local_train(
     spec: ModelSpec,
     theta_global: ParameterVector,
-    fisher: FisherDiagonal,
+    fisher: FisherDiagonal | None,
     local_dataset: Dataset,
     hp: HyperParams,
     seed: int,
@@ -165,7 +172,7 @@ def local_train(
     """E epochs of mini-batch SGD on the anchored loss, from theta_global.
 
     epoch_offset shifts the decay schedule when epochs accumulate across
-    rounds.
+    rounds. At hp.lam == 0 this is plain SGD and fisher may be None.
     """
     if len(local_dataset) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -196,32 +203,24 @@ def server_gradient(
     return grad
 
 
-def _check_updates(updates: list[ClientUpdate]) -> None:
+def aggregate(updates: list[ClientUpdate]) -> tuple[FisherDiagonal, ParameterVector]:
+    """Unweighted means of the clients' Fishers and gradients, in id order."""
     if not updates:
         raise AggregationError("no client updates to aggregate")
     if len({u.round for u in updates}) > 1:
         raise AggregationError("client updates span multiple rounds")
     require_same_layout(*[u.theta_local for u in updates])
-
-
-def aggregate_fisher(updates: list[ClientUpdate]) -> FisherDiagonal:
-    """Unweighted elementwise mean of the participating clients' Fishers."""
-    _check_updates(updates)
     ordered = sorted(updates, key=lambda u: u.client_id)
-    total = np.zeros_like(ordered[0].fisher.values)
+    f_total = np.zeros_like(ordered[0].fisher.values)
+    g_total = np.zeros_like(ordered[0].gradient.values)
     for u in ordered:
-        total += u.fisher.values
-    return FisherDiagonal(total / len(ordered), ordered[0].fisher.layout)
-
-
-def aggregate_gradients(updates: list[ClientUpdate]) -> ParameterVector:
-    """Unweighted elementwise mean of the participating clients' gradients."""
-    _check_updates(updates)
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    total = np.zeros_like(ordered[0].gradient.values)
-    for u in ordered:
-        total += u.gradient.values
-    return ordered[0].gradient.with_values(total / len(ordered))
+        f_total += u.fisher.values
+        g_total += u.gradient.values
+    n = len(ordered)
+    return (
+        FisherDiagonal(f_total / n, ordered[0].fisher.layout),
+        ordered[0].gradient.with_values(g_total / n),
+    )
 
 
 def invert_fisher(f_global: FisherDiagonal, epsilon: float) -> FisherDiagonal:
@@ -255,7 +254,7 @@ def client_round(
     seed: int,
     epoch_offset: int = 0,
 ) -> ClientUpdate:
-    """Full client-side pipeline: Fisher at the anchor, anchored SGD, g_k."""
+    """FedCurv client step: Fisher at the anchor, anchored SGD, g_k."""
     fisher = compute_fisher_diagonal(spec, theta_global, local_dataset)
     theta_local = local_train(
         spec, theta_global, fisher, local_dataset, hp, seed, epoch_offset
@@ -269,6 +268,15 @@ def client_round(
         theta_local=theta_local,
         sample_count=len(local_dataset),
     )
+
+
+def server_step(
+    state: GlobalModelState, updates: list[ClientUpdate], hp: HyperParams
+) -> GlobalModelState:
+    """FedCurv server step: mean Fisher and gradient, curvature-scaled step."""
+    f_global, g_global = aggregate(updates)
+    f_inv = invert_fisher(f_global, hp.epsilon)
+    return global_update(state, f_inv, g_global, hp.eta_global)
 
 
 def sample_clients(
@@ -293,9 +301,13 @@ def run_round(
     rng: np.random.Generator,
     test_set: Dataset | None = None,
     epoch_offset: int = 0,
+    client_step=client_round,
+    server_step=server_step,
 ) -> tuple[GlobalModelState, list[ClientUpdate], dict]:
-    """One full FedCurv round: sample, train, aggregate, update.
+    """One full round: sample, run each client step, run the server step.
 
+    client_step and server_step have the signatures of `client_round` and
+    `server_step`, so every algorithm shares the sampling, seeds and metrics.
     Per-client training seeds are drawn in ascending client-id order so the
     outcome is independent of execution order.
     """
@@ -304,7 +316,7 @@ def run_round(
     sampled = sample_clients(len(clients), hp.client_fraction, rng)
     seeds = {cid: int(rng.integers(2**63)) for cid in sampled}
     updates = [
-        client_round(
+        client_step(
             state.spec,
             state.theta_global,
             clients[cid],
@@ -316,10 +328,7 @@ def run_round(
         )
         for cid in sampled
     ]
-    f_global = aggregate_fisher(updates)
-    g_global = aggregate_gradients(updates)
-    f_inv = invert_fisher(f_global, hp.epsilon)
-    new_state = global_update(state, f_inv, g_global, hp.eta_global)
+    new_state = server_step(state, updates, hp)
     metrics = {
         "sampled_clients": sampled,
         "divergence": divergence([u.theta_local for u in updates]),

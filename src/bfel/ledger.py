@@ -362,26 +362,21 @@ def _array_bytes(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def digest_client_update(update) -> bytes:
-    """Canonical digest of a FedCurv client update (F_k, g_k, theta_local)."""
+def digest_update(update) -> bytes:
+    """Canonical digest of a client update.
+
+    FedCurv updates hash (F_k, g_k, theta_local); FedAvg updates, which
+    carry no Fisher, hash theta_local alone under their own tag.
+    """
+    plain = update.fisher is None
     h = hashlib.sha256()
-    h.update(b"bfel-client-update-v1")
+    h.update(b"bfel-plain-update-v1" if plain else b"bfel-client-update-v1")
     h.update(_u64(update.client_id))
     h.update(_u64(update.round))
     h.update(_u64(update.sample_count))
-    h.update(_lp(_array_bytes(update.fisher.values)))
-    h.update(_lp(_array_bytes(update.gradient.values)))
-    h.update(_lp(_array_bytes(update.theta_local.values)))
-    return h.digest()
-
-
-def digest_plain_update(update) -> bytes:
-    """Canonical digest of a FedAvg client update (theta_local only)."""
-    h = hashlib.sha256()
-    h.update(b"bfel-plain-update-v1")
-    h.update(_u64(update.client_id))
-    h.update(_u64(update.round))
-    h.update(_u64(update.sample_count))
+    if not plain:
+        h.update(_lp(_array_bytes(update.fisher.values)))
+        h.update(_lp(_array_bytes(update.gradient.values)))
     h.update(_lp(_array_bytes(update.theta_local.values)))
     return h.digest()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +106,6 @@ _FIELD_ALIASES = {"lambda": "lam", "ledger": "ledger_enabled"}
 def parse_config(path) -> ExperimentConfig:
     """Parse a flat key=value config file (# starts a comment)."""
     kwargs = {}
-    types = {f.name: f.type for f in ExperimentConfig.__dataclass_fields__.values()}
     fields = ExperimentConfig.__dataclass_fields__
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -157,10 +156,14 @@ def load_model_values(path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if blob[:8] != MODEL_MAGIC:
         raise ConfigError(f"{path}: not a model file")
+    if len(blob) < 20:
+        raise ConfigError(f"{path}: model header cut short")
     version, count = struct.unpack("<IQ", blob[8:20])
     if version != MODEL_VERSION:
         raise ConfigError(f"{path}: unsupported model version {version}")
-    return np.frombuffer(blob[20 : 20 + count * 8], dtype="<f8").copy()
+    if len(blob) - 20 != 8 * count:
+        raise ConfigError(f"{path}: payload does not hold {count} values")
+    return np.frombuffer(blob[20:], dtype="<f8").copy()
 
 
 def _load_datasets(config: ExperimentConfig):
@@ -229,55 +232,19 @@ class RoundMetrics:
         )
 
 
-def _fedavg_round(state, clients, hp, rng, test_set, epoch_offset):
-    """One FedAvg round, consuming the rng identically to fedcurv.run_round."""
-    sampled = fedcurv.sample_clients(len(clients), hp.client_fraction, rng)
-    seeds = {cid: int(rng.integers(2**63)) for cid in sampled}
-    updates = [
-        fedavg.PlainClientUpdate(
-            client_id=cid,
-            round=state.round,
-            theta_local=fedavg.local_train_plain(
-                state.spec, state.theta_global, clients[cid], hp,
-                seeds[cid], epoch_offset,
-            ),
-            sample_count=len(clients[cid]),
-        )
-        for cid in sampled
-    ]
-    new_theta = fedavg.average_models(updates)
-    new_state = fedcurv.GlobalModelState(new_theta, state.round + 1, state.spec)
-    metrics = {
-        "sampled_clients": sampled,
-        "divergence": fedcurv.divergence([u.theta_local for u in updates]),
-    }
-    if test_set is not None:
-        batch = test_set.as_batch()
-        metrics["client_accuracy"] = [
-            models.accuracy(state.spec, u.theta_local, batch) for u in updates
-        ]
-        metrics["global_accuracy"] = models.accuracy(
-            state.spec, new_state.theta_global, batch
-        )
-    return new_state, updates, metrics
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured algorithm; write metrics CSV, model, chain log."""
+    hp = config.hyperparams()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_datasets(config)
     spec = _build_spec(config, train)
-    hp = config.hyperparams()
 
+    algo = fedcurv if config.algorithm == "fedcurv" else fedavg  # base: FedAvg
     if config.algorithm == "base":
         clients = [train]
-        hp = fedcurv.HyperParams(
-            lam=hp.lam, local_epochs=hp.local_epochs, eta_local=hp.eta_local,
-            eta_global=hp.eta_global, epsilon=hp.epsilon,
-            batch_size=hp.batch_size, client_fraction=1.0, lr_decay=hp.lr_decay,
-        )
+        hp = replace(hp, client_fraction=1.0)
     else:
         plan = data_mod.PartitionPlan(
             client_count=config.clients,
@@ -304,20 +271,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     wall_start = time.monotonic()
     for round_idx in range(config.rounds):
         epoch_offset = round_idx * hp.local_epochs if hp.lr_decay else 0
-        if config.algorithm == "fedcurv":
-            state, updates, metrics = fedcurv.run_round(
-                state, clients, hp, rng, test_set=test, epoch_offset=epoch_offset
-            )
-            digests = [
-                (u.client_id, ledger.digest_client_update(u)) for u in updates
-            ]
-        else:
-            state, updates, metrics = _fedavg_round(
-                state, clients, hp, rng, test_set=test, epoch_offset=epoch_offset
-            )
-            digests = [
-                (u.client_id, ledger.digest_plain_update(u)) for u in updates
-            ]
+        state, updates, metrics = fedcurv.run_round(
+            state, clients, hp, rng, test_set=test, epoch_offset=epoch_offset,
+            client_step=algo.client_round, server_step=algo.server_step,
+        )
 
         if config.clock == "wall":
             elapsed = (time.monotonic() - wall_start) * 1000.0
@@ -342,9 +299,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
             ts = (round_idx + 1) * 1000
             txs = [
                 ledger.make_transaction(
-                    ledger.TxKind.CLIENT_UPDATE, digest, client_keys[cid], ts
+                    ledger.TxKind.CLIENT_UPDATE,
+                    ledger.digest_update(u),
+                    client_keys[u.client_id],
+                    ts,
                 )
-                for cid, digest in digests
+                for u in updates
             ]
             txs.append(
                 ledger.make_transaction(

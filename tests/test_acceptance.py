@@ -119,7 +119,12 @@ def test_c03_algebraic_identities():
     hp = HyperParams(lam=0.0, eta_local=0.1, local_epochs=3, batch_size=5)
     fisher = fedcurv.compute_fisher_diagonal(spec, theta_g, ds)
     curv = fedcurv.local_train(spec, theta_g, fisher, ds, hp, seed=7)
-    plain = fedavg.local_train_plain(spec, theta_g, ds, hp, seed=7)
+    # reference: plain mini-batch SGD, written out here
+    plain, rng = theta_g, np.random.default_rng(7)
+    for _ in range(hp.local_epochs):
+        for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
+            _, grad = models.loss_and_grad(spec, plain, ds.subset(idx).as_batch())
+            plain = plain.with_values(plain.values - hp.eta_local * grad.values)
     assert np.array_equal(curv.values, plain.values)
 
     batch = ds.as_batch()
@@ -183,6 +188,41 @@ def test_c04_one_round_end_to_end_oracle():
     ok(f"C4 one-round oracle: max abs err {err:.2e}")
 
 
+def test_c04_fedavg_one_round_oracle():
+    """Criterion 4, FedAvg steps: run_round vs a sample-weighted average."""
+    spec = logistic_spec()
+    w0 = np.array([0.5, -0.4])
+    client_data = [
+        ([0.9, -1.2, 0.3], [0, 1, 0]),
+        ([1.5, -0.7, 2.0, -0.2, 0.6], [1, 0, 1, 1, 0]),
+    ]
+    datasets = [
+        Dataset(np.array(xs).reshape(-1, 1), np.array(ys), 2)
+        for xs, ys in client_data
+    ]
+    # lam is set to show that FedAvg ignores the anchor penalty
+    hp = HyperParams(lam=0.7, local_epochs=1, eta_local=0.05, batch_size=8)
+    state = GlobalModelState(ParameterVector(w0, build_layout(spec)), 0, spec)
+    new_state, updates, _ = fedcurv.run_round(
+        state, datasets, hp, np.random.default_rng(5),
+        client_step=fedavg.client_round, server_step=fedavg.server_step,
+    )
+
+    # straight-line: one full-batch plain step per client, then the mean of
+    # the local models weighted by sample count
+    n_total = sum(len(xs) for xs, _ in client_data)
+    theta_new = sum(
+        len(xs) / n_total * (w0 - hp.eta_local * logistic_loss_grad(w0, xs, ys))
+        for xs, ys in client_data
+    )
+
+    assert new_state.round == 1
+    assert [u.sample_count for u in updates] == [3, 5]
+    err = float(np.abs(new_state.theta_global.values - theta_new).max())
+    assert err < 1e-10
+    ok(f"C4 FedAvg one-round oracle: max abs err {err:.2e}")
+
+
 def _digits_as_idx(tmp_path):
     sklearn_datasets = pytest.importorskip("sklearn.datasets")
     digits = sklearn_datasets.load_digits()
@@ -198,12 +238,12 @@ def _trend_run(algo, train, test, seed, hp, spec, rounds=20):
     )
     state = GlobalModelState(models.init_params(spec, seed), 0, spec)
     rng = np.random.default_rng([seed, 2])
+    steps = {} if algo == "fedcurv" else dict(
+        client_step=fedavg.client_round, server_step=fedavg.server_step
+    )
     accs, divs = [], []
     for _ in range(rounds):
-        if algo == "fedcurv":
-            state, _, m = fedcurv.run_round(state, clients, hp, rng, test_set=test)
-        else:
-            state, _, m = simulator._fedavg_round(state, clients, hp, rng, test, 0)
+        state, _, m = fedcurv.run_round(state, clients, hp, rng, test_set=test, **steps)
         accs.append(m["global_accuracy"])
         divs.append(m["divergence"])
     return accs[-1], float(np.mean(divs[9:]))

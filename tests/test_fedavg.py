@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bfel import data, fedavg, fedcurv, models
-from bfel.fedcurv import AggregationError, HyperParams
+from bfel.fedcurv import AggregationError, ClientUpdate, HyperParams
 from bfel.models import ModelSpec, ParameterVector, build_layout
 
 
@@ -11,7 +13,7 @@ def tiny_spec():
 
 
 def plain_update(client_id, theta_vals, n, layout):
-    return fedavg.PlainClientUpdate(
+    return ClientUpdate(
         client_id=client_id,
         round=0,
         theta_local=ParameterVector(np.asarray(theta_vals, dtype=float), layout),
@@ -20,26 +22,36 @@ def plain_update(client_id, theta_vals, n, layout):
 
 
 class TestLocalTrainPlain:
+    """FedAvg's client step: unregularized local SGD, whatever lam says."""
+
     def setup_method(self):
         self.spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))
         self.theta = models.init_params(self.spec, 0)
         self.ds = data.synth_blobs(2, 6, 2, 0.3, seed=1)
 
+    def train(self, hp, seed):
+        update = fedavg.client_round(self.spec, self.theta, self.ds, hp, 4, 0, seed)
+        assert update.fisher is None and update.gradient is None
+        assert update.sample_count == len(self.ds)
+        return update.theta_local
+
     def test_zero_lr_is_identity(self):
         hp = HyperParams(eta_local=0.0, local_epochs=2, batch_size=4)
-        out = fedavg.local_train_plain(self.spec, self.theta, self.ds, hp, 0)
+        out = self.train(hp, 0)
         assert np.array_equal(out.values, self.theta.values)
 
     def test_matches_fedcurv_lambda_zero(self):
-        hp = HyperParams(lam=0.0, eta_local=0.1, local_epochs=3, batch_size=5)
+        hp = HyperParams(lam=0.5, eta_local=0.1, local_epochs=3, batch_size=5)
         fisher = fedcurv.compute_fisher_diagonal(self.spec, self.theta, self.ds)
-        plain = fedavg.local_train_plain(self.spec, self.theta, self.ds, hp, 77)
-        curv = fedcurv.local_train(self.spec, self.theta, fisher, self.ds, hp, 77)
+        plain = self.train(hp, 77)
+        curv = fedcurv.local_train(
+            self.spec, self.theta, fisher, self.ds, replace(hp, lam=0.0), 77
+        )
         assert np.array_equal(plain.values, curv.values)
 
     def test_single_full_batch_step(self):
         hp = HyperParams(eta_local=0.2, local_epochs=1, batch_size=len(self.ds))
-        out = fedavg.local_train_plain(self.spec, self.theta, self.ds, hp, 0)
+        out = self.train(hp, 0)
         _, grad = models.loss_and_grad(self.spec, self.theta, self.ds.as_batch())
         assert np.allclose(out.values, self.theta.values - 0.2 * grad.values)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bfel import data, fedavg, fedcurv, models
+from bfel import data, fedcurv, models
 from bfel.data import Dataset
 from bfel.fedcurv import (
     AggregationError,
@@ -40,6 +40,16 @@ def small_dataset(seed=0, n=12, classes=3, dim=2):
 
 def make_hp(**kw):
     return HyperParams(**kw)
+
+
+def plain_sgd(spec, theta, ds, hp, seed):
+    """Reference: mini-batch SGD on the unregularized loss, no decay."""
+    rng = np.random.default_rng(seed)
+    for _ in range(hp.local_epochs):
+        for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
+            _, grad = models.loss_and_grad(spec, theta, ds.subset(idx).as_batch())
+            theta = theta.with_values(theta.values - hp.eta_local * grad.values)
+    return theta
 
 
 class TestComputeFisher:
@@ -184,7 +194,7 @@ class TestLocalTrain:
     def test_lambda_zero_matches_plain_sgd_bitwise(self):
         hp = make_hp(lam=0.0, eta_local=0.05, local_epochs=2, batch_size=3)
         curv = fedcurv.local_train(self.spec, self.theta_g, self.fisher, self.ds, hp, 42)
-        plain = fedavg.local_train_plain(self.spec, self.theta_g, self.ds, hp, 42)
+        plain = plain_sgd(self.spec, self.theta_g, self.ds, hp, 42)
         assert np.array_equal(curv.values, plain.values)
 
     def test_single_full_batch_step_closed_form(self):
@@ -220,10 +230,10 @@ def make_update(client_id, fisher_vals, grad_vals, layout, round_no=0):
     return ClientUpdate(
         client_id=client_id,
         round=round_no,
-        fisher=FisherDiagonal(np.asarray(fisher_vals, dtype=float), layout),
-        gradient=ParameterVector(np.asarray(grad_vals, dtype=float), layout),
         theta_local=ParameterVector(np.zeros(layout.size), layout),
         sample_count=1,
+        fisher=FisherDiagonal(np.asarray(fisher_vals, dtype=float), layout),
+        gradient=ParameterVector(np.asarray(grad_vals, dtype=float), layout),
     )
 
 
@@ -233,18 +243,20 @@ class TestAggregation:
 
     def test_single_update_identity(self):
         u = make_update(0, [2.0, 0.0], [1.0, -1.0], self.layout)
-        assert np.array_equal(fedcurv.aggregate_fisher([u]).values, [2.0, 0.0])
-        assert np.array_equal(fedcurv.aggregate_gradients([u]).values, [1.0, -1.0])
+        f, g = fedcurv.aggregate([u])
+        assert np.array_equal(f.values, [2.0, 0.0])
+        assert np.array_equal(g.values, [1.0, -1.0])
 
     def test_elementwise_means(self):
         u1 = make_update(0, [2.0, 0.0], [1.0, -1.0], self.layout)
         u2 = make_update(1, [0.0, 2.0], [-1.0, 1.0], self.layout)
-        assert np.array_equal(fedcurv.aggregate_fisher([u1, u2]).values, [1.0, 1.0])
-        assert np.array_equal(fedcurv.aggregate_gradients([u1, u2]).values, [0.0, 0.0])
+        f, g = fedcurv.aggregate([u1, u2])
+        assert np.array_equal(f.values, [1.0, 1.0])
+        assert np.array_equal(g.values, [0.0, 0.0])
 
     def test_identical_updates_idempotent(self):
         us = [make_update(i, [3.0, 1.0], [0.5, 0.5], self.layout) for i in range(4)]
-        assert np.allclose(fedcurv.aggregate_fisher(us).values, [3.0, 1.0])
+        assert np.allclose(fedcurv.aggregate(us)[0].values, [3.0, 1.0])
 
     def test_three_gradients_by_hand(self):
         us = [
@@ -252,7 +264,7 @@ class TestAggregation:
             make_update(1, [0, 0], [0.0, 3.0], self.layout),
             make_update(2, [0, 0], [3.0, 3.0], self.layout),
         ]
-        assert np.array_equal(fedcurv.aggregate_gradients(us).values, [2.0, 2.0])
+        assert np.array_equal(fedcurv.aggregate(us)[1].values, [2.0, 2.0])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
@@ -260,21 +272,25 @@ class TestAggregation:
             make_update(i, rng.random(2), rng.standard_normal(2), self.layout)
             for i in range(5)
         ]
-        fwd = fedcurv.aggregate_gradients(us).values
-        rev = fedcurv.aggregate_gradients(us[::-1]).values
-        assert np.array_equal(fwd, rev)
-        assert np.array_equal(
-            fedcurv.aggregate_fisher(us).values,
-            fedcurv.aggregate_fisher(us[::-1]).values,
-        )
+        fwd = fedcurv.aggregate(us)
+        rev = fedcurv.aggregate(us[::-1])
+        assert np.array_equal(fwd[0].values, rev[0].values)
+        assert np.array_equal(fwd[1].values, rev[1].values)
 
     def test_empty_and_mixed_round_errors(self):
         with pytest.raises(AggregationError):
-            fedcurv.aggregate_fisher([])
+            fedcurv.aggregate([])
         u1 = make_update(0, [0, 0], [0, 0], self.layout, round_no=0)
         u2 = make_update(1, [0, 0], [0, 0], self.layout, round_no=1)
         with pytest.raises(AggregationError):
-            fedcurv.aggregate_fisher([u1, u2])
+            fedcurv.aggregate([u1, u2])
+
+
+    def test_update_takes_fisher_and_gradient_together(self):
+        theta = ParameterVector(np.zeros(2), self.layout)
+        fisher = FisherDiagonal(np.ones(2), self.layout)
+        with pytest.raises(ValueError, match="together"):
+            ClientUpdate(0, 0, theta, 1, fisher=fisher)
 
 
 class TestInvertFisher:
@@ -354,7 +370,7 @@ class TestRunRound:
         assert len(updates) == 2
         assert np.allclose(updates[0].theta_local.values, updates[1].theta_local.values)
         assert np.allclose(updates[0].fisher.values, updates[1].fisher.values)
-        agg = fedcurv.aggregate_gradients(updates)
+        _, agg = fedcurv.aggregate(updates)
         assert np.allclose(agg.values, updates[0].gradient.values)
 
     def test_deterministic_under_fixed_seed(self):
@@ -388,6 +404,6 @@ class TestRunRound:
             ParameterVector(np.array([0.5, -0.5]), layout), 0, logistic_spec()
         )
         us = [make_update(i, [1.0, 2.0], [0.0, 0.0], layout) for i in range(3)]
-        f_inv = fedcurv.invert_fisher(fedcurv.aggregate_fisher(us), 1e-8)
-        out = fedcurv.global_update(state, f_inv, fedcurv.aggregate_gradients(us), 1.0)
+        hp = make_hp(eta_global=1.0, epsilon=1e-8)
+        out = fedcurv.server_step(state, us, hp)
         assert np.array_equal(out.theta_global.values, state.theta_global.values)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bfel import ledger
+from bfel.fedcurv import ClientUpdate, FisherDiagonal
 from bfel.ledger import (
     Chain,
     ChainFormatError,
@@ -11,6 +12,7 @@ from bfel.ledger import (
     StakeError,
     TxKind,
 )
+from bfel.models import ModelSpec, ParameterVector, build_layout
 
 
 def digest(payload: bytes) -> bytes:
@@ -185,3 +187,27 @@ class TestProposerSelection:
         picks = [ledger.select_proposer([2.0, 1.0, 1.0], r, seed=3) for r in range(50)]
         again = [ledger.select_proposer([2.0, 1.0, 1.0], r, seed=3) for r in range(50)]
         assert picks == again
+
+
+class TestUpdateDigest:
+    """chain.log bytes depend on these digests; the constants pin the format."""
+
+    def setup_method(self):
+        layout = build_layout(
+            ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
+        )
+        self.theta = ParameterVector(np.array([0.5, -1.25]), layout)
+        self.fisher = FisherDiagonal(np.array([0.25, 2.0]), layout)
+        self.gradient = ParameterVector(np.array([-0.125, 3.0]), layout)
+
+    def test_fedcurv_update_bytes(self):
+        update = ClientUpdate(3, 7, self.theta, 11, self.fisher, self.gradient)
+        assert ledger.digest_update(update).hex() == (
+            "21d7024a807e7a49da4c6219050e89c1b6a770f992323f40cf1ebed4585080b0"
+        )
+
+    def test_fedavg_update_bytes(self):
+        update = ClientUpdate(3, 7, self.theta, 11)
+        assert ledger.digest_update(update).hex() == (
+            "bc4383ecf22c247ef7c32325c812aadb4cd9f2ff0161690bab41a3084c95d72f"
+        )

@@ -194,6 +194,20 @@ class TestRunExperiment:
         assert values.ndim == 1 and values.size > 0
         assert np.all(np.isfinite(values))
 
+    def test_model_file_short_header(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(simulator.MODEL_MAGIC + b"\x01\x00\x00\x00")
+        with pytest.raises(ConfigError, match="header"):
+            simulator.load_model_values(path)
+
+    def test_model_file_truncated_payload(self, tmp_path):
+        spec = ModelSpec(kind="mlp", input_shape=(3,), classes=2, hidden=(2,))
+        path = tmp_path / "model.bin"
+        simulator.save_model(models.init_params(spec, 0), path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ConfigError, match="payload"):
+            simulator.load_model_values(path)
+
     def test_bfeldata_source(self, tmp_path):
         ds = data.synth_blobs(2, 30, 3, 0.2, seed=9)
         train_path = tmp_path / "train.bfel"
@@ -233,6 +247,14 @@ class TestCli:
         bad.write_text("rounds = zero\n")
         assert cli.main(["run", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_bad_batch_size_exits_before_training(self, tmp_path, capsys, batch_size):
+        path = write_config(tmp_path, algorithm="fedavg", rounds=2,
+                            batch_size=batch_size)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gossip_and_latency_commands(self, tmp_path, capsys):
         assert cli.main(["gossip-sim", "--nodes", "16", "--fanout", "2",
