@@ -8,6 +8,8 @@ protocol for non-iid clients.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -60,9 +62,6 @@ class Dataset:
     def as_batch(self) -> Batch:
         return Batch(Tensor(self.samples), self.labels)
 
-    def sample_batch(self, i: int) -> Batch:
-        return Batch(Tensor(self.samples[i : i + 1]), self.labels[i : i + 1])
-
 
 class PartitionMode(Enum):
     IID = "iid"
@@ -83,6 +82,20 @@ class PartitionPlan:
             raise PartitionError("shards_per_client must be >= 1")
 
 
+def _check_payload(f, n: int, path) -> None:
+    """Raise unless exactly n bytes remain in f; reads nothing."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise DataFormatError(
+            f"{path}: truncated file (header declares {n} payload bytes, "
+            f"{left} present)"
+        )
+    if n < left:
+        raise DataFormatError(
+            f"{path}: {left - n} bytes beyond the declared {n}-byte payload"
+        )
+
+
 def _read_exact(f, n: int, path) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
@@ -101,6 +114,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise DataFormatError(
                 f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
             )
+        _check_payload(f, count * rows * cols, images_path)
         raw = _read_exact(f, count * rows * cols, images_path)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
     with open(labels_path, "rb") as f:
@@ -109,6 +123,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise DataFormatError(
                 f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
             )
+        _check_payload(f, label_count, labels_path)
         labels = np.frombuffer(_read_exact(f, label_count, labels_path), dtype=np.uint8)
     if label_count != count:
         raise DataFormatError(
@@ -160,7 +175,8 @@ def load_bfeldata(path) -> Dataset:
             struct.unpack("<Q", _read_exact(f, 8, path))[0] for _ in range(ndim)
         )
         class_count = struct.unpack("<I", _read_exact(f, 4, path))[0]
-        per = int(np.prod(shape)) if shape else 1
+        per = math.prod(shape)  # Python ints: a forged header cannot wrap
+        _check_payload(f, count * per * 8 + count * 2, path)
         samples = np.frombuffer(
             _read_exact(f, count * per * 8, path), dtype="<f8"
         ).reshape((count,) + shape)

@@ -106,23 +106,20 @@ class GlobalModelState:
 def compute_fisher_diagonal(
     spec: ModelSpec, theta_global: ParameterVector, local_dataset: Dataset
 ) -> FisherDiagonal:
-    """Diagonal empirical Fisher at theta_global over the local dataset."""
+    """Diagonal empirical Fisher at theta_global over the local dataset.
+
+    The squared per-sample gradients are summed in batched chunks of 512
+    samples, for the MLP and the CNN alike.
+    """
     n = len(local_dataset)
     if n == 0:
         raise EmptyDatasetError("cannot estimate Fisher on an empty dataset")
     acc = np.zeros(theta_global.layout.size)
-    if spec.kind == "mlp":
-        for start in range(0, n, 512):
-            idx = np.arange(start, min(start + 512, n))
-            acc += models.sum_squared_loglik_grads(
-                spec, theta_global, local_dataset.subset(idx).as_batch()
-            )
-    else:
-        for i in range(n):
-            g = models.per_sample_loglik_grad(
-                spec, theta_global, local_dataset.sample_batch(i)
-            )
-            acc += g.values**2
+    for start in range(0, n, 512):
+        idx = np.arange(start, min(start + 512, n))
+        acc += models.sum_squared_loglik_grads(
+            spec, theta_global, local_dataset.subset(idx).as_batch()
+        )
     return FisherDiagonal(acc / n, theta_global.layout)
 
 

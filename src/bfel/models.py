@@ -1,12 +1,14 @@
 """Owned tensor math and model definitions (MLP and small CNN).
 
 Everything here is pure numpy in float64: exact analytic forward/backward
-passes for the two fixed architectures, cross-entropy loss, and the flat
-parameter-vector representation shared by the federated algorithms.
+passes for the two fixed architectures (convolutions as im2col matmuls),
+cross-entropy loss, and the flat parameter-vector representation shared by
+the federated algorithms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -126,7 +128,7 @@ class Segment:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,12 @@ class ParamLayout:
         return last.offset + last.size
 
 
+@functools.cache
 def build_layout(spec: ModelSpec) -> ParamLayout:
-    """Derive the canonical flat parameter layout for an architecture."""
+    """Derive the canonical flat parameter layout for an architecture.
+
+    Cached per spec: both are frozen, so every caller shares one layout.
+    """
     segs: list[Segment] = []
     offset = 0
 
@@ -256,28 +262,32 @@ def _col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
     return dx
 
 
+def _pool_views(x: np.ndarray):
+    """The four stride-2 views of a 2x2 pooling grid, in window order."""
+    ho, wo = x.shape[2] // 2, x.shape[3] // 2
+    return [
+        x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)
+    ]
+
+
 def _maxpool2(x: np.ndarray):
-    n, c, h, w = x.shape
-    ho, wo = h // 2, w // 2
-    xr = x[:, :, : ho * 2, : wo * 2].reshape(n, c, ho, 2, wo, 2)
-    windows = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    """2x2 max-pool; idx holds the window position of the first maximum."""
+    v = _pool_views(x)
+    out = np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+    # the first p with v[p] == out, as miss0 * (1 + miss1 * (1 + miss2))
+    # where miss_p = (v[p] != out): no boolean-mask writes
+    idx = (v[2] != out).astype(np.int8)
+    idx += 1
+    idx *= v[1] != out
+    idx += 1
+    idx *= v[0] != out
     return out, idx
 
 
 def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape):
-    n, c, h, w = x_shape
-    ho, wo = h // 2, w // 2
-    dwin = np.zeros((n, c, ho, wo, 4))
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-    dxr = (
-        dwin.reshape(n, c, ho, wo, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, ho * 2, wo * 2)
-    )
     dx = np.zeros(x_shape)
-    dx[:, :, : ho * 2, : wo * 2] = dxr
+    for pos, view in enumerate(_pool_views(dx)):
+        np.multiply(dout, idx == pos, out=view)
     return dx
 
 
@@ -297,91 +307,100 @@ def _check_batch(spec: ModelSpec, params: ParameterVector, batch: Batch) -> None
 
 
 def _forward_cached(spec: ModelSpec, params: ParameterVector, x: np.ndarray):
-    """Run the forward pass keeping what backprop needs."""
-    caches = []
-    if spec.kind == "mlp":
-        a = x.reshape(x.shape[0], -1)
-        n_layers = len(spec.hidden) + 1
-        for i in range(n_layers):
-            w = params.segment(f"fc{i}", "weight")
-            z = a @ w
-            if spec.bias:
-                z = z + params.segment(f"fc{i}", "bias")
-            if i < n_layers - 1:
-                caches.append(("fc", f"fc{i}", a, z > 0))
-                a = np.maximum(z, 0.0)
-            else:
-                caches.append(("fc", f"fc{i}", a, None))
-                a = z
-        return a, caches
+    """Run the forward pass keeping what backprop needs.
 
-    c, h, w_ = spec._chw()
-    a = x.reshape(x.shape[0], c, h, w_)
-    k = spec.kernel
-    for i in range(2):
-        wgt = params.segment(f"conv{i}", "weight")
-        oc = wgt.shape[0]
-        cols = _im2col(a, k)
-        z = np.einsum("ok,nkl->nol", wgt.reshape(oc, -1), cols)
+    Each cache entry holds a layer's input (dense activations, or im2col
+    columns for a conv), the ReLU mask of its output (None on the logits)
+    and, for a conv, the pooling indices and the shapes backprop needs.
+    """
+    caches = []
+    n = x.shape[0]
+    if spec.kind == "mlp":
+        a = x.reshape(n, -1)
+        dense = len(spec.hidden) + 1
+    else:
+        a = x.reshape((n,) + spec._chw())
+        dense = 2
+        k = spec.kernel
+        for i in range(2):
+            name = f"conv{i}"
+            wgt = params.segment(name, "weight")
+            oc = wgt.shape[0]
+            cols = _im2col(a, k)
+            z = wgt.reshape(oc, -1) @ cols
+            if spec.bias:
+                z += params.segment(name, "bias")[:, None]
+            conv_shape = (n, oc, a.shape[2] - k + 1, a.shape[3] - k + 1)
+            # ReLU after the pool: the same values and gradients, as ReLU
+            # is monotone, on a quarter of the elements
+            pooled, pool_idx = _maxpool2(z.reshape(conv_shape))
+            relu_mask = pooled > 0
+            caches.append(
+                ("conv", name, cols, relu_mask, pool_idx, conv_shape, a.shape)
+            )
+            a = np.maximum(pooled, 0.0)
+        a = a.reshape(n, -1)
+    for i in range(dense):
+        name = f"fc{i}"
+        z = a @ params.segment(name, "weight")
         if spec.bias:
-            z = z + params.segment(f"conv{i}", "bias")[None, :, None]
-        ho, wo = a.shape[2] - k + 1, a.shape[3] - k + 1
-        z = z.reshape(a.shape[0], oc, ho, wo)
-        relu_mask = z > 0
-        r = np.maximum(z, 0.0)
-        pooled, pool_idx = _maxpool2(r)
-        caches.append(("conv", f"conv{i}", a.shape, cols, relu_mask, pool_idx, r.shape))
-        a = pooled
-    flat_shape = a.shape
-    a = a.reshape(a.shape[0], -1)
-    w0 = params.segment("fc0", "weight")
-    z0 = a @ w0
-    if spec.bias:
-        z0 = z0 + params.segment("fc0", "bias")
-    caches.append(("fc_flat", "fc0", a, z0 > 0, flat_shape))
-    a1 = np.maximum(z0, 0.0)
-    w1 = params.segment("fc1", "weight")
-    z1 = a1 @ w1
-    if spec.bias:
-        z1 = z1 + params.segment("fc1", "bias")
-    caches.append(("fc", "fc1", a1, None))
-    return z1, caches
+            z = z + params.segment(name, "bias")
+        if i < dense - 1:
+            caches.append(("fc", name, a, z > 0))
+            a = np.maximum(z, 0.0)
+        else:
+            caches.append(("fc", name, a, None))
+            a = z
+    return a, caches
+
+
+def _layer_deltas(spec: ModelSpec, params: ParameterVector, caches, dlogits):
+    """Backpropagate per-sample output gradients through the cached layers.
+
+    Yields (kind, layer, inputs, delta) from the last layer to the first,
+    where each sample's weight gradient is inputs[n]^T delta[n] for "fc"
+    (inputs (N, fan_in), delta (N, fan_out)) and delta[n] @ inputs[n]^T for
+    "conv" (inputs the im2col columns (N, C*k*k, L), delta (N, OC, L)).
+    The gradient with respect to the model input is never computed.
+    """
+    da = dlogits
+    for i in range(len(caches) - 1, -1, -1):
+        cache = caches[i]
+        name = cache[1]
+        wgt = params.segment(name, "weight")  # for the input gradient
+        if cache[0] == "fc":
+            _, _, a_in, relu_mask = cache
+            if relu_mask is not None:
+                # da is w.r.t. this layer's post-ReLU output; undo the ReLU
+                da = da * relu_mask
+            yield "fc", name, a_in, da
+            if i:
+                da = da @ wgt.T
+        else:
+            _, _, cols, relu_mask, pool_idx, conv_shape, in_shape = cache
+            dpooled = da.reshape(relu_mask.shape) * relu_mask
+            dz = _maxpool2_backward(dpooled, pool_idx, conv_shape)
+            dflat = dz.reshape(conv_shape[0], conv_shape[1], -1)
+            yield "conv", name, cols, dflat
+            if i:
+                wmat = wgt.reshape(conv_shape[1], -1)
+                da = _col2im(wmat.T @ dflat, in_shape, spec.kernel)
 
 
 def _backward(spec: ModelSpec, params: ParameterVector, caches, dlogits):
     """Exact gradient of a scalar loss given d(loss)/d(logits)."""
     grads = np.zeros(params.layout.size)
     gvec = ParameterVector(grads, params.layout)  # writable views
-    da = dlogits
-    k = spec.kernel
-    for cache in reversed(caches):
-        tag = cache[0]
-        if tag in ("fc", "fc_flat"):
-            name, a_in, relu_mask = cache[1], cache[2], cache[3]
-            if relu_mask is not None:
-                # da is w.r.t. this layer's post-ReLU output; undo the ReLU
-                da = da * relu_mask
-            w = params.segment(name, "weight")
-            gvec.segment(name, "weight")[...] += a_in.T @ da
+    for kind, name, inputs, delta in _layer_deltas(spec, params, caches, dlogits):
+        gw = gvec.segment(name, "weight")
+        if kind == "fc":
+            gw += inputs.T @ delta
             if spec.bias:
-                gvec.segment(name, "bias")[...] += da.sum(axis=0)
-            da = da @ w.T
-            if tag == "fc_flat":
-                da = da.reshape(cache[4])
-        else:  # conv stage
-            name, in_shape, cols, relu_mask, pool_idx, pre_pool_shape = cache[1:]
-            dz = _maxpool2_backward(da, pool_idx, pre_pool_shape)
-            dz = dz * relu_mask
-            oc = dz.shape[1]
-            dflat = dz.reshape(dz.shape[0], oc, -1)
-            gvec.segment(name, "weight")[...] += np.einsum(
-                "nol,nkl->ok", dflat, cols
-            ).reshape(gvec.segment(name, "weight").shape)
+                gvec.segment(name, "bias")[...] += delta.sum(axis=0)
+        else:
+            gw += (delta @ inputs.transpose(0, 2, 1)).sum(axis=0).reshape(gw.shape)
             if spec.bias:
-                gvec.segment(name, "bias")[...] += dflat.sum(axis=(0, 2))
-            wgt = params.segment(name, "weight")
-            dcols = np.einsum("ok,nol->nkl", wgt.reshape(oc, -1), dflat)
-            da = _col2im(dcols, in_shape, k)
+                gvec.segment(name, "bias")[...] += delta.sum(axis=(0, 2))
     return params.with_values(grads)
 
 
@@ -418,7 +437,11 @@ def loss_and_grad(
 def per_sample_loglik_grad(
     spec: ModelSpec, params: ParameterVector, sample: Batch
 ) -> ParameterVector:
-    """Gradient of log p(y|x; params) for a single sample."""
+    """Gradient of log p(y|x; params) for a single sample.
+
+    No training path calls this; it is the one-sample reference that
+    `sum_squared_loglik_grads` is tested against.
+    """
     if sample.size != 1:
         raise ShapeMismatchError("per-sample gradient requires batch size 1")
     _, grad = loss_and_grad(spec, params, sample)
@@ -430,12 +453,13 @@ def sum_squared_loglik_grads(
 ) -> np.ndarray:
     """Sum over the batch of squared per-sample log-likelihood gradients.
 
-    MLP only. Exploits that a dense layer's per-sample weight gradient is
-    the outer product a_in[n] x dz[n], so the squared sum contracts to
-    (a_in^2)^T @ (dz^2) without materializing per-sample gradients.
+    Per-sample gradients are never stacked whole. A dense layer's
+    per-sample weight gradient is the outer product a_in[n] x dz[n], so the
+    squared sum contracts to (a_in^2)^T @ (dz^2). A conv layer's is
+    dflat[n] @ cols[n]^T, an (OC, C*k*k) matrix per sample, squared and
+    summed over the batch; its bias gradient is dflat[n] summed over
+    positions.
     """
-    if spec.kind != "mlp":
-        raise ValueError("vectorized squared-gradient path supports MLP only")
     _check_batch(spec, params, batch)
     logits, caches = _forward_cached(spec, params, batch.inputs.data)
     n = batch.size
@@ -443,15 +467,20 @@ def sum_squared_loglik_grads(
     dlogits[np.arange(n), batch.labels] -= 1.0  # per-sample, unscaled
     out = np.zeros(params.layout.size)
     ovec = ParameterVector(out, params.layout)
-    da = dlogits
-    for cache in reversed(caches):
-        _, name, a_in, relu_mask = cache
-        if relu_mask is not None:
-            da = da * relu_mask
-        ovec.segment(name, "weight")[...] += (a_in**2).T @ (da**2)
-        if spec.bias:
-            ovec.segment(name, "bias")[...] += (da**2).sum(axis=0)
-        da = da @ params.segment(name, "weight").T
+    for kind, name, inputs, delta in _layer_deltas(spec, params, caches, dlogits):
+        ow = ovec.segment(name, "weight")
+        if kind == "fc":
+            ow += (inputs**2).T @ (delta**2)
+            if spec.bias:
+                ovec.segment(name, "bias")[...] += (delta**2).sum(axis=0)
+        else:
+            per_sample = delta @ inputs.transpose(0, 2, 1)
+            ow += (per_sample**2).sum(axis=0).reshape(ow.shape)
+            if spec.bias:
+                per_sample = delta.sum(axis=2)
+                ovec.segment(name, "bias")[...] += (per_sample**2).sum(axis=0)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("squared log-likelihood gradients not finite")
     return out
 
 

@@ -235,11 +235,10 @@ class RoundMetrics:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured algorithm; write metrics CSV, model, chain log."""
     hp = config.hyperparams()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     train, test = _load_datasets(config)
     spec = _build_spec(config, train)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     algo = fedcurv if config.algorithm == "fedcurv" else fedavg  # base: FedAvg
     if config.algorithm == "base":

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,29 @@ from bfel.data import (
     PartitionMode,
     PartitionPlan,
 )
+
+
+def forged_bfeldata(path, count, shape=(3, 5), samples=2):
+    """A BFELDATA header declaring `count` samples over `samples` real ones."""
+    rng = np.random.default_rng(0)
+    data.save_bfeldata(
+        Dataset(rng.random((samples,) + shape), np.zeros(samples, int), 2), path
+    )
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = struct.pack("<Q", count)
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def rejection_peak_bytes(load, *paths):
+    """Assert `load` rejects a forged size; return its peak allocation."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="truncated"):
+            load(*paths)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_idx_pair(tmp_path, pixels, labels):
@@ -57,6 +81,26 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="truncated"):
             data.load_idx(img, lab)
 
+    @pytest.mark.parametrize("count", [2**16, 2**32 - 1])
+    def test_forged_image_count_rejected_before_reading(self, tmp_path, count):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8), [0, 1])
+        blob = bytearray(img.read_bytes())
+        blob[4:8] = struct.pack(">I", count)
+        img.write_bytes(bytes(blob))
+        assert rejection_peak_bytes(data.load_idx, img, lab) < 2**20
+
+    def test_forged_label_count_rejected(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        lab.write_bytes(struct.pack(">II", 0x801, 2**32 - 1) + b"\x00\x01")
+        with pytest.raises(DataFormatError, match="truncated"):
+            data.load_idx(img, lab)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        img.write_bytes(img.read_bytes() + b"\x00")
+        with pytest.raises(DataFormatError, match="beyond the declared"):
+            data.load_idx(img, lab)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.integers(0, 256, (5, 4, 4)) / 255.0, rng.integers(0, 3, 5), 3)
@@ -77,6 +121,24 @@ class TestBfeldata:
         assert np.array_equal(back.samples, ds.samples)
         assert np.array_equal(back.labels, ds.labels)
         assert back.class_count == 4
+
+    @pytest.mark.parametrize("count", [2**61, 2**17])
+    def test_forged_count_rejected_before_reading(self, tmp_path, count):
+        path = forged_bfeldata(tmp_path / "forged.bfel", count)
+        assert rejection_peak_bytes(data.load_bfeldata, path) < 2**20
+
+    def test_forged_shape_rejected(self, tmp_path):
+        path = forged_bfeldata(tmp_path / "d.bfel", 2)
+        blob = bytearray(path.read_bytes())
+        blob[24:32] = struct.pack("<Q", 2**40)  # first sample dimension
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="truncated"):
+            data.load_bfeldata(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = forged_bfeldata(tmp_path / "d.bfel", 1)
+        with pytest.raises(DataFormatError, match="beyond the declared"):
+            data.load_bfeldata(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bfel"

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from bfel import models
+from bfel import data, fedcurv, models
 from bfel.models import (
     Batch,
     ModelSpec,
+    NumericalError,
     ParameterVector,
     ShapeMismatchError,
     Tensor,
     build_layout,
+)
+
+SWEEP_CNN = ModelSpec(
+    kind="cnn", input_shape=(10, 10), classes=3, conv_channels=(2, 3), fc_hidden=5
 )
 
 
@@ -219,6 +224,12 @@ class TestLayout:
         spec = ModelSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(5,))
         assert models.init_params(spec, 0).layout == models.init_params(spec, 1).layout
 
+    def test_layout_is_shared_between_equal_specs(self):
+        a = ModelSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(5,))
+        b = ModelSpec(kind="mlp", input_shape=[4], classes=3, hidden=[5])
+        assert a is not b
+        assert build_layout(a) is build_layout(b)
+
     def test_cnn_spec_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
             ModelSpec(kind="cnn", input_shape=(4, 4), classes=2)
@@ -231,13 +242,7 @@ class TestGradientExactnessSweep:
             (ModelSpec(kind="mlp", input_shape=(4,), classes=3, hidden=()), 0),
             (ModelSpec(kind="mlp", input_shape=(3,), classes=4, hidden=(6,)), 1),
             (ModelSpec(kind="mlp", input_shape=(5,), classes=2, hidden=(4, 3)), 2),
-            (
-                ModelSpec(
-                    kind="cnn", input_shape=(10, 10), classes=3,
-                    conv_channels=(2, 3), fc_hidden=5,
-                ),
-                3,
-            ),
+            (SWEEP_CNN, 3),
         ],
     )
     def test_analytic_matches_fd(self, spec, seed):
@@ -252,3 +257,108 @@ class TestGradientExactnessSweep:
 
         fd = fd_gradient(f, params.values)
         assert max_rel_err(grad.values, fd) < 1e-5
+
+
+def squared_grad_loop(spec, params, batch):
+    """Reference: Python sum of squared one-sample log-likelihood gradients."""
+    acc = np.zeros_like(params.values)
+    for i in range(batch.size):
+        sample = make_batch(batch.inputs.data[i : i + 1], batch.labels[i : i + 1])
+        acc += models.per_sample_loglik_grad(spec, params, sample).values ** 2
+    return acc
+
+
+class TestSquaredGradients:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(kind="mlp", input_shape=(5,), classes=4, hidden=(6, 3)),
+            SWEEP_CNN,
+            ModelSpec(
+                kind="cnn", input_shape=(12, 11), classes=4, conv_channels=(3, 2),
+                fc_hidden=6, bias=False,
+            ),
+            ModelSpec(
+                kind="cnn", input_shape=(3, 10, 10), classes=2,
+                conv_channels=(4, 3), fc_hidden=5,
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_matches_per_sample_loop(self, spec, seed):
+        params = models.init_params(spec, seed)
+        batch = random_batch(spec, 7, seed + 50)
+        got = models.sum_squared_loglik_grads(spec, params, batch)
+        want = squared_grad_loop(spec, params, batch)
+        for seg in params.layout.segments:  # no layer compares zeros only
+            assert np.any(want[seg.offset : seg.offset + seg.size]), seg
+        assert max_rel_err(got, want, floor=1e-12) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec(kind="mlp", input_shape=(3,), classes=2), SWEEP_CNN]
+    )
+    def test_infinite_weight_raises(self, spec):
+        params = models.init_params(spec, 0)
+        values = params.values.copy()
+        values[0] = np.inf
+        batch = random_batch(spec, 4, 1)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            models.sum_squared_loglik_grads(spec, params.with_values(values), batch)
+
+    def test_cnn_fisher_makes_no_per_sample_calls(self, monkeypatch):
+        spec = SWEEP_CNN
+        params = models.init_params(spec, 4)
+        batch = random_batch(spec, 6, 5)
+        client = data.Dataset(batch.inputs.data, batch.labels, spec.classes)
+        want = squared_grad_loop(spec, params, batch) / batch.size
+        batched = models.sum_squared_loglik_grads
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return batched(*args)
+
+        def forbidden(*args):
+            raise AssertionError("per-sample gradient called")
+
+        monkeypatch.setattr(models, "sum_squared_loglik_grads", counted)
+        monkeypatch.setattr(models, "per_sample_loglik_grad", forbidden)
+        fisher = fedcurv.compute_fisher_diagonal(spec, params, client)
+        assert len(calls) == 1  # one chunk for the whole client
+        assert max_rel_err(fisher.values, want, floor=1e-12) <= 1e-10
+
+
+class TestMaxPool:
+    def test_ties_route_to_first_maximum_in_window_order(self):
+        # one 4x5 map: two full 2x2 windows, the last column is dropped
+        x = np.array(
+            [
+                [1.0, 3.0, 2.0, 2.0, 9.0],
+                [3.0, 0.0, 2.0, 2.0, 9.0],
+                [5.0, 4.0, -1.0, -2.0, 9.0],
+                [4.0, 5.0, -2.0, -1.0, 9.0],
+            ]
+        )[None, None]
+        out, idx = models._maxpool2(x)
+        assert np.array_equal(out[0, 0], [[3.0, 2.0], [5.0, -1.0]])
+        # window order is (0,0), (0,1), (1,0), (1,1): the first tie wins
+        assert np.array_equal(idx[0, 0], [[1, 0], [0, 0]])
+        dout = np.array([[10.0, 20.0], [30.0, 40.0]])[None, None]
+        dx = models._maxpool2_backward(dout, idx, x.shape)
+        want = np.zeros_like(x)
+        want[0, 0, 0, 1] = 10.0
+        want[0, 0, 0, 2] = 20.0
+        want[0, 0, 2, 0] = 30.0
+        want[0, 0, 2, 2] = 40.0
+        assert np.array_equal(dx, want)
+
+    def test_matches_argmax_over_windows(self):
+        rng = np.random.default_rng(3)
+        x = np.round(rng.standard_normal((3, 2, 7, 6)), 1)  # many ties
+        out, idx = models._maxpool2(x)
+        windows = (
+            x[:, :, :6, :6].reshape(3, 2, 3, 2, 3, 2)
+            .transpose(0, 1, 2, 4, 3, 5).reshape(3, 2, 3, 3, 4)
+        )
+        assert np.array_equal(idx, windows.argmax(axis=-1))
+        assert np.array_equal(out, windows.max(axis=-1))

@@ -256,6 +256,18 @@ class TestCli:
         assert "batch_size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_forged_dataset_count_exits_before_output(self, tmp_path, capsys):
+        train_path = tmp_path / "train.bfel"
+        data.save_bfeldata(data.synth_blobs(2, 10, 3, 0.2, seed=1), train_path)
+        blob = bytearray(train_path.read_bytes())
+        blob[12:20] = (2**61).to_bytes(8, "little")  # declared sample count
+        train_path.write_bytes(bytes(blob))
+        path = write_config(tmp_path, dataset="bfeldata",
+                            bfeldata_train=str(train_path), clients=2)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "truncated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_gossip_and_latency_commands(self, tmp_path, capsys):
         assert cli.main(["gossip-sim", "--nodes", "16", "--fanout", "2",
                          "--seeds", "3"]) == 0
