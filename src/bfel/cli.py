@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gossip, ledger
+from .fedcurv import RoundNumericalError
 from .simulator import ConfigError, parse_config, run_experiment
 
 
@@ -114,6 +115,9 @@ def main(argv=None) -> int:
     except (ConfigError, ledger.ChainFormatError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RoundNumericalError as e:
+        print(f"error: numerical blow-up in {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Stack of samples with integer class labels."""
+    """Stack of finite samples with integer class labels."""
 
     samples: np.ndarray  # (N, ...) float64
     labels: np.ndarray  # (N,) int64
@@ -50,6 +50,11 @@ class Dataset:
             )
         if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
             raise DataFormatError("label out of range")
+        if not np.isfinite(samples).all():
+            bad = np.flatnonzero(~np.isfinite(samples.reshape(len(samples), -1)).all(1))
+            raise DataFormatError(
+                f"{bad.size} sample(s) hold NaN/Inf values, the first at index {bad[0]}"
+            )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
 
@@ -57,7 +62,13 @@ class Dataset:
         return self.samples.shape[0]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.samples[indices], self.labels[indices], self.class_count)
+        """The samples at `indices`. They are finite and labelled in range,
+        as this set's are, so they are not checked again."""
+        sub = object.__new__(Dataset)
+        object.__setattr__(sub, "samples", np.ascontiguousarray(self.samples[indices]))
+        object.__setattr__(sub, "labels", self.labels[indices])
+        object.__setattr__(sub, "class_count", self.class_count)
+        return sub
 
     def as_batch(self) -> Batch:
         return Batch(Tensor(self.samples), self.labels)
@@ -181,7 +192,10 @@ def load_bfeldata(path) -> Dataset:
             _read_exact(f, count * per * 8, path), dtype="<f8"
         ).reshape((count,) + shape)
         labels = np.frombuffer(_read_exact(f, count * 2, path), dtype="<u2")
-    return Dataset(samples, labels.astype(np.int64), class_count)
+    try:
+        return Dataset(samples, labels.astype(np.int64), class_count)
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from None
 
 
 def partition(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:

@@ -11,31 +11,36 @@ import numpy as np
 
 from .data import Dataset
 from .fedcurv import (AggregationError, ClientUpdate, GlobalModelState,
-                      HyperParams, local_train)
+                      HyperParams, _phase, local_train)
 from .models import ModelSpec, ParameterVector, require_same_layout
 
 
 def client_round(
     spec: ModelSpec,
     theta_global: ParameterVector,
-    local_dataset: Dataset,
+    datasets: list[Dataset],
     hp: HyperParams,
-    client_id: int,
+    client_ids: list[int],
     round_no: int,
-    seed: int,
+    seeds: list[int],
     epoch_offset: int = 0,
-) -> ClientUpdate:
-    """FedAvg client step: E epochs of unregularized SGD from theta_global."""
-    theta_local = local_train(
-        spec, theta_global, None, local_dataset, replace(hp, lam=0.0), seed,
-        epoch_offset,
-    )
-    return ClientUpdate(
-        client_id=client_id,
-        round=round_no,
-        theta_local=theta_local,
-        sample_count=len(local_dataset),
-    )
+) -> list[ClientUpdate]:
+    """FedAvg client step: E epochs of unregularized SGD from theta_global,
+    for all of a round's sampled clients in lockstep."""
+    with _phase("local SGD", round_no, client_ids):
+        thetas = local_train(
+            spec, theta_global, None, datasets, replace(hp, lam=0.0), seeds,
+            epoch_offset,
+        )
+    return [
+        ClientUpdate(
+            client_id=cid,
+            round=round_no,
+            theta_local=theta_local,
+            sample_count=len(ds),
+        )
+        for cid, ds, theta_local in zip(client_ids, datasets, thetas)
+    ]
 
 
 def average_models(updates: list[ClientUpdate]) -> ParameterVector:

@@ -5,11 +5,14 @@ then local SGD on a loss anchored to that model by a Fisher-weighted
 quadratic penalty. Server side: unweighted aggregation of client Fisher
 diagonals and gradients, followed by an inverse-curvature-scaled step on
 the global model. `run_round` drives one round of any algorithm given its
-client and server steps; the FedCurv steps are the defaults.
+client and server steps; the FedCurv steps are the defaults. A client
+step receives all of a round's sampled clients, and their local SGD runs
+in lockstep: one stacked step for every client at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -20,6 +23,7 @@ from .data import Dataset, shuffled_batches
 from .models import (
     LayoutMismatchError,
     ModelSpec,
+    NumericalError,
     ParameterVector,
     lr_schedule,
     require_same_layout,
@@ -32,6 +36,39 @@ class EmptyDatasetError(ValueError):
 
 class AggregationError(ValueError):
     pass
+
+
+class RoundNumericalError(NumericalError):
+    """A non-finite value inside a round: where it arose and whose it was.
+
+    `round` counts from 0 like `ClientUpdate.round`; the message counts
+    from 1, as metrics.csv does. `phase` is one of "Fisher", "local SGD",
+    "server gradient", "global step" or "evaluation"; `client_ids` is
+    empty for the server's phases.
+    """
+
+    def __init__(self, round_no: int, phase: str, client_ids, detail: str):
+        self.round = round_no
+        self.phase = phase
+        self.client_ids = tuple(client_ids)
+        who = f", client(s) {list(self.client_ids)}" if self.client_ids else ""
+        super().__init__(f"round {round_no + 1}, {phase}{who}: {detail}")
+
+
+@contextlib.contextmanager
+def _phase(phase: str, round_no: int, client_ids=()):
+    """Re-raise a NumericalError from inside as a RoundNumericalError.
+
+    An error that names positions on a stacked client axis is charged to
+    those clients only; any other is charged to all of client_ids.
+    """
+    try:
+        yield
+    except RoundNumericalError:
+        raise
+    except NumericalError as e:
+        ids = [client_ids[i] for i in e.positions] if e.positions else client_ids
+        raise RoundNumericalError(round_no, phase, ids, str(e)) from e
 
 
 @dataclass(frozen=True)
@@ -72,6 +109,8 @@ class HyperParams:
             raise ValueError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.eta_local < 0:
+            raise ValueError("eta_local must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -148,7 +187,10 @@ def regularized_gradient(
     batch,
     lam: float,
 ) -> ParameterVector:
-    """Gradient of regularized_loss: dL + lam * F * (theta - theta_global)."""
+    """Gradient of regularized_loss: dL + lam * F * (theta - theta_global).
+
+    The one-model reference for the step `local_train` takes for a cohort.
+    """
     require_same_layout(theta, theta_global)
     _, grad = models.loss_and_grad(spec, theta, batch)
     if lam == 0.0:
@@ -160,34 +202,84 @@ def regularized_gradient(
 def local_train(
     spec: ModelSpec,
     theta_global: ParameterVector,
-    fisher: FisherDiagonal | None,
-    local_dataset: Dataset,
+    fishers: list[FisherDiagonal] | None,
+    datasets: list[Dataset],
     hp: HyperParams,
-    seed: int,
+    seeds: list[int],
     epoch_offset: int = 0,
-) -> ParameterVector:
-    """E epochs of mini-batch SGD on the anchored loss, from theta_global.
+) -> list[ParameterVector]:
+    """E epochs of mini-batch SGD on the anchored loss, one model per client.
 
+    Client k starts from theta_global and takes the batches that
+    `shuffled_batches` draws from its own generator, seeded by seeds[k],
+    exactly as it would alone. The clients run in lockstep: at each step,
+    those whose batches have the same size take one stacked step together,
+    so ragged datasets and last partial batches form separate groups. A
+    stacked call holds at most as many samples as the largest dataset, so
+    it needs no more memory than one full-batch step of that client would.
     epoch_offset shifts the decay schedule when epochs accumulate across
-    rounds. At hp.lam == 0 this is plain SGD and fisher may be None.
+    rounds. At hp.lam == 0 this is plain SGD and fishers may be None.
+    A non-finite loss or gradient raises NumericalError naming the clients'
+    positions in `datasets`.
     """
-    if len(local_dataset) == 0:
+    if any(len(ds) == 0 for ds in datasets):
         raise EmptyDatasetError("cannot train on an empty dataset")
-    rng = np.random.default_rng(seed)
-    theta = theta_global
+    layout, anchor = theta_global.layout, theta_global.values
+    thetas = np.tile(anchor, (len(datasets), 1))
+    lam_f = None
+    if hp.lam != 0.0:
+        if any(f.layout != layout for f in fishers):
+            raise LayoutMismatchError("fisher diagonal does not match the model")
+        lam_f = hp.lam * np.stack([f.values for f in fishers])
+    max_samples = max(map(len, datasets))
+
+    def step(ks, idxs, lr):
+        # a run of consecutive clients is a view that the update writes
+        # through; any other group is gathered and written back
+        rows = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
+        theta = thetas[rows]
+        losses, grads = models.stacked_loss_and_grad(
+            spec, layout, theta,
+            np.stack([datasets[k].samples[i] for k, i in zip(ks, idxs)]),
+            np.stack([datasets[k].labels[i] for k, i in zip(ks, idxs)]),
+        )
+        bad = ~(np.isfinite(losses) & np.isfinite(grads).all(axis=1))
+        if bad.any():
+            raise NumericalError(
+                "loss/gradient not finite",
+                positions=[ks[i] for i in np.flatnonzero(bad)],
+            )
+        if lam_f is not None:
+            penalty = theta - anchor
+            penalty *= lam_f[rows]
+            grads += penalty
+        grads *= lr
+        theta -= grads
+        if not isinstance(rows, slice):
+            thetas[rows] = theta
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     for epoch in range(hp.local_epochs):
         lr = hp.eta_local
         if hp.lr_decay:
             lr = lr_schedule(hp.eta_local, epoch_offset + epoch)
         if lr == 0.0:
             continue
-        for idx in shuffled_batches(len(local_dataset), hp.batch_size, rng):
-            batch = local_dataset.subset(idx).as_batch()
-            grad = regularized_gradient(
-                spec, theta, theta_global, fisher, batch, hp.lam
-            )
-            theta = models.sgd_step(theta, grad, lr)
-    return theta
+        batches = [
+            list(shuffled_batches(len(ds), hp.batch_size, rng))
+            for ds, rng in zip(datasets, rngs)
+        ]
+        for s in range(max(map(len, batches))):
+            groups: dict[int, list[int]] = {}  # batch size -> clients
+            for k, client_batches in enumerate(batches):
+                if s < len(client_batches):
+                    groups.setdefault(len(client_batches[s]), []).append(k)
+            for size, ks in groups.items():
+                per_call = max_samples // size
+                for lo in range(0, len(ks), per_call):
+                    chunk = ks[lo : lo + per_call]
+                    step(chunk, [batches[k][s] for k in chunk], lr)
+    return [theta_global.with_values(row) for row in thetas]
 
 
 def server_gradient(
@@ -244,27 +336,42 @@ def global_update(
 def client_round(
     spec: ModelSpec,
     theta_global: ParameterVector,
-    local_dataset: Dataset,
+    datasets: list[Dataset],
     hp: HyperParams,
-    client_id: int,
+    client_ids: list[int],
     round_no: int,
-    seed: int,
+    seeds: list[int],
     epoch_offset: int = 0,
-) -> ClientUpdate:
-    """FedCurv client step: Fisher at the anchor, anchored SGD, g_k."""
-    fisher = compute_fisher_diagonal(spec, theta_global, local_dataset)
-    theta_local = local_train(
-        spec, theta_global, fisher, local_dataset, hp, seed, epoch_offset
-    )
-    g_k = server_gradient(spec, theta_local, local_dataset)
-    return ClientUpdate(
-        client_id=client_id,
-        round=round_no,
-        fisher=fisher,
-        gradient=g_k,
-        theta_local=theta_local,
-        sample_count=len(local_dataset),
-    )
+) -> list[ClientUpdate]:
+    """FedCurv client step for a round's sampled clients.
+
+    Each client's Fisher at the anchor, then anchored SGD for all of them
+    in lockstep, then each client's g_k. The Fisher and g_k passes stay
+    per client, so that no full-dataset pass is stacked.
+    """
+    fishers = []
+    for cid, ds in zip(client_ids, datasets):
+        with _phase("Fisher", round_no, [cid]):
+            fishers.append(compute_fisher_diagonal(spec, theta_global, ds))
+    with _phase("local SGD", round_no, client_ids):
+        thetas = local_train(
+            spec, theta_global, fishers, datasets, hp, seeds, epoch_offset
+        )
+    updates = []
+    for cid, ds, fisher, theta_local in zip(client_ids, datasets, fishers, thetas):
+        with _phase("server gradient", round_no, [cid]):
+            g_k = server_gradient(spec, theta_local, ds)
+        updates.append(
+            ClientUpdate(
+                client_id=cid,
+                round=round_no,
+                fisher=fisher,
+                gradient=g_k,
+                theta_local=theta_local,
+                sample_count=len(ds),
+            )
+        )
+    return updates
 
 
 def server_step(
@@ -301,42 +408,43 @@ def run_round(
     client_step=client_round,
     server_step=server_step,
 ) -> tuple[GlobalModelState, list[ClientUpdate], dict]:
-    """One full round: sample, run each client step, run the server step.
+    """One full round: sample, run the client step, run the server step.
 
     client_step and server_step have the signatures of `client_round` and
     `server_step`, so every algorithm shares the sampling, seeds and metrics.
-    Per-client training seeds are drawn in ascending client-id order so the
-    outcome is independent of execution order.
+    The client step receives every sampled client at once, in ascending id
+    order, with per-client training seeds drawn in that order. A non-finite
+    value anywhere in the round raises RoundNumericalError.
     """
     if not clients:
         raise AggregationError("run_round requires at least one client")
     sampled = sample_clients(len(clients), hp.client_fraction, rng)
-    seeds = {cid: int(rng.integers(2**63)) for cid in sampled}
-    updates = [
-        client_step(
-            state.spec,
-            state.theta_global,
-            clients[cid],
-            hp,
-            client_id=cid,
-            round_no=state.round,
-            seed=seeds[cid],
-            epoch_offset=epoch_offset,
-        )
-        for cid in sampled
-    ]
-    new_state = server_step(state, updates, hp)
+    seeds = [int(rng.integers(2**63)) for _ in sampled]
+    updates = client_step(
+        state.spec,
+        state.theta_global,
+        [clients[cid] for cid in sampled],
+        hp,
+        client_ids=sampled,
+        round_no=state.round,
+        seeds=seeds,
+        epoch_offset=epoch_offset,
+    )
+    with _phase("global step", state.round):
+        new_state = server_step(state, updates, hp)
+        if not np.all(np.isfinite(new_state.theta_global.values)):
+            raise NumericalError("global model not finite")
     metrics = {
         "sampled_clients": sampled,
         "divergence": divergence([u.theta_local for u in updates]),
     }
     if test_set is not None:
         batch = test_set.as_batch()
-        client_accs = [
-            models.accuracy(state.spec, u.theta_local, batch) for u in updates
-        ]
-        metrics["client_accuracy"] = client_accs
-        metrics["global_accuracy"] = models.accuracy(
-            state.spec, new_state.theta_global, batch
-        )
+        with _phase("evaluation", state.round):
+            metrics["client_accuracy"] = [
+                models.accuracy(state.spec, u.theta_local, batch) for u in updates
+            ]
+            metrics["global_accuracy"] = models.accuracy(
+                state.spec, new_state.theta_global, batch
+            )
     return new_state, updates, metrics

@@ -24,7 +24,15 @@ class LayoutMismatchError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """A public operation produced a non-finite value."""
+    """A public operation produced a non-finite value.
+
+    `positions` lists the offending rows of a stacked client axis, when the
+    operation had one.
+    """
+
+    def __init__(self, message: str, positions=()):
+        super().__init__(message)
+        self.positions = tuple(positions)
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ class ModelSpec:
 
     @property
     def input_size(self) -> int:
-        return int(np.prod(self.input_shape))
+        return math.prod(self.input_shape)
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,19 @@ class ParamLayout:
         last = self.segments[-1]
         return last.offset + last.size
 
+    @functools.cached_property
+    def slots(self) -> dict[tuple[str, str], tuple[int, int, tuple[int, ...]]]:
+        """(layer, role) -> (start, stop, shape), built once per layout."""
+        return {
+            (s.layer, s.role): (s.offset, s.offset + s.size, s.shape)
+            for s in self.segments
+        }
+
+    def stacked(self, values: np.ndarray, layer: str, role: str) -> np.ndarray:
+        """One segment of (K, size) stacked values, as a (K, *shape) view."""
+        start, stop, shape = self.slots[layer, role]
+        return values[:, start:stop].reshape((values.shape[0],) + shape)
+
 
 @functools.cache
 def build_layout(spec: ModelSpec) -> ParamLayout:
@@ -153,7 +174,7 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
     def add(layer, role, shape):
         nonlocal offset
         segs.append(Segment(layer, role, tuple(shape), offset))
-        offset += int(np.prod(shape))
+        offset += math.prod(shape)
 
     if spec.kind == "mlp":
         dims = [spec.input_size, *spec.hidden, spec.classes]
@@ -198,12 +219,11 @@ class ParameterVector:
         object.__setattr__(self, "values", vals)
 
     def segment(self, layer: str, role: str) -> np.ndarray:
-        for seg in self.layout.segments:
-            if seg.layer == layer and seg.role == role:
-                return self.values[seg.offset : seg.offset + seg.size].reshape(
-                    seg.shape
-                )
-        raise KeyError(f"no segment ({layer}, {role})")
+        try:
+            start, stop, shape = self.layout.slots[layer, role]
+        except KeyError:
+            raise KeyError(f"no segment ({layer}, {role})") from None
+        return self.values[start:stop].reshape(shape)
 
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         return ParameterVector(values, self.layout)
@@ -291,46 +311,50 @@ def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape):
     return dx
 
 
-def _check_batch(spec: ModelSpec, params: ParameterVector, batch: Batch) -> None:
-    if params.layout != build_layout(spec):
+def _check_inputs(spec: ModelSpec, layout: ParamLayout, sample_shape, labels) -> None:
+    if layout != build_layout(spec):
         raise LayoutMismatchError("parameter layout does not match model spec")
-    if batch.inputs.shape[1:] != spec.input_shape:
+    if tuple(sample_shape) != spec.input_shape:
         raise ShapeMismatchError(
-            f"input: batch sample shape {batch.inputs.shape[1:]} does not "
+            f"input: batch sample shape {tuple(sample_shape)} does not "
             f"match spec input_shape {spec.input_shape}"
         )
-    if int(batch.labels.max(initial=0)) >= spec.classes:
+    if int(labels.max(initial=0)) >= spec.classes:
         raise ShapeMismatchError(
-            f"label {int(batch.labels.max())} out of range for "
-            f"{spec.classes} classes"
+            f"label {int(labels.max())} out of range for {spec.classes} classes"
         )
 
 
-def _forward_cached(spec: ModelSpec, params: ParameterVector, x: np.ndarray):
-    """Run the forward pass keeping what backprop needs.
+def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
+    """Run the forward pass of K models, keeping what backprop needs.
 
-    Each cache entry holds a layer's input (dense activations, or im2col
-    columns for a conv), the ReLU mask of its output (None on the logits)
-    and, for a conv, the pooling indices and the shapes backprop needs.
+    thetas is (K, P) in `layout`; x is (K, N, *input_shape), client k's N
+    samples seen by model k. Every weight op is one matmul batched over
+    the client axis; im2col and the pools run on the K*N samples.
+    Each cache entry holds a layer's input (dense activations (K, N, fan_in),
+    or im2col columns (K, N, C*k*k, L) for a conv), the ReLU mask of its
+    output (None on the logits) and, for a conv, the pooling indices and
+    the (K*N, ...) shapes backprop needs.
     """
     caches = []
-    n = x.shape[0]
+    kk, n = x.shape[:2]
     if spec.kind == "mlp":
-        a = x.reshape(n, -1)
+        a = x.reshape(kk, n, -1)
         dense = len(spec.hidden) + 1
     else:
-        a = x.reshape((n,) + spec._chw())
+        a = x.reshape((kk * n,) + spec._chw())
         dense = 2
         k = spec.kernel
         for i in range(2):
             name = f"conv{i}"
-            wgt = params.segment(name, "weight")
-            oc = wgt.shape[0]
+            wgt = layout.stacked(thetas, name, "weight")
+            oc = wgt.shape[1]
             cols = _im2col(a, k)
-            z = wgt.reshape(oc, -1) @ cols
+            cols = cols.reshape((kk, n) + cols.shape[1:])
+            z = wgt.reshape(kk, 1, oc, -1) @ cols
             if spec.bias:
-                z += params.segment(name, "bias")[:, None]
-            conv_shape = (n, oc, a.shape[2] - k + 1, a.shape[3] - k + 1)
+                z += layout.stacked(thetas, name, "bias")[:, None, :, None]
+            conv_shape = (kk * n, oc, a.shape[2] - k + 1, a.shape[3] - k + 1)
             # ReLU after the pool: the same values and gradients, as ReLU
             # is monotone, on a quarter of the elements
             pooled, pool_idx = _maxpool2(z.reshape(conv_shape))
@@ -339,12 +363,12 @@ def _forward_cached(spec: ModelSpec, params: ParameterVector, x: np.ndarray):
                 ("conv", name, cols, relu_mask, pool_idx, conv_shape, a.shape)
             )
             a = np.maximum(pooled, 0.0)
-        a = a.reshape(n, -1)
+        a = a.reshape(kk, n, -1)
     for i in range(dense):
         name = f"fc{i}"
-        z = a @ params.segment(name, "weight")
+        z = a @ layout.stacked(thetas, name, "weight")
         if spec.bias:
-            z = z + params.segment(name, "bias")
+            z = z + layout.stacked(thetas, name, "bias")[:, None, :]
         if i < dense - 1:
             caches.append(("fc", name, a, z > 0))
             a = np.maximum(z, 0.0)
@@ -354,20 +378,21 @@ def _forward_cached(spec: ModelSpec, params: ParameterVector, x: np.ndarray):
     return a, caches
 
 
-def _layer_deltas(spec: ModelSpec, params: ParameterVector, caches, dlogits):
+def _layer_deltas(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits):
     """Backpropagate per-sample output gradients through the cached layers.
 
     Yields (kind, layer, inputs, delta) from the last layer to the first,
-    where each sample's weight gradient is inputs[n]^T delta[n] for "fc"
-    (inputs (N, fan_in), delta (N, fan_out)) and delta[n] @ inputs[n]^T for
-    "conv" (inputs the im2col columns (N, C*k*k, L), delta (N, OC, L)).
-    The gradient with respect to the model input is never computed.
+    where each sample's weight gradient is inputs[k, n]^T delta[k, n] for
+    "fc" (inputs (K, N, fan_in), delta (K, N, fan_out)) and
+    delta[k, n] @ inputs[k, n]^T for "conv" (inputs the im2col columns
+    (K, N, C*k*k, L), delta (K, N, OC, L)). The gradient with respect to
+    the model input is never computed.
     """
     da = dlogits
     for i in range(len(caches) - 1, -1, -1):
         cache = caches[i]
         name = cache[1]
-        wgt = params.segment(name, "weight")  # for the input gradient
+        wgt = layout.stacked(thetas, name, "weight")  # for the input gradient
         if cache[0] == "fc":
             _, _, a_in, relu_mask = cache
             if relu_mask is not None:
@@ -375,63 +400,91 @@ def _layer_deltas(spec: ModelSpec, params: ParameterVector, caches, dlogits):
                 da = da * relu_mask
             yield "fc", name, a_in, da
             if i:
-                da = da @ wgt.T
+                da = da @ wgt.transpose(0, 2, 1)
         else:
             _, _, cols, relu_mask, pool_idx, conv_shape, in_shape = cache
             dpooled = da.reshape(relu_mask.shape) * relu_mask
             dz = _maxpool2_backward(dpooled, pool_idx, conv_shape)
-            dflat = dz.reshape(conv_shape[0], conv_shape[1], -1)
+            dflat = dz.reshape(cols.shape[:2] + (conv_shape[1], -1))
             yield "conv", name, cols, dflat
             if i:
-                wmat = wgt.reshape(conv_shape[1], -1)
-                da = _col2im(wmat.T @ dflat, in_shape, spec.kernel)
+                wmat = wgt.reshape(wgt.shape[0], 1, conv_shape[1], -1)
+                dcols = (wmat.transpose(0, 1, 3, 2) @ dflat).reshape(
+                    (-1,) + cols.shape[2:]
+                )
+                da = _col2im(dcols, in_shape, spec.kernel)
+                del dcols  # not held while the caller uses the next layer
 
 
-def _backward(spec: ModelSpec, params: ParameterVector, caches, dlogits):
-    """Exact gradient of a scalar loss given d(loss)/d(logits)."""
-    grads = np.zeros(params.layout.size)
-    gvec = ParameterVector(grads, params.layout)  # writable views
-    for kind, name, inputs, delta in _layer_deltas(spec, params, caches, dlogits):
-        gw = gvec.segment(name, "weight")
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _pick(labels: np.ndarray) -> tuple:
+    """Index of each (client, sample)'s labelled logit in (K, N, classes)."""
+    kk, n = labels.shape
+    return np.arange(kk)[:, None], np.arange(n), labels
+
+
+def stacked_loss_and_grad(
+    spec: ModelSpec, layout: ParamLayout, thetas: np.ndarray, inputs, labels
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy and its exact gradient for K models at once.
+
+    thetas (K, P) holds one parameter vector per row; inputs (K, N, ...)
+    and labels (K, N) hold each model's batch. Returns losses (K,) and
+    gradients (K, P). Non-finite results are returned, not raised, so that
+    the caller can name the rows they came from.
+    """
+    _check_inputs(spec, layout, inputs.shape[2:], labels)
+    logits, caches = _forward_cached(spec, layout, thetas, inputs)
+    n = labels.shape[1]
+    pick = _pick(labels)
+    logp = _log_softmax(logits)
+    losses = -logp[pick].mean(axis=1)
+    dlogits = np.exp(logp)
+    dlogits[pick] -= 1.0
+    dlogits /= n
+    grads = np.zeros(thetas.shape)
+    for kind, name, a_in, delta in _layer_deltas(
+        spec, layout, thetas, caches, dlogits
+    ):
+        gw = layout.stacked(grads, name, "weight")
         if kind == "fc":
-            gw += inputs.T @ delta
+            # straight into the gradient rows: no (K, fan_in, fan_out) temporary
+            np.matmul(a_in.transpose(0, 2, 1), delta, out=gw)
             if spec.bias:
-                gvec.segment(name, "bias")[...] += delta.sum(axis=0)
+                layout.stacked(grads, name, "bias")[...] += delta.sum(axis=1)
         else:
-            gw += (delta @ inputs.transpose(0, 2, 1)).sum(axis=0).reshape(gw.shape)
+            per_sample = delta @ a_in.transpose(0, 1, 3, 2)
+            gw += per_sample.sum(axis=1).reshape(gw.shape)
             if spec.bias:
-                gvec.segment(name, "bias")[...] += delta.sum(axis=(0, 2))
-    return params.with_values(grads)
+                layout.stacked(grads, name, "bias")[...] += delta.sum(axis=(1, 3))
+    return losses, grads
 
 
 def forward(spec: ModelSpec, params: ParameterVector, batch: Batch) -> Tensor:
     """Logits for a batch: shape (batch, classes)."""
-    _check_batch(spec, params, batch)
-    logits, _ = _forward_cached(spec, params, batch.inputs.data)
-    return Tensor(logits)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    _check_inputs(spec, params.layout, batch.inputs.shape[1:], batch.labels)
+    logits, _ = _forward_cached(
+        spec, params.layout, params.values[None], batch.inputs.data[None]
+    )
+    return Tensor(logits[0])
 
 
 def loss_and_grad(
     spec: ModelSpec, params: ParameterVector, batch: Batch
 ) -> tuple[float, ParameterVector]:
     """Mean cross-entropy over the batch and its exact gradient."""
-    _check_batch(spec, params, batch)
-    logits, caches = _forward_cached(spec, params, batch.inputs.data)
-    n = batch.size
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), batch.labels].mean())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    dlogits /= n
-    grad = _backward(spec, params, caches, dlogits)
-    if not math.isfinite(loss) or not np.all(np.isfinite(grad.values)):
+    losses, grads = stacked_loss_and_grad(
+        spec, params.layout, params.values[None], batch.inputs.data[None],
+        batch.labels[None],
+    )
+    loss = float(losses[0])
+    if not math.isfinite(loss) or not np.all(np.isfinite(grads)):
         raise NumericalError("loss/gradient not finite")
-    return loss, grad
+    return loss, params.with_values(grads[0])
 
 
 def per_sample_loglik_grad(
@@ -460,28 +513,31 @@ def sum_squared_loglik_grads(
     summed over the batch; its bias gradient is dflat[n] summed over
     positions.
     """
-    _check_batch(spec, params, batch)
-    logits, caches = _forward_cached(spec, params, batch.inputs.data)
-    n = batch.size
+    layout = params.layout
+    _check_inputs(spec, layout, batch.inputs.shape[1:], batch.labels)
+    thetas = params.values[None]
+    logits, caches = _forward_cached(spec, layout, thetas, batch.inputs.data[None])
+    labels = batch.labels[None]
     dlogits = np.exp(_log_softmax(logits))
-    dlogits[np.arange(n), batch.labels] -= 1.0  # per-sample, unscaled
-    out = np.zeros(params.layout.size)
-    ovec = ParameterVector(out, params.layout)
-    for kind, name, inputs, delta in _layer_deltas(spec, params, caches, dlogits):
-        ow = ovec.segment(name, "weight")
+    dlogits[_pick(labels)] -= 1.0  # per-sample, unscaled
+    out = np.zeros((1, layout.size))
+    for kind, name, inputs, delta in _layer_deltas(
+        spec, layout, thetas, caches, dlogits
+    ):
+        ow = layout.stacked(out, name, "weight")
         if kind == "fc":
-            ow += (inputs**2).T @ (delta**2)
+            ow += (inputs**2).transpose(0, 2, 1) @ (delta**2)
             if spec.bias:
-                ovec.segment(name, "bias")[...] += (delta**2).sum(axis=0)
+                layout.stacked(out, name, "bias")[...] += (delta**2).sum(axis=1)
         else:
-            per_sample = delta @ inputs.transpose(0, 2, 1)
-            ow += (per_sample**2).sum(axis=0).reshape(ow.shape)
+            per_sample = delta @ inputs.transpose(0, 1, 3, 2)
+            ow += (per_sample**2).sum(axis=1).reshape(ow.shape)
             if spec.bias:
-                per_sample = delta.sum(axis=2)
-                ovec.segment(name, "bias")[...] += (per_sample**2).sum(axis=0)
+                per_sample = delta.sum(axis=3)
+                layout.stacked(out, name, "bias")[...] += (per_sample**2).sum(axis=1)
     if not np.all(np.isfinite(out)):
         raise NumericalError("squared log-likelihood gradients not finite")
-    return out
+    return out[0]
 
 
 def sgd_step(

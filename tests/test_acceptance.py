@@ -118,7 +118,7 @@ def test_c03_algebraic_identities():
     ds = data.synth_blobs(2, 8, 2, 0.3, seed=1)
     hp = HyperParams(lam=0.0, eta_local=0.1, local_epochs=3, batch_size=5)
     fisher = fedcurv.compute_fisher_diagonal(spec, theta_g, ds)
-    curv = fedcurv.local_train(spec, theta_g, fisher, ds, hp, seed=7)
+    [curv] = fedcurv.local_train(spec, theta_g, [fisher], [ds], hp, seeds=[7])
     # reference: plain mini-batch SGD, written out here
     plain, rng = theta_g, np.random.default_rng(7)
     for _ in range(hp.local_epochs):

@@ -140,11 +140,33 @@ class TestBfeldata:
         with pytest.raises(DataFormatError, match="beyond the declared"):
             data.load_bfeldata(path)
 
+    def test_non_finite_sample_rejected_at_load(self, tmp_path):
+        rng = np.random.default_rng(2)
+        ds = Dataset(rng.random((6, 4)), rng.integers(0, 3, 6), 3)
+        path = tmp_path / "d.bfel"
+        data.save_bfeldata(ds, path)
+        blob = bytearray(path.read_bytes())
+        header = 8 + 16 + 8 + 4  # magic, version/count/ndim, one dim, classes
+        at = header + 8 * (3 * 4 + 1)  # sample 3, feature 1
+        blob[at : at + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="NaN/Inf.*index 3"):
+            data.load_bfeldata(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bfel"
         path.write_bytes(b"NOTBFEL!" + b"\x00" * 32)
         with pytest.raises(DataFormatError, match="bad magic"):
             data.load_bfeldata(path)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.zeros((5, 2))
+        samples[4, 1] = bad
+        with pytest.raises(DataFormatError, match="1 sample.*index 4"):
+            Dataset(samples, np.zeros(5, dtype=int), 2)
 
 
 class TestPartition:

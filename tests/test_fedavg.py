@@ -30,7 +30,10 @@ class TestLocalTrainPlain:
         self.ds = data.synth_blobs(2, 6, 2, 0.3, seed=1)
 
     def train(self, hp, seed):
-        update = fedavg.client_round(self.spec, self.theta, self.ds, hp, 4, 0, seed)
+        [update] = fedavg.client_round(
+            self.spec, self.theta, [self.ds], hp, [4], 0, [seed]
+        )
+        assert update.client_id == 4
         assert update.fisher is None and update.gradient is None
         assert update.sample_count == len(self.ds)
         return update.theta_local
@@ -44,8 +47,8 @@ class TestLocalTrainPlain:
         hp = HyperParams(lam=0.5, eta_local=0.1, local_epochs=3, batch_size=5)
         fisher = fedcurv.compute_fisher_diagonal(self.spec, self.theta, self.ds)
         plain = self.train(hp, 77)
-        curv = fedcurv.local_train(
-            self.spec, self.theta, fisher, self.ds, replace(hp, lam=0.0), 77
+        [curv] = fedcurv.local_train(
+            self.spec, self.theta, [fisher], [self.ds], replace(hp, lam=0.0), [77]
         )
         assert np.array_equal(plain.values, curv.values)
 

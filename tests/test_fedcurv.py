@@ -186,20 +186,26 @@ class TestLocalTrain:
         self.ds = small_dataset(seed=5, n=10, classes=2)
         self.fisher = fedcurv.compute_fisher_diagonal(self.spec, self.theta_g, self.ds)
 
+    def train(self, hp, seed):
+        [out] = fedcurv.local_train(
+            self.spec, self.theta_g, [self.fisher], [self.ds], hp, [seed]
+        )
+        return out
+
     def test_zero_lr_returns_anchor(self):
         hp = make_hp(eta_local=0.0, local_epochs=3, batch_size=4)
-        out = fedcurv.local_train(self.spec, self.theta_g, self.fisher, self.ds, hp, 0)
+        out = self.train(hp, 0)
         assert np.array_equal(out.values, self.theta_g.values)
 
     def test_lambda_zero_matches_plain_sgd_bitwise(self):
         hp = make_hp(lam=0.0, eta_local=0.05, local_epochs=2, batch_size=3)
-        curv = fedcurv.local_train(self.spec, self.theta_g, self.fisher, self.ds, hp, 42)
+        curv = self.train(hp, 42)
         plain = plain_sgd(self.spec, self.theta_g, self.ds, hp, 42)
         assert np.array_equal(curv.values, plain.values)
 
     def test_single_full_batch_step_closed_form(self):
         hp = make_hp(lam=0.5, eta_local=0.1, local_epochs=1, batch_size=len(self.ds))
-        out = fedcurv.local_train(self.spec, self.theta_g, self.fisher, self.ds, hp, 0)
+        out = self.train(hp, 0)
         # penalty gradient vanishes at the anchor: one plain full-batch step
         _, grad = models.loss_and_grad(self.spec, self.theta_g, self.ds.as_batch())
         expected = self.theta_g.values - 0.1 * grad.values
@@ -407,3 +413,133 @@ class TestRunRound:
         hp = make_hp(eta_global=1.0, epsilon=1e-8)
         out = fedcurv.server_step(state, us, hp)
         assert np.array_equal(out.theta_global.values, state.theta_global.values)
+
+
+LOCKSTEP_SPECS = {
+    "mlp": ModelSpec(kind="mlp", input_shape=(3,), classes=3, hidden=(5,)),
+    "cnn": ModelSpec(
+        kind="cnn", input_shape=(10, 10), classes=3, conv_channels=(2, 3),
+        fc_hidden=5,
+    ),
+}
+
+
+def ragged_clients(spec, sizes, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        Dataset(
+            rng.random((n,) + spec.input_shape),
+            rng.integers(0, spec.classes, n),
+            spec.classes,
+        )
+        for n in sizes
+    ]
+
+
+def train_alone(spec, theta_g, fisher, ds, hp, seed, epoch_offset):
+    """Reference: one client's anchored SGD, one loss_and_grad per batch."""
+    rng = np.random.default_rng(seed)
+    theta = theta_g
+    for epoch in range(hp.local_epochs):
+        lr = models.lr_schedule(hp.eta_local, epoch_offset + epoch)
+        for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
+            _, grad = models.loss_and_grad(spec, theta, ds.subset(idx).as_batch())
+            penalty = hp.lam * fisher.values * (theta.values - theta_g.values)
+            theta = models.sgd_step(theta, grad.with_values(grad.values + penalty), lr)
+    return theta
+
+
+class TestLockstep:
+    """Stacked local SGD gives every client the bits it would get alone."""
+
+    # batch 4 divides no size; the decay step falls between epochs 4 and 5
+    HP = dict(lam=0.3, eta_local=0.05, local_epochs=2, batch_size=4,
+              lr_decay=True)
+    OFFSET = 4
+
+    def spy_widths(self, monkeypatch):
+        stacked, widths = models.stacked_loss_and_grad, []
+
+        def spy(spec, layout, thetas, inputs, labels):
+            widths.append(len(thetas))
+            return stacked(spec, layout, thetas, inputs, labels)
+
+        monkeypatch.setattr(models, "stacked_loss_and_grad", spy)
+        return widths
+
+    def assert_alone(self, spec, theta_g, clients, hp, pairs):
+        for cid, seed, theta in pairs:
+            ds = clients[cid]
+            fisher = fedcurv.compute_fisher_diagonal(spec, theta_g, ds)
+            alone = train_alone(spec, theta_g, fisher, ds, hp, seed, self.OFFSET)
+            assert np.array_equal(theta.values, alone.values), cid
+
+    @pytest.mark.parametrize("kind", sorted(LOCKSTEP_SPECS))
+    def test_round_with_sampling_matches_training_alone(self, kind, monkeypatch):
+        spec = LOCKSTEP_SPECS[kind]
+        theta_g = models.init_params(spec, 3)
+        clients = ragged_clients(spec, [10, 7, 10, 9, 6, 11, 5, 10], seed=8)
+        hp = make_hp(client_fraction=0.5, **self.HP)
+        widths = self.spy_widths(monkeypatch)
+        _, updates, _ = fedcurv.run_round(
+            GlobalModelState(theta_g, 0, spec), clients, hp,
+            np.random.default_rng(21), epoch_offset=self.OFFSET,
+        )
+        monkeypatch.undo()
+        rng = np.random.default_rng(21)
+        sampled = fedcurv.sample_clients(len(clients), 0.5, rng)
+        seeds = [int(rng.integers(2**63)) for _ in sampled]
+        assert [u.client_id for u in updates] == sampled
+        assert max(widths) > 1
+        self.assert_alone(
+            spec, theta_g, clients, hp,
+            [(u.client_id, s, u.theta_local) for u, s in zip(updates, seeds)],
+        )
+
+    @pytest.mark.parametrize("kind", sorted(LOCKSTEP_SPECS))
+    def test_ragged_groups_match_training_alone(self, kind, monkeypatch):
+        # batch sizes per step: (4,4,4,4), (4,3,4,4), (2,-,2,1); a call
+        # holds at most 10 samples (the largest client), so the calls are
+        # [0,1] [2,3] | [0,2] [3] [1] | [0,2] [3]: runs of clients, gathered
+        # non-adjacent pairs and lone clients
+        spec = LOCKSTEP_SPECS[kind]
+        theta_g = models.init_params(spec, 5)
+        clients = ragged_clients(spec, [10, 7, 10, 9], seed=6)
+        hp = make_hp(**self.HP)
+        fishers = [
+            fedcurv.compute_fisher_diagonal(spec, theta_g, ds) for ds in clients
+        ]
+        seeds = [11, 12, 13, 14]
+        widths = self.spy_widths(monkeypatch)
+        thetas = fedcurv.local_train(
+            spec, theta_g, fishers, clients, hp, seeds, self.OFFSET
+        )
+        monkeypatch.undo()
+        assert widths == [2, 2, 2, 1, 1, 2, 1] * 2
+        self.assert_alone(spec, theta_g, clients, hp, zip(range(4), seeds, thetas))
+
+    def test_blow_up_names_the_sampled_client(self, monkeypatch):
+        spec = LOCKSTEP_SPECS["mlp"]
+        clients = ragged_clients(spec, [8] * 6, seed=2)
+        rng = np.random.default_rng(4)
+        sampled = fedcurv.sample_clients(6, 0.5, np.random.default_rng(4))
+        target = sampled[-1]
+        assert sampled.index(target) != target  # position and id differ
+        stacked = models.stacked_loss_and_grad
+
+        def poisoned(spec, layout, thetas, inputs, labels):
+            losses, grads = stacked(spec, layout, thetas, inputs, labels)
+            for row, x in enumerate(inputs):
+                if np.isin(x, clients[target].samples).all():
+                    grads[row, 0] = np.inf
+            return losses, grads
+
+        monkeypatch.setattr(models, "stacked_loss_and_grad", poisoned)
+        hp = make_hp(client_fraction=0.5, batch_size=4)
+        state = GlobalModelState(models.init_params(spec, 0), 6, spec)
+        with pytest.raises(fedcurv.RoundNumericalError) as info:
+            fedcurv.run_round(state, clients, hp, rng)
+        assert info.value.phase == "local SGD"
+        assert info.value.client_ids == (target,)
+        assert info.value.round == 6
+        assert str(info.value).startswith(f"round 7, local SGD, client(s) [{target}]")

@@ -230,9 +230,49 @@ class TestLayout:
         assert a is not b
         assert build_layout(a) is build_layout(b)
 
+    def test_stacked_views_are_the_segments_of_each_row(self):
+        layout = build_layout(SWEEP_CNN)
+        stack = np.random.default_rng(3).random((3, layout.size))
+        for seg in layout.segments:
+            view = layout.stacked(stack, seg.layer, seg.role)
+            assert view.shape == (3,) + seg.shape
+            for k in range(3):
+                row = ParameterVector(stack[k], layout)
+                assert np.array_equal(view[k], row.segment(seg.layer, seg.role))
+        layout.stacked(stack, "fc1", "bias")[...] = -1.0  # writes through
+        start, stop, _ = layout.slots["fc1", "bias"]
+        assert (stack[:, start:stop] == -1.0).all()
+
+    def test_unknown_segment_is_a_key_error(self):
+        params = models.init_params(SWEEP_CNN, 0)
+        with pytest.raises(KeyError, match="fc2"):
+            params.segment("fc2", "weight")
+
     def test_cnn_spec_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
             ModelSpec(kind="cnn", input_shape=(4, 4), classes=2)
+
+
+class TestStackedLossAndGrad:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(5, 6)),
+        SWEEP_CNN,
+    ])
+    def test_each_row_is_the_one_model_call_bitwise(self, spec):
+        layout = build_layout(spec)
+        thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
+        batches = [random_batch(spec, 6, seed=10 + k) for k in range(3)]
+        losses, grads = models.stacked_loss_and_grad(
+            spec, layout, thetas,
+            np.stack([b.inputs.data for b in batches]),
+            np.stack([b.labels for b in batches]),
+        )
+        for k, batch in enumerate(batches):
+            loss, grad = models.loss_and_grad(
+                spec, ParameterVector(thetas[k], layout), batch
+            )
+            assert losses[k] == loss
+            assert np.array_equal(grads[k], grad.values)
 
 
 class TestGradientExactnessSweep:

@@ -256,6 +256,12 @@ class TestCli:
         assert "batch_size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_eta_local_exits_before_training(self, tmp_path, capsys):
+        path = write_config(tmp_path, eta_local=-0.1)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "eta_local" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_forged_dataset_count_exits_before_output(self, tmp_path, capsys):
         train_path = tmp_path / "train.bfel"
         data.save_bfeldata(data.synth_blobs(2, 10, 3, 0.2, seed=1), train_path)
@@ -267,6 +273,60 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "truncated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_dataset_exits_before_output(self, tmp_path, capsys):
+        ds = data.synth_blobs(2, 10, 3, 0.2, seed=1)
+        train_path = tmp_path / "train.bfel"
+        data.save_bfeldata(ds, train_path)
+        blob = bytearray(train_path.read_bytes())
+        at = len(blob) - 2 * len(ds) - 8  # the last sample value
+        blob[at : at + 8] = np.float64(np.nan).tobytes()
+        train_path.write_bytes(bytes(blob))
+        path = write_config(tmp_path, dataset="bfeldata",
+                            bfeldata_train=str(train_path), clients=2)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "NaN/Inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_blow_up_in_one_client_exits_3_naming_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # one training sample carries a marker value; the gradient rows of
+        # every stacked step whose batch holds it are made non-finite
+        marker = 123.0
+        ds = data.synth_blobs(3, 20, 3, 0.2, seed=4)
+        samples = ds.samples.copy()
+        samples[17, 0] = marker
+        train_path, test_path = tmp_path / "train.bfel", tmp_path / "test.bfel"
+        data.save_bfeldata(Dataset(samples, ds.labels, 3), train_path)
+        data.save_bfeldata(ds, test_path)
+        plan = data.PartitionPlan(4, data.PartitionMode.IID, seed=5)
+        [owner] = [
+            cid for cid, part in enumerate(data.partition(
+                Dataset(samples, ds.labels, 3), plan))
+            if (part.samples == marker).any()
+        ]
+        stacked = models.stacked_loss_and_grad
+        sizes = []
+
+        def poisoned(spec, layout, thetas, inputs, labels):
+            losses, grads = stacked(spec, layout, thetas, inputs, labels)
+            sizes.append(len(thetas))
+            hit = (inputs == marker).reshape(len(inputs), -1).any(axis=1)
+            grads[hit] = np.nan
+            return losses, grads
+
+        monkeypatch.setattr(models, "stacked_loss_and_grad", poisoned)
+        path = write_config(
+            tmp_path, algorithm="fedavg", dataset="bfeldata",
+            bfeldata_train=str(train_path), bfeldata_test=str(test_path),
+            clients=4, partition="iid", batch_size=5,
+        )
+        assert cli.main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"round 1, local SGD, client(s) [{owner}]:" in err
+        assert "not finite" in err and "Traceback" not in err
+        assert sizes[-1] > 1  # the failing call stacked several clients
 
     def test_gossip_and_latency_commands(self, tmp_path, capsys):
         assert cli.main(["gossip-sim", "--nodes", "16", "--fanout", "2",
