@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import Batch, Tensor
-
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 BFELDATA_MAGIC = b"BFELDATA"
 BFELDATA_VERSION = 1
+BFELDATA_MAX_CLASSES = 1 << 16  # labels are stored as <u2
 
 
 class DataFormatError(ValueError):
@@ -35,7 +34,7 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Stack of finite samples with integer class labels."""
+    """The one sample-set type: finite samples with integer class labels."""
 
     samples: np.ndarray  # (N, ...) float64
     labels: np.ndarray  # (N,) int64
@@ -69,9 +68,6 @@ class Dataset:
         object.__setattr__(sub, "labels", self.labels[indices])
         object.__setattr__(sub, "class_count", self.class_count)
         return sub
-
-    def as_batch(self) -> Batch:
-        return Batch(Tensor(self.samples), self.labels)
 
 
 class PartitionMode(Enum):
@@ -186,6 +182,10 @@ def load_bfeldata(path) -> Dataset:
             struct.unpack("<Q", _read_exact(f, 8, path))[0] for _ in range(ndim)
         )
         class_count = struct.unpack("<I", _read_exact(f, 4, path))[0]
+        if not 0 < class_count <= BFELDATA_MAX_CLASSES:
+            raise DataFormatError(
+                f"{path}: class count {class_count} outside 1..{BFELDATA_MAX_CLASSES}"
+            )
         per = math.prod(shape)  # Python ints: a forged header cannot wrap
         _check_payload(f, count * per * 8 + count * 2, path)
         samples = np.frombuffer(

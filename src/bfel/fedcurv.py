@@ -153,11 +153,12 @@ def compute_fisher_diagonal(
     n = len(local_dataset)
     if n == 0:
         raise EmptyDatasetError("cannot estimate Fisher on an empty dataset")
+    samples, labels = local_dataset.samples, local_dataset.labels
     acc = np.zeros(theta_global.layout.size)
     for start in range(0, n, 512):
-        idx = np.arange(start, min(start + 512, n))
+        chunk = slice(start, start + 512)  # row views: nothing is copied
         acc += models.sum_squared_loglik_grads(
-            spec, theta_global, local_dataset.subset(idx).as_batch()
+            spec, theta_global, samples[chunk], labels[chunk]
         )
     return FisherDiagonal(acc / n, theta_global.layout)
 
@@ -167,12 +168,13 @@ def regularized_loss(
     theta: ParameterVector,
     theta_global: ParameterVector,
     fisher: FisherDiagonal,
-    batch,
+    x: np.ndarray,
+    labels: np.ndarray,
     lam: float,
 ) -> float:
     """Cross-entropy plus (lam/2) * sum_i F[i] * (theta - theta_global)[i]^2."""
     require_same_layout(theta, theta_global)
-    loss, _ = models.loss_and_grad(spec, theta, batch)
+    loss, _ = models.loss_and_grad(spec, theta, x, labels)
     if lam == 0.0:
         return loss
     diff = theta.values - theta_global.values
@@ -184,7 +186,8 @@ def regularized_gradient(
     theta: ParameterVector,
     theta_global: ParameterVector,
     fisher: FisherDiagonal,
-    batch,
+    x: np.ndarray,
+    labels: np.ndarray,
     lam: float,
 ) -> ParameterVector:
     """Gradient of regularized_loss: dL + lam * F * (theta - theta_global).
@@ -192,7 +195,7 @@ def regularized_gradient(
     The one-model reference for the step `local_train` takes for a cohort.
     """
     require_same_layout(theta, theta_global)
-    _, grad = models.loss_and_grad(spec, theta, batch)
+    _, grad = models.loss_and_grad(spec, theta, x, labels)
     if lam == 0.0:
         return grad
     penalty = lam * fisher.values * (theta.values - theta_global.values)
@@ -288,7 +291,9 @@ def server_gradient(
     """Unregularized full-dataset gradient at theta_local (g_k)."""
     if len(local_dataset) == 0:
         raise EmptyDatasetError("cannot take a gradient on an empty dataset")
-    _, grad = models.loss_and_grad(spec, theta_local, local_dataset.as_batch())
+    _, grad = models.loss_and_grad(
+        spec, theta_local, local_dataset.samples, local_dataset.labels
+    )
     return grad
 
 
@@ -439,12 +444,13 @@ def run_round(
         "divergence": divergence([u.theta_local for u in updates]),
     }
     if test_set is not None:
-        batch = test_set.as_batch()
+        x, labels = test_set.samples, test_set.labels
         with _phase("evaluation", state.round):
             metrics["client_accuracy"] = [
-                models.accuracy(state.spec, u.theta_local, batch) for u in updates
+                models.accuracy(state.spec, u.theta_local, x, labels)
+                for u in updates
             ]
             metrics["global_accuracy"] = models.accuracy(
-                state.spec, new_state.theta_global, batch
+                state.spec, new_state.theta_global, x, labels
             )
     return new_state, updates, metrics

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,46 +33,6 @@ class NumericalError(ArithmeticError):
     def __init__(self, message: str, positions=()):
         super().__init__(message)
         self.positions = tuple(positions)
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense float64 array, row-major, guaranteed finite."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("tensor contains NaN/Inf")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-
-@dataclass(frozen=True)
-class Batch:
-    """A mini-batch of inputs with integer class labels."""
-
-    inputs: Tensor
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != self.inputs.shape[0]:
-            raise ShapeMismatchError(
-                f"labels shape {labels.shape} does not match batch of "
-                f"{self.inputs.shape[0]} inputs"
-            )
-        if labels.shape[0] < 1:
-            raise ShapeMismatchError("batch must contain at least one sample")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def size(self) -> int:
-        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -311,18 +271,29 @@ def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape):
     return dx
 
 
-def _check_inputs(spec: ModelSpec, layout: ParamLayout, sample_shape, labels) -> None:
+def _check_inputs(spec: ModelSpec, layout: ParamLayout, x, labels) -> None:
+    """The one check of a model call's inputs, in stacked form.
+
+    x is (K, N, *input_shape) and labels (K, N), with N >= 1; a one-model
+    call passes x[None] and labels[None]. Samples are not checked for
+    finiteness: a `Dataset` checked them when it was built.
+    """
     if layout != build_layout(spec):
         raise LayoutMismatchError("parameter layout does not match model spec")
-    if tuple(sample_shape) != spec.input_shape:
+    if labels.ndim != 2 or labels.shape != x.shape[:2]:
         raise ShapeMismatchError(
-            f"input: batch sample shape {tuple(sample_shape)} does not "
+            f"labels shape {labels.shape[1:]} does not give one label per "
+            f"sample of inputs shape {x.shape[1:]}"
+        )
+    if labels.shape[1] < 1:
+        raise ShapeMismatchError("a model call needs at least one sample")
+    if x.shape[2:] != spec.input_shape:
+        raise ShapeMismatchError(
+            f"input: sample shape {x.shape[2:]} does not "
             f"match spec input_shape {spec.input_shape}"
         )
-    if int(labels.max(initial=0)) >= spec.classes:
-        raise ShapeMismatchError(
-            f"label {int(labels.max())} out of range for {spec.classes} classes"
-        )
+    if labels.min() < 0 or labels.max() >= spec.classes:
+        raise ShapeMismatchError(f"label out of range for {spec.classes} classes")
 
 
 def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
@@ -437,7 +408,7 @@ def stacked_loss_and_grad(
     gradients (K, P). Non-finite results are returned, not raised, so that
     the caller can name the rows they came from.
     """
-    _check_inputs(spec, layout, inputs.shape[2:], labels)
+    _check_inputs(spec, layout, inputs, labels)
     logits, caches = _forward_cached(spec, layout, thetas, inputs)
     n = labels.shape[1]
     pick = _pick(labels)
@@ -464,22 +435,23 @@ def stacked_loss_and_grad(
     return losses, grads
 
 
-def forward(spec: ModelSpec, params: ParameterVector, batch: Batch) -> Tensor:
-    """Logits for a batch: shape (batch, classes)."""
-    _check_inputs(spec, params.layout, batch.inputs.shape[1:], batch.labels)
-    logits, _ = _forward_cached(
-        spec, params.layout, params.values[None], batch.inputs.data[None]
-    )
-    return Tensor(logits[0])
+def forward(
+    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Logits (N, classes) for samples x (N, ...) labelled by labels (N,)."""
+    _check_inputs(spec, params.layout, x[None], labels[None])
+    logits, _ = _forward_cached(spec, params.layout, params.values[None], x[None])
+    if not np.isfinite(logits).all():
+        raise NumericalError("logits not finite")
+    return logits[0]
 
 
 def loss_and_grad(
-    spec: ModelSpec, params: ParameterVector, batch: Batch
+    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> tuple[float, ParameterVector]:
-    """Mean cross-entropy over the batch and its exact gradient."""
+    """Mean cross-entropy over the samples x and its exact gradient."""
     losses, grads = stacked_loss_and_grad(
-        spec, params.layout, params.values[None], batch.inputs.data[None],
-        batch.labels[None],
+        spec, params.layout, params.values[None], x[None], labels[None]
     )
     loss = float(losses[0])
     if not math.isfinite(loss) or not np.all(np.isfinite(grads)):
@@ -488,36 +460,36 @@ def loss_and_grad(
 
 
 def per_sample_loglik_grad(
-    spec: ModelSpec, params: ParameterVector, sample: Batch
+    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> ParameterVector:
     """Gradient of log p(y|x; params) for a single sample.
 
     No training path calls this; it is the one-sample reference that
     `sum_squared_loglik_grads` is tested against.
     """
-    if sample.size != 1:
-        raise ShapeMismatchError("per-sample gradient requires batch size 1")
-    _, grad = loss_and_grad(spec, params, sample)
+    if labels.shape[:1] != (1,):
+        raise ShapeMismatchError("per-sample gradient requires one sample")
+    _, grad = loss_and_grad(spec, params, x, labels)
     return grad.with_values(-grad.values)
 
 
 def sum_squared_loglik_grads(
-    spec: ModelSpec, params: ParameterVector, batch: Batch
+    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Sum over the batch of squared per-sample log-likelihood gradients.
+    """Sum over the samples x of squared per-sample log-likelihood gradients.
 
     Per-sample gradients are never stacked whole. A dense layer's
     per-sample weight gradient is the outer product a_in[n] x dz[n], so the
     squared sum contracts to (a_in^2)^T @ (dz^2). A conv layer's is
     dflat[n] @ cols[n]^T, an (OC, C*k*k) matrix per sample, squared and
-    summed over the batch; its bias gradient is dflat[n] summed over
+    summed over the samples; its bias gradient is dflat[n] summed over
     positions.
     """
     layout = params.layout
-    _check_inputs(spec, layout, batch.inputs.shape[1:], batch.labels)
+    x, labels = x[None], labels[None]
+    _check_inputs(spec, layout, x, labels)
     thetas = params.values[None]
-    logits, caches = _forward_cached(spec, layout, thetas, batch.inputs.data[None])
-    labels = batch.labels[None]
+    logits, caches = _forward_cached(spec, layout, thetas, x)
     dlogits = np.exp(_log_softmax(logits))
     dlogits[_pick(labels)] -= 1.0  # per-sample, unscaled
     out = np.zeros((1, layout.size))
@@ -557,8 +529,9 @@ def lr_schedule(initial_lr: float, epoch: int) -> float:
     return initial_lr / 3 ** (epoch // 5)
 
 
-def accuracy(spec: ModelSpec, params: ParameterVector, batch: Batch) -> float:
+def accuracy(
+    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
+) -> float:
     """Fraction of argmax predictions matching labels (ties -> lowest class)."""
-    logits = forward(spec, params, batch)
-    preds = logits.data.argmax(axis=1)
-    return float((preds == batch.labels).mean())
+    preds = forward(spec, params, x, labels).argmax(axis=1)
+    return float((preds == labels).mean())

@@ -136,15 +136,6 @@ def parse_config(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def evaluate(
-    spec: models.ModelSpec, params: models.ParameterVector, test_dataset
-) -> float:
-    """Argmax-prediction accuracy; ties resolve toward the lowest class."""
-    if len(test_dataset) == 0:
-        raise fedcurv.EmptyDatasetError("cannot evaluate on an empty dataset")
-    return models.accuracy(spec, params, test_dataset.as_batch())
-
-
 def save_model(params: models.ParameterVector, path) -> None:
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
@@ -166,17 +157,29 @@ def load_model_values(path) -> np.ndarray:
     return np.frombuffer(blob[20:], dtype="<f8").copy()
 
 
+def _load(load, config: ExperimentConfig, *keys: str):
+    """load() on the files named by config keys; an empty set is an error."""
+    paths = [getattr(config, key) for key in keys]
+    for key, path in zip(keys, paths):
+        if not path:
+            raise ConfigError(f"dataset = {config.dataset} needs {key}")
+    dataset = load(*paths)
+    if len(dataset) == 0:
+        raise ConfigError(f"{keys[0]}: no samples in {paths[0]}")
+    return dataset
+
+
 def _load_datasets(config: ExperimentConfig):
     if config.dataset == "idx":
-        train = data_mod.load_idx(config.idx_images, config.idx_labels)
-        if config.idx_test_images:
-            test = data_mod.load_idx(config.idx_test_images, config.idx_test_labels)
-            return train, test
+        train = _load(data_mod.load_idx, config, "idx_images", "idx_labels")
+        if config.idx_test_images or config.idx_test_labels:
+            return train, _load(
+                data_mod.load_idx, config, "idx_test_images", "idx_test_labels"
+            )
     elif config.dataset == "bfeldata":
-        train = data_mod.load_bfeldata(config.bfeldata_train)
+        train = _load(data_mod.load_bfeldata, config, "bfeldata_train")
         if config.bfeldata_test:
-            test = data_mod.load_bfeldata(config.bfeldata_test)
-            return train, test
+            return train, _load(data_mod.load_bfeldata, config, "bfeldata_test")
     else:
         train = data_mod.synth_blobs(
             config.synth_classes,
@@ -190,6 +193,8 @@ def _load_datasets(config: ExperimentConfig):
     rng = np.random.default_rng([config.seed, 0x7E57])
     order = rng.permutation(n)
     n_test = max(1, int(round(config.test_fraction * n)))
+    if n_test >= n:
+        raise ConfigError(f"test_fraction leaves none of {n} samples to train on")
     return train.subset(np.sort(order[n_test:])), train.subset(np.sort(order[:n_test]))
 
 
@@ -233,13 +238,18 @@ class RoundMetrics:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run the configured algorithm; write metrics CSV, model, chain log."""
+    """Run the configured algorithm; write metrics CSV, model, chain log.
+
+    Config and data errors are raised before output_dir is created.
+    """
     hp = config.hyperparams()
     train, test = _load_datasets(config)
     spec = _build_spec(config, train)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    if test.samples.shape[1:] != spec.input_shape or test.labels.max() >= spec.classes:
+        raise ConfigError(
+            f"the test set does not fit the model's input {spec.input_shape} "
+            f"and {spec.classes} classes"
+        )
     algo = fedcurv if config.algorithm == "fedcurv" else fedavg  # base: FedAvg
     if config.algorithm == "base":
         clients = [train]
@@ -252,6 +262,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             seed=config.seed,
         )
         clients = data_mod.partition(train, plan)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     theta0 = models.init_params(spec, config.seed)
     state = fedcurv.GlobalModelState(theta0, 0, spec)

@@ -64,12 +64,12 @@ def test_c01_gradient_oracle():
             theta_g.values + 0.1 * rng.standard_normal(theta_g.values.size)
         )
         n = int(rng.integers(2, 6))
-        batch = models.Batch(
-            models.Tensor(rng.random((n,) + spec.input_shape)),
-            rng.integers(0, spec.classes, n),
-        )
+        x = rng.random((n,) + spec.input_shape)
+        labels = rng.integers(0, spec.classes, n)
         fisher = FisherDiagonal(rng.random(theta.values.size), theta.layout)
-        grad = fedcurv.regularized_gradient(spec, theta, theta_g, fisher, batch, lam)
+        grad = fedcurv.regularized_gradient(
+            spec, theta, theta_g, fisher, x, labels, lam
+        )
         h = 1e-5
         fd = np.zeros_like(theta.values)
         for i in range(theta.values.size):
@@ -78,10 +78,10 @@ def test_c01_gradient_oracle():
             vm[i] -= h
             fd[i] = (
                 fedcurv.regularized_loss(
-                    spec, theta.with_values(vp), theta_g, fisher, batch, lam
+                    spec, theta.with_values(vp), theta_g, fisher, x, labels, lam
                 )
                 - fedcurv.regularized_loss(
-                    spec, theta.with_values(vm), theta_g, fisher, batch, lam
+                    spec, theta.with_values(vm), theta_g, fisher, x, labels, lam
                 )
             ) / (2 * h)
         rel = np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -123,14 +123,15 @@ def test_c03_algebraic_identities():
     plain, rng = theta_g, np.random.default_rng(7)
     for _ in range(hp.local_epochs):
         for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
-            _, grad = models.loss_and_grad(spec, plain, ds.subset(idx).as_batch())
+            _, grad = models.loss_and_grad(
+                spec, plain, ds.samples[idx], ds.labels[idx]
+            )
             plain = plain.with_values(plain.values - hp.eta_local * grad.values)
     assert np.array_equal(curv.values, plain.values)
 
-    batch = ds.as_batch()
-    plain_loss, _ = models.loss_and_grad(spec, theta_g, batch)
+    plain_loss, _ = models.loss_and_grad(spec, theta_g, ds.samples, ds.labels)
     assert fedcurv.regularized_loss(
-        spec, theta_g, theta_g, fisher, batch, lam=5.0
+        spec, theta_g, theta_g, fisher, ds.samples, ds.labels, lam=5.0
     ) == plain_loss
 
     layout = build_layout(logistic_spec())

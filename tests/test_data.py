@@ -26,11 +26,11 @@ def forged_bfeldata(path, count, shape=(3, 5), samples=2):
     return path
 
 
-def rejection_peak_bytes(load, *paths):
+def rejection_peak_bytes(load, *paths, match="truncated"):
     """Assert `load` rejects a forged size; return its peak allocation."""
     tracemalloc.start()
     try:
-        with pytest.raises(DataFormatError, match="truncated"):
+        with pytest.raises(DataFormatError, match=match):
             load(*paths)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -126,6 +126,20 @@ class TestBfeldata:
     def test_forged_count_rejected_before_reading(self, tmp_path, count):
         path = forged_bfeldata(tmp_path / "forged.bfel", count)
         assert rejection_peak_bytes(data.load_bfeldata, path) < 2**20
+
+    @pytest.mark.parametrize("classes", [0, 2**16 + 1, 2**32 - 1])
+    def test_forged_class_count_rejected(self, tmp_path, classes):
+        path = forged_bfeldata(tmp_path / "forged.bfel", 2)
+        blob = bytearray(path.read_bytes())
+        blob[40:44] = struct.pack("<I", classes)  # after two sample dimensions
+        path.write_bytes(bytes(blob))
+        peak = rejection_peak_bytes(data.load_bfeldata, path, match="class count")
+        assert peak < 2**20
+
+    def test_largest_class_count_loads(self, tmp_path):
+        path = tmp_path / "d.bfel"
+        data.save_bfeldata(Dataset(np.zeros((1, 2)), [2**16 - 1], 2**16), path)
+        assert data.load_bfeldata(path).class_count == 2**16
 
     def test_forged_shape_rejected(self, tmp_path):
         path = forged_bfeldata(tmp_path / "d.bfel", 2)

@@ -55,7 +55,9 @@ class TestLocalTrainPlain:
     def test_single_full_batch_step(self):
         hp = HyperParams(eta_local=0.2, local_epochs=1, batch_size=len(self.ds))
         out = self.train(hp, 0)
-        _, grad = models.loss_and_grad(self.spec, self.theta, self.ds.as_batch())
+        _, grad = models.loss_and_grad(
+            self.spec, self.theta, self.ds.samples, self.ds.labels
+        )
         assert np.allclose(out.values, self.theta.values - 0.2 * grad.values)
 
 

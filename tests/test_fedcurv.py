@@ -11,7 +11,7 @@ from bfel.fedcurv import (
     GlobalModelState,
     HyperParams,
 )
-from bfel.models import Batch, ModelSpec, ParameterVector, Tensor, build_layout
+from bfel.models import ModelSpec, ParameterVector, build_layout
 
 
 def logistic_spec():
@@ -47,7 +47,7 @@ def plain_sgd(spec, theta, ds, hp, seed):
     rng = np.random.default_rng(seed)
     for _ in range(hp.local_epochs):
         for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
-            _, grad = models.loss_and_grad(spec, theta, ds.subset(idx).as_batch())
+            _, grad = models.loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
             theta = theta.with_values(theta.values - hp.eta_local * grad.values)
     return theta
 
@@ -108,21 +108,21 @@ class TestRegularizedLoss:
         self.spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))
         self.theta_g = models.init_params(self.spec, 0)
         self.ds = small_dataset(seed=2, n=8, classes=2)
-        self.batch = self.ds.as_batch()
+        self.x, self.y = self.ds.samples, self.ds.labels
         self.fisher = fedcurv.compute_fisher_diagonal(self.spec, self.theta_g, self.ds)
 
     def test_anchor_point_penalty_is_zero(self):
-        plain, _ = models.loss_and_grad(self.spec, self.theta_g, self.batch)
+        plain, _ = models.loss_and_grad(self.spec, self.theta_g, self.x, self.y)
         reg = fedcurv.regularized_loss(
-            self.spec, self.theta_g, self.theta_g, self.fisher, self.batch, lam=2.5
+            self.spec, self.theta_g, self.theta_g, self.fisher, self.x, self.y, lam=2.5
         )
         assert reg == plain
 
     def test_lambda_zero_is_plain_loss(self):
         theta = self.theta_g.with_values(self.theta_g.values + 0.3)
-        plain, _ = models.loss_and_grad(self.spec, theta, self.batch)
+        plain, _ = models.loss_and_grad(self.spec, theta, self.x, self.y)
         reg = fedcurv.regularized_loss(
-            self.spec, theta, self.theta_g, self.fisher, self.batch, lam=0.0
+            self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam=0.0
         )
         assert reg == plain
 
@@ -130,9 +130,9 @@ class TestRegularizedLoss:
         n = self.theta_g.values.size
         ones_fisher = FisherDiagonal(np.ones(n), self.theta_g.layout)
         theta = self.theta_g.with_values(self.theta_g.values + 1.0)
-        plain, _ = models.loss_and_grad(self.spec, theta, self.batch)
+        plain, _ = models.loss_and_grad(self.spec, theta, self.x, self.y)
         reg = fedcurv.regularized_loss(
-            self.spec, theta, self.theta_g, ones_fisher, self.batch, lam=2.0
+            self.spec, theta, self.theta_g, ones_fisher, self.x, self.y, lam=2.0
         )
         # (lam/2) * sum(1 * 1^2) = n for lam=2
         assert reg == pytest.approx(plain + n, rel=1e-14)
@@ -144,7 +144,7 @@ class TestRegularizedLoss:
         )
         lam = 0.7
         grad = fedcurv.regularized_gradient(
-            self.spec, theta, self.theta_g, self.fisher, self.batch, lam
+            self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam
         )
         h = 1e-5
         fd = np.zeros_like(theta.values)
@@ -155,26 +155,26 @@ class TestRegularizedLoss:
             fd[i] = (
                 fedcurv.regularized_loss(
                     self.spec, theta.with_values(vp), self.theta_g, self.fisher,
-                    self.batch, lam,
+                    self.x, self.y, lam,
                 )
                 - fedcurv.regularized_loss(
                     self.spec, theta.with_values(vm), self.theta_g, self.fisher,
-                    self.batch, lam,
+                    self.x, self.y, lam,
                 )
             ) / (2 * h)
         rel = np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
 
     def test_gradient_trivial_cases_equal_plain(self):
-        _, plain_grad = models.loss_and_grad(self.spec, self.theta_g, self.batch)
+        _, plain_grad = models.loss_and_grad(self.spec, self.theta_g, self.x, self.y)
         at_anchor = fedcurv.regularized_gradient(
-            self.spec, self.theta_g, self.theta_g, self.fisher, self.batch, lam=3.0
+            self.spec, self.theta_g, self.theta_g, self.fisher, self.x, self.y, lam=3.0
         )
         assert np.array_equal(at_anchor.values, plain_grad.values)
         theta = self.theta_g.with_values(self.theta_g.values - 0.2)
-        _, plain_off = models.loss_and_grad(self.spec, theta, self.batch)
+        _, plain_off = models.loss_and_grad(self.spec, theta, self.x, self.y)
         lam_zero = fedcurv.regularized_gradient(
-            self.spec, theta, self.theta_g, self.fisher, self.batch, lam=0.0
+            self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam=0.0
         )
         assert np.array_equal(lam_zero.values, plain_off.values)
 
@@ -207,7 +207,9 @@ class TestLocalTrain:
         hp = make_hp(lam=0.5, eta_local=0.1, local_epochs=1, batch_size=len(self.ds))
         out = self.train(hp, 0)
         # penalty gradient vanishes at the anchor: one plain full-batch step
-        _, grad = models.loss_and_grad(self.spec, self.theta_g, self.ds.as_batch())
+        _, grad = models.loss_and_grad(
+            self.spec, self.theta_g, self.ds.samples, self.ds.labels
+        )
         expected = self.theta_g.values - 0.1 * grad.values
         assert np.allclose(out.values, expected, atol=1e-14)
 
@@ -217,7 +219,7 @@ class TestServerGradient:
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(3,))
         params = models.init_params(spec, 6)
         ds = small_dataset(seed=7)
-        _, expected = models.loss_and_grad(spec, params, ds.as_batch())
+        _, expected = models.loss_and_grad(spec, params, ds.samples, ds.labels)
         got = fedcurv.server_gradient(spec, params, ds)
         assert np.array_equal(got.values, expected.values)
 
@@ -404,6 +406,31 @@ class TestRunRound:
         expected = self.theta.values - 0.3 * f_inv.values * u.gradient.values
         assert np.allclose(state.theta_global.values, expected, atol=1e-15)
 
+    def test_infinite_weight_is_an_evaluation_error(self):
+        def infinite_clients(spec, theta_global, datasets, hp, client_ids,
+                             round_no, seeds, epoch_offset=0):
+            values = theta_global.values.copy()
+            values[-1] = np.inf  # the last logit's bias
+            return [
+                ClientUpdate(cid, round_no, theta_global.with_values(values), len(ds))
+                for cid, ds in zip(client_ids, datasets)
+            ]
+
+        def keep_global(state, updates, hp):
+            return GlobalModelState(state.theta_global, state.round + 1, state.spec)
+
+        with np.errstate(all="ignore"), pytest.raises(
+            fedcurv.RoundNumericalError
+        ) as info:
+            fedcurv.run_round(
+                self.state, [self.ds, self.ds], make_hp(), np.random.default_rng(0),
+                test_set=self.ds, client_step=infinite_clients,
+                server_step=keep_global,
+            )
+        assert info.value.phase == "evaluation"
+        assert info.value.client_ids == ()
+        assert "logits not finite" in str(info.value)
+
     def test_anchor_fixed_point_when_all_gradients_zero(self):
         layout = build_layout(logistic_spec())
         state = GlobalModelState(
@@ -443,7 +470,7 @@ def train_alone(spec, theta_g, fisher, ds, hp, seed, epoch_offset):
     for epoch in range(hp.local_epochs):
         lr = models.lr_schedule(hp.eta_local, epoch_offset + epoch)
         for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
-            _, grad = models.loss_and_grad(spec, theta, ds.subset(idx).as_batch())
+            _, grad = models.loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
             penalty = hp.lam * fisher.values * (theta.values - theta_g.values)
             theta = models.sgd_step(theta, grad.with_values(grad.values + penalty), lr)
     return theta

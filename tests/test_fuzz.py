@@ -1,0 +1,140 @@
+"""Seeded fuzz: flipped bits and truncations in each file the program reads.
+
+BFELDATA training files go through `bfel run`, model files through
+`load_model_values` and chain logs through `bfel validate-chain`. Every
+case must end in a documented exit code or a typed error; an uncaught
+exception fails the test.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from bfel import cli, data, models, simulator
+
+BFELDATA_HEADER = 8 + 16 + 8 + 4  # magic, version/count/ndim, one dim, classes
+
+
+def flipped(blob: bytes, bit: int) -> bytes:
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def cut_lengths(blob: bytes, count: int, seed: int) -> list[int]:
+    rng = np.random.default_rng(seed)
+    return sorted(set(int(n) for n in rng.integers(0, len(blob), count)))
+
+
+def write_run_config(tmp_path, name: str, train_path) -> tuple:
+    out_dir = tmp_path / f"out-{name}"
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(
+        "dataset = bfeldata\n"
+        f"bfeldata_train = {train_path}\n"
+        "clients = 2\npartition = iid\nrounds = 1\nmlp_hidden = 4\n"
+        "batch_size = 4\nepsilon = 1e-3\n"
+        f"output_dir = {out_dir}\n"
+    )
+    return config, out_dir
+
+
+class TestBfeldataThroughRun:
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bfel") / "train.bfel"
+        data.save_bfeldata(data.synth_blobs(2, 6, 3, 0.2, seed=1), path)
+        return path.read_bytes()
+
+    def check_run(self, tmp_path, capsys, name, blob):
+        train = tmp_path / f"{name}.bfel"
+        train.write_bytes(blob)
+        config, out_dir = write_run_config(tmp_path, name, train)
+        code = cli.main(["run", "--config", str(config)])
+        err = capsys.readouterr().err
+        if code == 0:
+            data.load_bfeldata(train)  # only a file that still loads may run
+        else:
+            assert code == 2, err
+            assert str(train) in err  # the message names the file
+            assert not out_dir.exists()
+        return code
+
+    def test_every_header_bit_flip(self, tmp_path, capsys, blob):
+        assert len(blob) > BFELDATA_HEADER
+        codes = [
+            self.check_run(tmp_path, capsys, f"bit{bit}", flipped(blob, bit))
+            for bit in range(8 * BFELDATA_HEADER)
+        ]
+        # some class-count flips leave a valid file; most flips do not
+        assert 0 < codes.count(0) < codes.count(2)
+
+    def test_seeded_truncations(self, tmp_path, capsys, blob):
+        for n in cut_lengths(blob, 30, seed=11):
+            assert self.check_run(tmp_path, capsys, f"cut{n}", blob[:n]) == 2
+
+
+class TestModelFile:
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        spec = models.ModelSpec(kind="mlp", input_shape=(3,), classes=2)
+        path = tmp_path_factory.mktemp("model") / "model.bin"
+        simulator.save_model(models.init_params(spec, 0), path)
+        return path.read_bytes()
+
+    def load(self, tmp_path, blob):
+        path = tmp_path / "model.bin"
+        path.write_bytes(blob)
+        try:
+            return simulator.load_model_values(path)
+        except simulator.ConfigError:
+            return None
+
+    def test_seeded_bit_flips(self, tmp_path, blob):
+        size = (len(blob) - 20) // 8  # after magic, version and count
+        rng = np.random.default_rng(12)
+        outcomes = []
+        for bit in rng.integers(0, 8 * len(blob), 200):
+            values = self.load(tmp_path, flipped(blob, int(bit)))
+            outcomes.append(values is not None)
+            if values is not None:  # a payload flip: the same count
+                assert values.shape == (size,)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_seeded_truncations(self, tmp_path, blob):
+        for n in cut_lengths(blob, 30, seed=13):
+            assert self.load(tmp_path, blob[:n]) is None
+
+
+class TestChainLog:
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("chain")
+        simulator.run_experiment(
+            simulator.ExperimentConfig(
+                synth_classes=2, synth_per_class=6, clients=2, rounds=2,
+                batch_size=4, output_dir=str(out_dir),
+            )
+        )
+        return (out_dir / "chain.log").read_bytes()
+
+    def validate(self, tmp_path, capsys, blob) -> int:
+        path = tmp_path / "chain.log"
+        path.write_bytes(blob)
+        code = cli.main(["validate-chain", "--chain", str(path)])
+        out = capsys.readouterr().out
+        assert out.startswith("valid" if code == 0 else "invalid first_invalid_index=")
+        return code
+
+    def test_intact_chain_is_valid(self, tmp_path, capsys, blob):
+        assert self.validate(tmp_path, capsys, blob) == 0
+
+    def test_seeded_bit_flips_are_invalid(self, tmp_path, capsys, blob):
+        rng = np.random.default_rng(14)
+        for bit in rng.integers(0, 8 * len(blob), 150):
+            assert self.validate(tmp_path, capsys, flipped(blob, int(bit))) == 1
+
+    def test_seeded_truncations_are_invalid(self, tmp_path, capsys, blob):
+        for n in cut_lengths(blob, 30, seed=15):
+            assert self.validate(tmp_path, capsys, blob[:n]) == 1

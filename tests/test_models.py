@@ -5,12 +5,10 @@ import pytest
 
 from bfel import data, fedcurv, models
 from bfel.models import (
-    Batch,
     ModelSpec,
     NumericalError,
     ParameterVector,
     ShapeMismatchError,
-    Tensor,
     build_layout,
 )
 
@@ -19,15 +17,11 @@ SWEEP_CNN = ModelSpec(
 )
 
 
-def make_batch(x, y):
-    return Batch(Tensor(np.asarray(x, dtype=float)), np.asarray(y))
-
-
 def random_batch(spec, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((n,) + spec.input_shape)
     y = rng.integers(0, spec.classes, n)
-    return make_batch(x, y)
+    return x, y
 
 
 def fd_gradient(f, values, h=1e-5):
@@ -53,16 +47,16 @@ class TestForward:
         values = np.zeros(layout.size)
         params = ParameterVector(values, layout)
         params.segment("fc0", "weight")[...] = np.eye(2)
-        logits = models.forward(spec, params, make_batch([[1.0, 2.0]], [0]))
-        assert np.array_equal(logits.data, [[1.0, 2.0]])
+        logits = models.forward(spec, params, np.array([[1.0, 2.0]]), np.array([0]))
+        assert np.array_equal(logits, [[1.0, 2.0]])
 
     def test_deterministic(self):
         spec = ModelSpec(kind="mlp", input_shape=(3,), classes=4, hidden=(5,))
         params = models.init_params(spec, 3)
-        batch = random_batch(spec, 6, 4)
-        a = models.forward(spec, params, batch)
-        b = models.forward(spec, params, batch)
-        assert np.array_equal(a.data, b.data)
+        x, y = random_batch(spec, 6, 4)
+        a = models.forward(spec, params, x, y)
+        b = models.forward(spec, params, x, y)
+        assert np.array_equal(a, b)
 
     def test_hand_computed_222_mlp(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(2,))
@@ -78,20 +72,20 @@ class TestForward:
         x = np.array([1.0, 3.0])
         hidden = np.maximum(x @ w0 + b0, 0.0)
         expected = hidden @ w1 + b1
-        logits = models.forward(spec, params, make_batch([x], [0]))
-        assert np.allclose(logits.data[0], expected, rtol=0, atol=0)
+        logits = models.forward(spec, params, x[None], np.array([0]))
+        assert np.allclose(logits[0], expected, rtol=0, atol=0)
 
     def test_shape_mismatch_names_input(self):
         spec = ModelSpec(kind="mlp", input_shape=(3,), classes=2)
         params = models.init_params(spec, 0)
         with pytest.raises(ShapeMismatchError, match="input"):
-            models.forward(spec, params, make_batch([[1.0, 2.0]], [0]))
+            models.forward(spec, params, np.array([[1.0, 2.0]]), np.array([0]))
 
     def test_label_out_of_range(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
         params = models.init_params(spec, 0)
         with pytest.raises(ShapeMismatchError):
-            models.forward(spec, params, make_batch([[1.0, 2.0]], [5]))
+            models.forward(spec, params, np.array([[1.0, 2.0]]), np.array([5]))
 
 
 class TestLoss:
@@ -100,17 +94,17 @@ class TestLoss:
             spec = ModelSpec(kind="mlp", input_shape=(3,), classes=c)
             layout = build_layout(spec)
             params = ParameterVector(np.zeros(layout.size), layout)
-            loss, _ = models.loss_and_grad(spec, params, random_batch(spec, 4, c))
+            loss, _ = models.loss_and_grad(spec, params, *random_batch(spec, 4, c))
             assert loss == pytest.approx(math.log(c), abs=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(2,))
         params = models.init_params(spec, 11)
-        batch = random_batch(spec, 4, 12)
-        _, grad = models.loss_and_grad(spec, params, batch)
+        x, y = random_batch(spec, 4, 12)
+        _, grad = models.loss_and_grad(spec, params, x, y)
 
         def f(v):
-            loss, _ = models.loss_and_grad(spec, params.with_values(v), batch)
+            loss, _ = models.loss_and_grad(spec, params.with_values(v), x, y)
             return loss
 
         fd = fd_gradient(f, params.values)
@@ -121,18 +115,17 @@ class TestLoss:
         params = models.init_params(spec, 5)
         rng = np.random.default_rng(6)
         x = rng.random((1, 3))
-        single = make_batch(x, [1])
-        dup = make_batch(np.repeat(x, 7, axis=0), [1] * 7)
-        l1, g1 = models.loss_and_grad(spec, params, single)
-        l2, g2 = models.loss_and_grad(spec, params, dup)
+        l1, g1 = models.loss_and_grad(spec, params, x, np.array([1]))
+        l2, g2 = models.loss_and_grad(
+            spec, params, np.repeat(x, 7, axis=0), np.array([1] * 7)
+        )
         assert l1 == pytest.approx(l2, rel=1e-14)
         assert np.allclose(g1.values, g2.values, rtol=1e-13, atol=1e-15)
 
     def test_softmax_rows_normalized(self):
         spec = ModelSpec(kind="mlp", input_shape=(4,), classes=6, hidden=(8,))
         params = models.init_params(spec, 7)
-        batch = random_batch(spec, 9, 8)
-        logits = models.forward(spec, params, batch).data
+        logits = models.forward(spec, params, *random_batch(spec, 9, 8))
         probs = np.exp(models._log_softmax(logits))
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
@@ -141,13 +134,14 @@ class TestPerSampleGrad:
     def test_mean_of_per_sample_grads(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(3,))
         params = models.init_params(spec, 1)
-        batch = random_batch(spec, 5, 2)
-        _, batch_grad = models.loss_and_grad(spec, params, batch)
+        x, y = random_batch(spec, 5, 2)
+        _, batch_grad = models.loss_and_grad(spec, params, x, y)
         acc = np.zeros_like(params.values)
-        for i in range(batch.size):
-            sample = make_batch(batch.inputs.data[i : i + 1], batch.labels[i : i + 1])
-            acc += models.per_sample_loglik_grad(spec, params, sample).values
-        assert np.allclose(acc / batch.size, -batch_grad.values, atol=1e-14)
+        for i in range(len(y)):
+            acc += models.per_sample_loglik_grad(
+                spec, params, x[i : i + 1], y[i : i + 1]
+            ).values
+        assert np.allclose(acc / len(y), -batch_grad.values, atol=1e-14)
 
     def test_perfect_prediction_zero_gradient(self):
         # huge margin toward the true label makes softmax numerically one-hot
@@ -155,7 +149,9 @@ class TestPerSampleGrad:
         layout = build_layout(spec)
         params = ParameterVector(np.zeros(layout.size), layout)
         params.segment("fc0", "bias")[...] = [1000.0, -1000.0]
-        g = models.per_sample_loglik_grad(spec, params, make_batch([[1.0, 1.0]], [0]))
+        g = models.per_sample_loglik_grad(
+            spec, params, np.array([[1.0, 1.0]]), np.array([0])
+        )
         assert np.array_equal(g.values, np.zeros_like(g.values))
 
     def test_logistic_closed_form(self):
@@ -170,8 +166,90 @@ class TestPerSampleGrad:
         p = np.exp(z - z.max())
         p /= p.sum()
         expected = (np.array([0.0, 1.0]) - p) * x
-        g = models.per_sample_loglik_grad(spec, params, make_batch([[x]], [y]))
+        g = models.per_sample_loglik_grad(spec, params, np.array([[x]]), np.array([y]))
         assert np.allclose(g.values, expected, atol=1e-15)
+
+
+class TestAccuracy:
+    def test_constant_logits_balanced_ten_classes(self):
+        # all-zero model: every row ties, argmax resolves to class 0
+        spec = ModelSpec(kind="mlp", input_shape=(4,), classes=10)
+        layout = build_layout(spec)
+        params = ParameterVector(np.zeros(layout.size), layout)
+        rng = np.random.default_rng(0)
+        x, y = rng.random((100, 4)), np.repeat(np.arange(10), 10)
+        assert models.accuracy(spec, params, x, y) == 0.1
+
+    def test_hand_labeled_fixture_three_of_four(self):
+        # identity model: logits == inputs, prediction = argmax of the row
+        spec = ModelSpec(kind="mlp", input_shape=(3,), classes=3)
+        layout = build_layout(spec)
+        params = ParameterVector(np.zeros(layout.size), layout)
+        pv = params.with_values(params.values.copy())
+        pv.segment("fc0", "weight")[...] = np.eye(3)
+        x = np.array(
+            [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]]
+        )
+        labels = np.array([0, 1, 2, 1])  # last one predicted 0, labeled 1
+        assert models.accuracy(spec, pv, x, labels) == 0.75
+
+    def test_separable_blobs_trainable_to_perfect(self):
+        ds = data.synth_blobs(2, 20, 2, 0.0, seed=1)
+        spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
+        params = models.init_params(spec, 0)
+        for _ in range(200):
+            _, grad = models.loss_and_grad(spec, params, ds.samples, ds.labels)
+            params = models.sgd_step(params, grad, 0.5)
+        assert models.accuracy(spec, params, ds.samples, ds.labels) == 1.0
+
+    def test_empty_dataset(self):
+        spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
+        params = models.init_params(spec, 0)
+        empty = data.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+        with pytest.raises(ShapeMismatchError, match="at least one sample"):
+            models.accuracy(spec, params, empty.samples, empty.labels)
+
+
+ONE_MODEL_CALLS = {
+    "forward": models.forward,
+    "loss_and_grad": models.loss_and_grad,
+    "accuracy": models.accuracy,
+}
+
+
+class TestInputChecks:
+    SPEC = ModelSpec(kind="mlp", input_shape=(2,), classes=3)
+
+    @pytest.mark.parametrize("call", sorted(ONE_MODEL_CALLS))
+    @pytest.mark.parametrize(
+        "x,labels,match",
+        [
+            (np.zeros((4, 2)), np.zeros((4, 1), dtype=int), "one label per sample"),
+            (np.zeros((4, 2)), np.zeros(3, dtype=int), "one label per sample"),
+            (np.zeros((0, 2)), np.zeros(0, dtype=int), "at least one sample"),
+        ],
+        ids=["2-d labels", "count differs", "zero samples"],
+    )
+    def test_bad_labels_are_shape_errors(self, call, x, labels, match):
+        params = models.init_params(self.SPEC, 0)
+        with pytest.raises(ShapeMismatchError, match=match):
+            ONE_MODEL_CALLS[call](self.SPEC, params, x, labels)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range_either_side(self, label):
+        params = models.init_params(self.SPEC, 0)
+        with pytest.raises(ShapeMismatchError, match="out of range"):
+            models.loss_and_grad(
+                self.SPEC, params, np.zeros((2, 2)), np.array([0, label])
+            )
+
+    def test_infinite_weight_makes_forward_raise(self):
+        params = models.init_params(self.SPEC, 0)
+        values = params.values.copy()
+        values[-1] = np.inf  # the last logit's bias
+        x, y = random_batch(self.SPEC, 4, 2)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="logits"):
+            models.forward(self.SPEC, params.with_values(values), x, y)
 
 
 class TestSgdAndSchedule:
@@ -264,12 +342,12 @@ class TestStackedLossAndGrad:
         batches = [random_batch(spec, 6, seed=10 + k) for k in range(3)]
         losses, grads = models.stacked_loss_and_grad(
             spec, layout, thetas,
-            np.stack([b.inputs.data for b in batches]),
-            np.stack([b.labels for b in batches]),
+            np.stack([x for x, _ in batches]),
+            np.stack([y for _, y in batches]),
         )
-        for k, batch in enumerate(batches):
+        for k, (x, y) in enumerate(batches):
             loss, grad = models.loss_and_grad(
-                spec, ParameterVector(thetas[k], layout), batch
+                spec, ParameterVector(thetas[k], layout), x, y
             )
             assert losses[k] == loss
             assert np.array_equal(grads[k], grad.values)
@@ -288,23 +366,24 @@ class TestGradientExactnessSweep:
     def test_analytic_matches_fd(self, spec, seed):
         assert build_layout(spec).size <= 200
         params = models.init_params(spec, seed)
-        batch = random_batch(spec, 3, seed + 100)
-        _, grad = models.loss_and_grad(spec, params, batch)
+        x, y = random_batch(spec, 3, seed + 100)
+        _, grad = models.loss_and_grad(spec, params, x, y)
 
         def f(v):
-            loss, _ = models.loss_and_grad(spec, params.with_values(v), batch)
+            loss, _ = models.loss_and_grad(spec, params.with_values(v), x, y)
             return loss
 
         fd = fd_gradient(f, params.values)
         assert max_rel_err(grad.values, fd) < 1e-5
 
 
-def squared_grad_loop(spec, params, batch):
+def squared_grad_loop(spec, params, x, y):
     """Reference: Python sum of squared one-sample log-likelihood gradients."""
     acc = np.zeros_like(params.values)
-    for i in range(batch.size):
-        sample = make_batch(batch.inputs.data[i : i + 1], batch.labels[i : i + 1])
-        acc += models.per_sample_loglik_grad(spec, params, sample).values ** 2
+    for i in range(len(y)):
+        acc += models.per_sample_loglik_grad(
+            spec, params, x[i : i + 1], y[i : i + 1]
+        ).values ** 2
     return acc
 
 
@@ -327,9 +406,9 @@ class TestSquaredGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batched_matches_per_sample_loop(self, spec, seed):
         params = models.init_params(spec, seed)
-        batch = random_batch(spec, 7, seed + 50)
-        got = models.sum_squared_loglik_grads(spec, params, batch)
-        want = squared_grad_loop(spec, params, batch)
+        x, y = random_batch(spec, 7, seed + 50)
+        got = models.sum_squared_loglik_grads(spec, params, x, y)
+        want = squared_grad_loop(spec, params, x, y)
         for seg in params.layout.segments:  # no layer compares zeros only
             assert np.any(want[seg.offset : seg.offset + seg.size]), seg
         assert max_rel_err(got, want, floor=1e-12) <= 1e-10
@@ -341,16 +420,16 @@ class TestSquaredGradients:
         params = models.init_params(spec, 0)
         values = params.values.copy()
         values[0] = np.inf
-        batch = random_batch(spec, 4, 1)
+        x, y = random_batch(spec, 4, 1)
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            models.sum_squared_loglik_grads(spec, params.with_values(values), batch)
+            models.sum_squared_loglik_grads(spec, params.with_values(values), x, y)
 
     def test_cnn_fisher_makes_no_per_sample_calls(self, monkeypatch):
         spec = SWEEP_CNN
         params = models.init_params(spec, 4)
-        batch = random_batch(spec, 6, 5)
-        client = data.Dataset(batch.inputs.data, batch.labels, spec.classes)
-        want = squared_grad_loop(spec, params, batch) / batch.size
+        x, y = random_batch(spec, 6, 5)
+        client = data.Dataset(x, y, spec.classes)
+        want = squared_grad_loop(spec, params, x, y) / len(y)
         batched = models.sum_squared_loglik_grads
         calls = []
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bfel import cli, data, ledger, models, simulator
 from bfel.data import Dataset
-from bfel.models import ModelSpec, ParameterVector, build_layout
+from bfel.models import ModelSpec
 from bfel.simulator import ConfigError, ExperimentConfig, parse_config, run_experiment
 
 
@@ -67,46 +69,6 @@ class TestConfig:
     def test_invalid_rounds(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(rounds=0)
-
-
-class TestEvaluate:
-    def test_constant_logits_balanced_ten_classes(self):
-        # all-zero model: every row ties, argmax resolves to class 0
-        spec = ModelSpec(kind="mlp", input_shape=(4,), classes=10)
-        layout = build_layout(spec)
-        params = ParameterVector(np.zeros(layout.size), layout)
-        rng = np.random.default_rng(0)
-        ds = Dataset(rng.random((100, 4)), np.repeat(np.arange(10), 10), 10)
-        assert simulator.evaluate(spec, params, ds) == 0.1
-
-    def test_hand_labeled_fixture_three_of_four(self):
-        # identity model: logits == inputs, prediction = argmax of the row
-        spec = ModelSpec(kind="mlp", input_shape=(3,), classes=3)
-        layout = build_layout(spec)
-        params = ParameterVector(np.zeros(layout.size), layout)
-        pv = params.with_values(params.values.copy())
-        pv.segment("fc0", "weight")[...] = np.eye(3)
-        x = np.array(
-            [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]]
-        )
-        labels = np.array([0, 1, 2, 1])  # last one predicted 0, labeled 1
-        assert simulator.evaluate(spec, pv, Dataset(x, labels, 3)) == 0.75
-
-    def test_separable_blobs_trainable_to_perfect(self):
-        ds = data.synth_blobs(2, 20, 2, 0.0, seed=1)
-        spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
-        params = models.init_params(spec, 0)
-        for _ in range(200):
-            _, grad = models.loss_and_grad(spec, params, ds.as_batch())
-            params = models.sgd_step(params, grad, 0.5)
-        assert simulator.evaluate(spec, params, ds) == 1.0
-
-    def test_empty_dataset(self):
-        spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
-        params = models.init_params(spec, 0)
-        empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
-        with pytest.raises(Exception):
-            simulator.evaluate(spec, params, empty)
 
 
 class TestRunExperiment:
@@ -272,6 +234,61 @@ class TestCli:
                             bfeldata_train=str(train_path), clients=2)
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "truncated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_forged_class_count_exits_before_output(self, tmp_path, capsys):
+        train_path = tmp_path / "train.bfel"
+        data.save_bfeldata(data.synth_blobs(2, 10, 3, 0.2, seed=1), train_path)
+        blob = bytearray(train_path.read_bytes())
+        blob[32:36] = (2**31 + 2).to_bytes(4, "little")  # one flipped bit
+        train_path.write_bytes(bytes(blob))
+        path = write_config(tmp_path, dataset="bfeldata",
+                            bfeldata_train=str(train_path), clients=2)
+        tracemalloc.start()
+        try:
+            assert cli.main(["run", "--config", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "class count" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["empty test file", "empty training file", "too many shards",
+         "test samples of another shape", "no holdout left to train on",
+         "training file not set"],
+    )
+    def test_bad_data_exits_before_output(self, tmp_path, capsys, case):
+        train_path, test_path = tmp_path / "train.bfel", tmp_path / "test.bfel"
+        ds = data.synth_blobs(2, 10, 3, 0.2, seed=1)
+        train, test = ds, ds
+        overrides = dict(bfeldata_test=str(test_path))
+        if case == "empty test file":
+            test = ds.subset(np.arange(0))
+            want = f"bfeldata_test: no samples in {test_path}"
+        elif case == "empty training file":
+            train = ds.subset(np.arange(0))
+            want = f"bfeldata_train: no samples in {train_path}"
+        elif case == "too many shards":
+            overrides["shards_per_client"] = 11
+            want = "22 shards requested from 20 samples"
+        elif case == "test samples of another shape":
+            test = data.synth_blobs(2, 10, 4, 0.2, seed=1)
+            want = "does not fit the model's input (3,)"
+        elif case == "no holdout left to train on":
+            overrides = dict(test_fraction=1.0)
+            want = "leaves none of 20 samples to train on"
+        else:
+            overrides["bfeldata_train"] = ""
+            want = "dataset = bfeldata needs bfeldata_train"
+        data.save_bfeldata(train, train_path)
+        data.save_bfeldata(test, test_path)
+        overrides.setdefault("bfeldata_train", str(train_path))
+        path = write_config(tmp_path, dataset="bfeldata", clients=2, **overrides)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert want in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_dataset_exits_before_output(self, tmp_path, capsys):
