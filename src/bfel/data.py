@@ -22,6 +22,9 @@ IDX_LABEL_MAGIC = 0x00000801
 BFELDATA_MAGIC = b"BFELDATA"
 BFELDATA_VERSION = 1
 BFELDATA_MAX_CLASSES = 1 << 16  # labels are stored as <u2
+# The largest sample magnitude whose square is finite: the Fisher squares
+# its inputs, so a larger sample would overflow in the first round.
+SAMPLE_MAGNITUDE_BOUND = math.sqrt(np.finfo(np.float64).max)
 
 
 class DataFormatError(ValueError):
@@ -34,7 +37,8 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """The one sample-set type: finite samples with integer class labels."""
+    """The one sample-set type: samples at most SAMPLE_MAGNITUDE_BOUND in
+    magnitude (so finite), with integer class labels."""
 
     samples: np.ndarray  # (N, ...) float64
     labels: np.ndarray  # (N,) int64
@@ -49,10 +53,14 @@ class Dataset:
             )
         if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
             raise DataFormatError("label out of range")
-        if not np.isfinite(samples).all():
-            bad = np.flatnonzero(~np.isfinite(samples.reshape(len(samples), -1)).all(1))
+        # min and max make no temporary, and NaN fails either comparison
+        bound = SAMPLE_MAGNITUDE_BOUND
+        if samples.size and not -bound <= samples.min() <= samples.max() <= bound:
+            fit = np.abs(samples.reshape(len(samples), -1)) <= bound
+            bad = np.flatnonzero(~fit.all(1))
             raise DataFormatError(
-                f"{bad.size} sample(s) hold NaN/Inf values, the first at index {bad[0]}"
+                f"{bad.size} sample(s) hold NaN/Inf values or magnitudes above "
+                f"{bound:.3g}, the first at index {bad[0]}"
             )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
@@ -61,7 +69,7 @@ class Dataset:
         return self.samples.shape[0]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """The samples at `indices`. They are finite and labelled in range,
+        """The samples at `indices`. They are bounded and labelled in range,
         as this set's are, so they are not checked again."""
         sub = object.__new__(Dataset)
         object.__setattr__(sub, "samples", np.ascontiguousarray(self.samples[indices]))

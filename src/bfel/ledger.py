@@ -2,8 +2,9 @@
 
 Blocks are canonically serialized (length-prefixed, little-endian) and
 linked by SHA-256; transactions and block headers carry Ed25519
-signatures. Proposers are drawn by stake-weighted sampling. No forks or
-reorgs: one designated proposer appends per block.
+signatures. No forks or reorgs: one designated proposer appends per block,
+and in a simulator run that is always the server key. `select_proposer`
+is a stake-weighted draw that the simulator does not call.
 """
 
 from __future__ import annotations
@@ -305,10 +306,10 @@ def validate_chain(chain: Chain) -> tuple[bool, int | None]:
 
 def export_chain(chain: Chain) -> bytes:
     """Length-prefixed binary log of canonical block serializations."""
-    out = CHAIN_LOG_MAGIC + _u32(len(chain.blocks))
-    for block in chain.blocks:
-        out += _lp(block.to_bytes())
-    return out
+    return b"".join(
+        [CHAIN_LOG_MAGIC, _u32(len(chain.blocks))]
+        + [_lp(block.to_bytes()) for block in chain.blocks]
+    )
 
 
 def import_chain(blob: bytes) -> Chain:

@@ -221,10 +221,24 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
 # forward / backward primitives
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+# One im2col work buffer per conv stage, kept across calls and grown only
+# when a call needs more: a column array freed after each call would go
+# back to the OS, and every call would fault its pages in again.
+_COLUMNS = [np.empty(0), np.empty(0)]
+
+
+def _im2col(x: np.ndarray, k: int, stage: int) -> np.ndarray:
+    """The k x k patches of x as (n, C*k*k, L) columns in `stage`'s buffer.
+
+    The result is a view of the buffer, overwritten by the next call for
+    the same stage, so it must not outlive the model call that made it.
+    """
     n, c, h, w = x.shape
     ho, wo = h - k + 1, w - k + 1
-    cols = np.empty((n, c, k, k, ho, wo))
+    size = n * c * k * k * ho * wo
+    if _COLUMNS[stage].size < size:
+        _COLUMNS[stage] = np.empty(size)
+    cols = _COLUMNS[stage][:size].reshape(n, c, k, k, ho, wo)
     for i in range(k):
         for j in range(k):
             cols[:, :, i, j] = x[:, :, i : i + ho, j : j + wo]
@@ -303,9 +317,9 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
     samples seen by model k. Every weight op is one matmul batched over
     the client axis; im2col and the pools run on the K*N samples.
     Each cache entry holds a layer's input (dense activations (K, N, fan_in),
-    or im2col columns (K, N, C*k*k, L) for a conv), the ReLU mask of its
-    output (None on the logits) and, for a conv, the pooling indices and
-    the (K*N, ...) shapes backprop needs.
+    or im2col columns (K, N, C*k*k, L) for a conv, a view of that stage's
+    column buffer), the ReLU mask of its output (None on the logits) and,
+    for a conv, the pooling indices and the (K*N, ...) shapes backprop needs.
     """
     caches = []
     kk, n = x.shape[:2]
@@ -320,7 +334,7 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
             name = f"conv{i}"
             wgt = layout.stacked(thetas, name, "weight")
             oc = wgt.shape[1]
-            cols = _im2col(a, k)
+            cols = _im2col(a, k, i)
             cols = cols.reshape((kk, n) + cols.shape[1:])
             z = wgt.reshape(kk, 1, oc, -1) @ cols
             if spec.bias:

@@ -182,6 +182,17 @@ class TestDataset:
         with pytest.raises(DataFormatError, match="1 sample.*index 4"):
             Dataset(samples, np.zeros(5, dtype=int), 2)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_magnitude_bound(self, sign):
+        bound = data.SAMPLE_MAGNITUDE_BOUND
+        assert np.isfinite(np.float64(bound) ** 2)
+        samples = np.zeros((5, 2))
+        samples[3, 0] = sign * bound  # the bound itself is accepted
+        Dataset(samples, np.zeros(5, dtype=int), 2)
+        samples[2, 1] = sign * np.nextafter(bound, np.inf)
+        with pytest.raises(DataFormatError, match="1 sample.*above.*index 2"):
+            Dataset(samples, np.zeros(5, dtype=int), 2)
+
 
 class TestPartition:
     def test_iid_two_clients(self):

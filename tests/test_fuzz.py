@@ -74,6 +74,18 @@ class TestBfeldataThroughRun:
         for n in cut_lengths(blob, 30, seed=11):
             assert self.check_run(tmp_path, capsys, f"cut{n}", blob[:n]) == 2
 
+    def test_seeded_payload_exponent_flips(self, tmp_path, capsys, blob):
+        # Bit 62 is the top exponent bit. Every payload value lies in
+        # [2**-510, 2), so a flip makes it Inf, NaN or at least 2**513,
+        # above data.SAMPLE_MAGNITUDE_BOUND (about 2**512).
+        values = np.frombuffer(blob, "<f8", count=12 * 3, offset=BFELDATA_HEADER)
+        assert np.all((np.abs(values) >= 2.0**-510) & (np.abs(values) < 2.0))
+        rng = np.random.default_rng(16)
+        for i in rng.choice(values.size, 20, replace=False):
+            bit = 8 * (BFELDATA_HEADER + 8 * int(i)) + 62
+            code = self.check_run(tmp_path, capsys, f"exp{i}", flipped(blob, bit))
+            assert code == 2
+
 
 class TestModelFile:
     @pytest.fixture(scope="class")

@@ -1,6 +1,6 @@
 """Golden outputs: SHA-256 of metrics.csv, model.bin and chain.log.
 
-Small MLP runs whose output bytes must not move when the code is
+Small MLP and CNN runs whose output bytes must not move when the code is
 refactored or sped up. The digests were captured with numpy 2.4.6 on
 scipy-openblas 0.3.31.188.0 (OpenBLAS DYNAMIC_ARCH, x86-64, Python 3.11).
 Another numpy or BLAS build may round matrix products differently, so on
@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bfel import simulator
+from bfel import data, simulator
 
 CAPTURED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 
@@ -25,6 +25,15 @@ MLP = dict(
     mlp_hidden=(8,), seed=3, epsilon=1e-3, eta_local=0.05, lam=0.1,
 )
 
+# 40 seeded 12x12 images (see write_images), the smallest the CNN accepts.
+# At epsilon 1e-3 and eta_global 1, FedCurv's divergence on them reaches
+# 7e12 in round 2; epsilon 0.1 and eta_global 0.1 keep it near 0.25.
+CNN = dict(
+    model="cnn", dataset="bfeldata", clients=4, partition="noniid_shards",
+    rounds=2, batch_size=5, seed=3, epsilon=0.1, eta_local=0.05,
+    eta_global=0.1, lam=0.1,
+)
+
 CONFIGS = {
     "fedcurv": dict(MLP, algorithm="fedcurv"),
     "fedavg": dict(MLP, algorithm="fedavg"),
@@ -32,6 +41,9 @@ CONFIGS = {
     "fedcurv-fraction-decay": dict(
         MLP, algorithm="fedcurv", client_fraction=0.5, lr_decay=True, epochs=2
     ),
+    "cnn-fedcurv": dict(CNN, algorithm="fedcurv"),
+    "cnn-fedavg": dict(CNN, algorithm="fedavg"),
+    "cnn-fedcurv-fraction": dict(CNN, algorithm="fedcurv", client_fraction=0.5),
 }
 
 GOLDEN = {
@@ -55,6 +67,21 @@ GOLDEN = {
         "model.bin": "db1290970989392fbb85fb481c307448457d4c8bec3c1f8358d6abb564ae1f33",
         "chain.log": "b5be92a17901d1620ac212b31afd2488a839dad0362c9d90529e787a29f53c8e",
     },
+    "cnn-fedavg": {
+        "metrics.csv": "a3ec1d23f9f8d750c0fd4c3711982cd8a5e50d2065863d22680169d9da58fbce",
+        "model.bin": "6be5847fbf19fcdabafca399c220858e94e888eb25a0d074c53dc193e542c740",
+        "chain.log": "1e215022e24d1fac6b9722822c94805c60b33cc7ae1013972c543b1f0b228900",
+    },
+    "cnn-fedcurv": {
+        "metrics.csv": "95a4819192d32894774ebd451c1aed5e710ce7874086bb8302343c9da582bfb9",
+        "model.bin": "20d5597461d1ea0a3114ed5552299d78b8271c68beabd23fe182737a112ce79b",
+        "chain.log": "4924a504396b42fc4e76feb82d70d7aa23fc2f8b01118ae7c949c3cabc60e019",
+    },
+    "cnn-fedcurv-fraction": {
+        "metrics.csv": "f91a3a2a8962466ee7870a01cf6ca5d22359b94fd6a11c53afa6f9103ff9fdd2",
+        "model.bin": "eaaa8476b9089144b930cf42cc16cf926df3c671f05b6622f6d43d3abcdbb6b1",
+        "chain.log": "8bbe8ded4358f044071ae6e4d5b124623be2aef7bb5b4e898faf910401ae827d",
+    },
 }
 
 
@@ -66,8 +93,21 @@ def numpy_build() -> str:
         return f"numpy {np.__version__}, unknown BLAS"
 
 
+def write_images(path, count=40, classes=4, side=12, seed=5):
+    """Seeded images: a random pixel template per class, plus noise."""
+    rng = np.random.default_rng(seed)
+    templates = (rng.random((classes, side, side)) < 0.25).astype(np.float64)
+    labels = np.arange(count) % classes
+    images = templates[labels] + 0.1 * rng.standard_normal((count, side, side))
+    data.save_bfeldata(data.Dataset(images, labels, classes), path)
+    return path
+
+
 def output_digests(tmp_path, config: dict) -> dict:
     out_dir = tmp_path / "out"
+    if config.get("dataset") == "bfeldata":
+        train = write_images(tmp_path / "train.bfel")
+        config = dict(config, bfeldata_train=str(train))
     simulator.run_experiment(
         simulator.ExperimentConfig(output_dir=str(out_dir), **config)
     )

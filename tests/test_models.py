@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,87 @@ class TestStackedLossAndGrad:
             )
             assert losses[k] == loss
             assert np.array_equal(grads[k], grad.values)
+
+
+def traced_peak(call) -> int:
+    """Peak traced allocation, in bytes, while `call` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def result_arrays(result) -> list:
+    """The arrays a public model call returned, flattened into a list."""
+    if isinstance(result, tuple):
+        return [a for part in result for a in result_arrays(part)]
+    if hasattr(result, "values"):  # ParameterVector, FisherDiagonal
+        return [result.values]
+    return [np.asarray(result)]
+
+
+class TestColumnBuffers:
+    """The conv stages' im2col buffers are reused across calls, never shared."""
+
+    @pytest.fixture
+    def empty(self, monkeypatch):
+        """Give models fresh, empty column buffers."""
+
+        def reset():
+            monkeypatch.setattr(models, "_COLUMNS", [np.empty(0), np.empty(0)])
+
+        reset()
+        return reset
+
+    def test_second_same_shape_call_allocates_no_columns(self, empty):
+        spec = ModelSpec(kind="cnn", input_shape=(28, 28), classes=10)
+        params = models.init_params(spec, 0)
+        x, y = random_batch(spec, 16, 1)
+        first = traced_peak(lambda: models.loss_and_grad(spec, params, x, y))
+        second = traced_peak(lambda: models.loss_and_grad(spec, params, x, y))
+        # both stages' columns: 16 images x (1*9*26*26 + 8*9*11*11) doubles
+        columns = 16 * (1 * 9 * 26 * 26 + 8 * 9 * 11 * 11) * 8
+        assert columns == 1_893_888
+        assert first - second >= columns
+
+    def test_interleaved_sizes_match_calls_on_empty_buffers(self, empty):
+        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
+        layout = build_layout(spec)
+        params = models.init_params(spec, 2)
+        thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
+        x16, y16 = random_batch(spec, 16, 3)
+        x20, y20 = random_batch(spec, 20, 4)
+        xs, ys = random_batch(spec, 3 * 16, 5)
+        big = data.Dataset(*random_batch(spec, 520, 6), spec.classes)
+        calls = [
+            lambda: models.loss_and_grad(spec, params, x16, y16),
+            lambda: models.loss_and_grad(spec, params, x20, y20),
+            lambda: fedcurv.compute_fisher_diagonal(spec, params, big),
+            lambda: models.loss_and_grad(spec, params, x16, y16),
+            lambda: models.stacked_loss_and_grad(
+                spec, layout, thetas, xs.reshape((3, 16) + xs.shape[1:]),
+                ys.reshape(3, 16),
+            ),
+            lambda: models.forward(spec, params, x20, y20),
+            lambda: models.sum_squared_loglik_grads(spec, params, x16, y16),
+        ]
+        want = []
+        for call in calls:
+            empty()
+            want.append([a.tobytes() for a in result_arrays(call())])
+        empty()
+        got, buffers = [], []
+        for call in calls:
+            got.append(result_arrays(call()))
+            buffers += models._COLUMNS
+        # compared after every call has run: a result held in a buffer
+        # would have been overwritten by a later call
+        assert [[a.tobytes() for a in arrays] for arrays in got] == want
+        for arrays in got:
+            for a in arrays:
+                assert not any(np.shares_memory(a, b) for b in buffers)
 
 
 class TestGradientExactnessSweep:
