@@ -23,14 +23,13 @@ def client_round(
     client_ids: list[int],
     round_no: int,
     seeds: list[int],
-    epoch_offset: int = 0,
 ) -> list[ClientUpdate]:
     """FedAvg client step: E epochs of unregularized SGD from theta_global,
     for all of a round's sampled clients in lockstep."""
     with _phase("local SGD", round_no, client_ids):
         thetas = local_train(
             spec, theta_global, None, datasets, replace(hp, lam=0.0), seeds,
-            epoch_offset,
+            round_no,
         )
     return [
         ClientUpdate(

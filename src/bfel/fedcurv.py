@@ -99,6 +99,9 @@ class HyperParams:
     lr_decay: bool = False
 
     def __post_init__(self):
+        for name in ("lam", "eta_local", "eta_global", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.epsilon <= 0:
@@ -111,6 +114,8 @@ class HyperParams:
             raise ValueError("batch_size must be >= 1")
         if self.eta_local < 0:
             raise ValueError("eta_local must be >= 0")
+        if self.eta_global < 0:
+            raise ValueError("eta_global must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,45 +168,6 @@ def compute_fisher_diagonal(
     return FisherDiagonal(acc / n, theta_global.layout)
 
 
-def regularized_loss(
-    spec: ModelSpec,
-    theta: ParameterVector,
-    theta_global: ParameterVector,
-    fisher: FisherDiagonal,
-    x: np.ndarray,
-    labels: np.ndarray,
-    lam: float,
-) -> float:
-    """Cross-entropy plus (lam/2) * sum_i F[i] * (theta - theta_global)[i]^2."""
-    require_same_layout(theta, theta_global)
-    loss, _ = models.loss_and_grad(spec, theta, x, labels)
-    if lam == 0.0:
-        return loss
-    diff = theta.values - theta_global.values
-    return loss + 0.5 * lam * float(np.dot(fisher.values, diff * diff))
-
-
-def regularized_gradient(
-    spec: ModelSpec,
-    theta: ParameterVector,
-    theta_global: ParameterVector,
-    fisher: FisherDiagonal,
-    x: np.ndarray,
-    labels: np.ndarray,
-    lam: float,
-) -> ParameterVector:
-    """Gradient of regularized_loss: dL + lam * F * (theta - theta_global).
-
-    The one-model reference for the step `local_train` takes for a cohort.
-    """
-    require_same_layout(theta, theta_global)
-    _, grad = models.loss_and_grad(spec, theta, x, labels)
-    if lam == 0.0:
-        return grad
-    penalty = lam * fisher.values * (theta.values - theta_global.values)
-    return grad.with_values(grad.values + penalty)
-
-
 def local_train(
     spec: ModelSpec,
     theta_global: ParameterVector,
@@ -209,7 +175,7 @@ def local_train(
     datasets: list[Dataset],
     hp: HyperParams,
     seeds: list[int],
-    epoch_offset: int = 0,
+    round_no: int = 0,
 ) -> list[ParameterVector]:
     """E epochs of mini-batch SGD on the anchored loss, one model per client.
 
@@ -220,10 +186,10 @@ def local_train(
     so ragged datasets and last partial batches form separate groups. A
     stacked call holds at most as many samples as the largest dataset, so
     it needs no more memory than one full-batch step of that client would.
-    epoch_offset shifts the decay schedule when epochs accumulate across
-    rounds. At hp.lam == 0 this is plain SGD and fishers may be None.
-    A non-finite loss or gradient raises NumericalError naming the clients'
-    positions in `datasets`.
+    With hp.lr_decay, round round_no starts the schedule at epoch
+    round_no * hp.local_epochs. At hp.lam == 0 this is plain SGD and
+    fishers may be None. A non-finite loss or gradient raises NumericalError
+    naming the clients' positions in `datasets`.
     """
     if any(len(ds) == 0 for ds in datasets):
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -265,7 +231,7 @@ def local_train(
     for epoch in range(hp.local_epochs):
         lr = hp.eta_local
         if hp.lr_decay:
-            lr = lr_schedule(hp.eta_local, epoch_offset + epoch)
+            lr = lr_schedule(hp.eta_local, round_no * hp.local_epochs + epoch)
         if lr == 0.0:
             continue
         batches = [
@@ -317,27 +283,6 @@ def aggregate(updates: list[ClientUpdate]) -> tuple[FisherDiagonal, ParameterVec
     )
 
 
-def invert_fisher(f_global: FisherDiagonal, epsilon: float) -> FisherDiagonal:
-    """Elementwise 1 / (F + epsilon); epsilon guards zero curvature."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    return FisherDiagonal(1.0 / (f_global.values + epsilon), f_global.layout)
-
-
-def global_update(
-    state: GlobalModelState,
-    f_inv: FisherDiagonal,
-    g_global: ParameterVector,
-    eta_global: float,
-) -> GlobalModelState:
-    """Curvature-scaled step: theta - eta * F_inv ⊙ g; round advances by 1."""
-    require_same_layout(state.theta_global, g_global)
-    new_theta = state.theta_global.with_values(
-        state.theta_global.values - eta_global * f_inv.values * g_global.values
-    )
-    return replace(state, theta_global=new_theta, round=state.round + 1)
-
-
 def client_round(
     spec: ModelSpec,
     theta_global: ParameterVector,
@@ -346,7 +291,6 @@ def client_round(
     client_ids: list[int],
     round_no: int,
     seeds: list[int],
-    epoch_offset: int = 0,
 ) -> list[ClientUpdate]:
     """FedCurv client step for a round's sampled clients.
 
@@ -360,7 +304,7 @@ def client_round(
             fishers.append(compute_fisher_diagonal(spec, theta_global, ds))
     with _phase("local SGD", round_no, client_ids):
         thetas = local_train(
-            spec, theta_global, fishers, datasets, hp, seeds, epoch_offset
+            spec, theta_global, fishers, datasets, hp, seeds, round_no
         )
     updates = []
     for cid, ds, fisher, theta_local in zip(client_ids, datasets, fishers, thetas):
@@ -382,10 +326,14 @@ def client_round(
 def server_step(
     state: GlobalModelState, updates: list[ClientUpdate], hp: HyperParams
 ) -> GlobalModelState:
-    """FedCurv server step: mean Fisher and gradient, curvature-scaled step."""
+    """FedCurv server step: theta - eta_global * g / (F + epsilon), with F and
+    g the clients' mean Fisher and gradient; epsilon guards zero curvature."""
     f_global, g_global = aggregate(updates)
-    f_inv = invert_fisher(f_global, hp.epsilon)
-    return global_update(state, f_inv, g_global, hp.eta_global)
+    theta = state.theta_global
+    require_same_layout(theta, g_global)
+    step = hp.eta_global * (1.0 / (f_global.values + hp.epsilon)) * g_global.values
+    new_theta = theta.with_values(theta.values - step)
+    return replace(state, theta_global=new_theta, round=state.round + 1)
 
 
 def sample_clients(
@@ -409,7 +357,6 @@ def run_round(
     hp: HyperParams,
     rng: np.random.Generator,
     test_set: Dataset | None = None,
-    epoch_offset: int = 0,
     client_step=client_round,
     server_step=server_step,
 ) -> tuple[GlobalModelState, list[ClientUpdate], dict]:
@@ -433,7 +380,6 @@ def run_round(
         client_ids=sampled,
         round_no=state.round,
         seeds=seeds,
-        epoch_offset=epoch_offset,
     )
     with _phase("global step", state.round):
         new_state = server_step(state, updates, hp)

@@ -15,6 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Simulated timings, not measurements: one gossip hop takes HOP_LATENCY_MS
+# plus up to HOP_JITTER_MS, and a request's retrieve (TRD), validate (VTR)
+# and confirm (TCT) phases take their BASE_*_MS within +-10%.
+HOP_LATENCY_MS = 5.0
+HOP_JITTER_MS = 1.0
+BASE_TRD_MS = 30.0
+BASE_VTR_MS = 35.0
+BASE_TCT_MS = 70.0
+
+
 class GossipCoverageError(RuntimeError):
     """Gossip failed to reach all nodes within the hop cap."""
 
@@ -23,8 +33,6 @@ class GossipCoverageError(RuntimeError):
 class GossipNetwork:
     node_count: int
     fanout: int
-    hop_latency_ms: float = 5.0
-    hop_jitter_ms: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -34,8 +42,8 @@ class GossipNetwork:
             raise ValueError("fanout must be >= 1")
 
 
-def _hop_delay(net: GossipNetwork, rng: np.random.Generator) -> float:
-    return net.hop_latency_ms + net.hop_jitter_ms * float(rng.random())
+def _hop_delay(rng: np.random.Generator) -> float:
+    return HOP_LATENCY_MS + HOP_JITTER_MS * float(rng.random())
 
 
 def gossip_broadcast(
@@ -64,7 +72,7 @@ def gossip_broadcast(
                 peer = int(peer)
                 if peer >= node:
                     peer += 1
-                t = times[node] + _hop_delay(net, rng)
+                t = times[node] + _hop_delay(rng)
                 if peer not in informed and (
                     peer not in newly or t < newly[peer]
                 ):
@@ -89,7 +97,7 @@ def sequential_broadcast(net: GossipNetwork, origin: int) -> tuple[int, np.ndarr
     for node in range(net.node_count):
         if node == origin:
             continue
-        clock += _hop_delay(net, rng)
+        clock += _hop_delay(rng)
         times[node] = clock
     return max(0, net.node_count - 1), times
 
@@ -120,9 +128,6 @@ def measure_latencies(
     net: GossipNetwork | None = None,
     use_gossip: bool = True,
     seed: int = 0,
-    base_trd_ms: float = 30.0,
-    base_vtr_ms: float = 35.0,
-    base_tct_ms: float = 70.0,
 ) -> LatencyReport:
     """Simulate `concurrency` simultaneous transaction requests.
 
@@ -140,9 +145,9 @@ def measure_latencies(
     manager_busy_ms = 0.0
     for i in range(concurrency):
         init = jitter(1.0)
-        trd = jitter(base_trd_ms)
-        vtr = jitter(base_vtr_ms)
-        tct = jitter(base_tct_ms)
+        trd = jitter(BASE_TRD_MS)
+        vtr = jitter(BASE_VTR_MS)
+        tct = jitter(BASE_TCT_MS)
         # queue wait accrues while earlier validations run
         manager_response = manager_busy_ms + vtr
         manager_busy_ms += vtr

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -136,6 +136,11 @@ class TxKind(IntEnum):
     POLICY = 3
 
 
+def _tx_body(kind: TxKind, timestamp: int, payload_digest: bytes) -> bytes:
+    """The bytes a transaction's signature covers."""
+    return _u8(int(kind)) + _u64(timestamp) + _lp(payload_digest)
+
+
 @dataclass(frozen=True)
 class SignedTransaction:
     kind: TxKind
@@ -145,11 +150,7 @@ class SignedTransaction:
     timestamp: int  # milliseconds (simulated clock)
 
     def signed_payload(self) -> bytes:
-        return (
-            _u8(int(self.kind))
-            + _u64(self.timestamp)
-            + _lp(self.payload_digest)
-        )
+        return _tx_body(self.kind, self.timestamp, self.payload_digest)
 
     def verified(self) -> bool:
         return verify(self.sender_public, self.signed_payload(), self.signature)
@@ -165,12 +166,11 @@ class SignedTransaction:
 def make_transaction(
     kind: TxKind, payload_digest: bytes, sender: KeyPair, timestamp: int
 ) -> SignedTransaction:
-    body = _u8(int(kind)) + _u64(timestamp) + _lp(payload_digest)
     return SignedTransaction(
         kind=kind,
         payload_digest=payload_digest,
         sender_public=sender.public,
-        signature=sign(sender.secret, body),
+        signature=sign(sender.secret, _tx_body(kind, timestamp, payload_digest)),
         timestamp=timestamp,
     )
 
@@ -272,15 +272,8 @@ def append_block(
         proposer_signature=b"",
         timestamp=timestamp,
     )
-    signed = Block(
-        block.index,
-        block.previous_hash,
-        block.transactions,
-        block.proposer_public,
-        sign(proposer.secret, block.header_bytes()),
-        block.timestamp,
-    )
-    return Chain(chain.blocks + (signed,))
+    signature = sign(proposer.secret, block.header_bytes())
+    return Chain(chain.blocks + (replace(block, proposer_signature=signature),))
 
 
 def validate_chain(chain: Chain) -> tuple[bool, int | None]:

@@ -180,10 +180,9 @@ class ParameterVector:
 
     def segment(self, layer: str, role: str) -> np.ndarray:
         try:
-            start, stop, shape = self.layout.slots[layer, role]
+            return self.layout.stacked(self.values[None], layer, role)[0]
         except KeyError:
             raise KeyError(f"no segment ({layer}, {role})") from None
-        return self.values[start:stop].reshape(shape)
 
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         return ParameterVector(values, self.layout)
@@ -412,6 +411,32 @@ def _pick(labels: np.ndarray) -> tuple:
     return np.arange(kk)[:, None], np.arange(n), labels
 
 
+def _grad_sums(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits, p):
+    """Sum over the samples of each per-sample gradient to the power p, (K, P).
+
+    p = 1 gives the summed gradient, p = 2 the Fisher sum. Dense per-sample
+    gradients are never stacked whole: each is the outer product a[n] x
+    delta[n], so the sum contracts to (a^p)^T @ (delta^p). A conv layer's is
+    delta[n] @ cols[n]^T, an (OC, C*k*k) matrix per sample.
+    """
+    def power(a):
+        return a if p == 1 else a**p
+
+    out = np.zeros(thetas.shape)
+    for kind, name, a, delta in _layer_deltas(spec, layout, thetas, caches, dlogits):
+        ow = layout.stacked(out, name, "weight")
+        if kind == "fc":
+            # straight into the output rows: no (K, fan_in, fan_out) temporary
+            np.matmul(power(a).transpose(0, 2, 1), power(delta), out=ow)
+            bias = power(delta).sum(axis=1)
+        else:
+            ow += power(delta @ a.transpose(0, 1, 3, 2)).sum(axis=1).reshape(ow.shape)
+            bias = power(delta.sum(axis=3)).sum(axis=1)
+        if spec.bias:
+            layout.stacked(out, name, "bias")[...] += bias
+    return out
+
+
 def stacked_loss_and_grad(
     spec: ModelSpec, layout: ParamLayout, thetas: np.ndarray, inputs, labels
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -431,22 +456,7 @@ def stacked_loss_and_grad(
     dlogits = np.exp(logp)
     dlogits[pick] -= 1.0
     dlogits /= n
-    grads = np.zeros(thetas.shape)
-    for kind, name, a_in, delta in _layer_deltas(
-        spec, layout, thetas, caches, dlogits
-    ):
-        gw = layout.stacked(grads, name, "weight")
-        if kind == "fc":
-            # straight into the gradient rows: no (K, fan_in, fan_out) temporary
-            np.matmul(a_in.transpose(0, 2, 1), delta, out=gw)
-            if spec.bias:
-                layout.stacked(grads, name, "bias")[...] += delta.sum(axis=1)
-        else:
-            per_sample = delta @ a_in.transpose(0, 1, 3, 2)
-            gw += per_sample.sum(axis=1).reshape(gw.shape)
-            if spec.bias:
-                layout.stacked(grads, name, "bias")[...] += delta.sum(axis=(1, 3))
-    return losses, grads
+    return losses, _grad_sums(spec, layout, thetas, caches, dlogits, 1)
 
 
 def forward(
@@ -490,15 +500,7 @@ def per_sample_loglik_grad(
 def sum_squared_loglik_grads(
     spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Sum over the samples x of squared per-sample log-likelihood gradients.
-
-    Per-sample gradients are never stacked whole. A dense layer's
-    per-sample weight gradient is the outer product a_in[n] x dz[n], so the
-    squared sum contracts to (a_in^2)^T @ (dz^2). A conv layer's is
-    dflat[n] @ cols[n]^T, an (OC, C*k*k) matrix per sample, squared and
-    summed over the samples; its bias gradient is dflat[n] summed over
-    positions.
-    """
+    """Sum over the samples x of squared per-sample log-likelihood gradients."""
     layout = params.layout
     x, labels = x[None], labels[None]
     _check_inputs(spec, layout, x, labels)
@@ -506,34 +508,10 @@ def sum_squared_loglik_grads(
     logits, caches = _forward_cached(spec, layout, thetas, x)
     dlogits = np.exp(_log_softmax(logits))
     dlogits[_pick(labels)] -= 1.0  # per-sample, unscaled
-    out = np.zeros((1, layout.size))
-    for kind, name, inputs, delta in _layer_deltas(
-        spec, layout, thetas, caches, dlogits
-    ):
-        ow = layout.stacked(out, name, "weight")
-        if kind == "fc":
-            ow += (inputs**2).transpose(0, 2, 1) @ (delta**2)
-            if spec.bias:
-                layout.stacked(out, name, "bias")[...] += (delta**2).sum(axis=1)
-        else:
-            per_sample = delta @ inputs.transpose(0, 1, 3, 2)
-            ow += (per_sample**2).sum(axis=1).reshape(ow.shape)
-            if spec.bias:
-                per_sample = delta.sum(axis=3)
-                layout.stacked(out, name, "bias")[...] += (per_sample**2).sum(axis=1)
+    out = _grad_sums(spec, layout, thetas, caches, dlogits, 2)
     if not np.all(np.isfinite(out)):
         raise NumericalError("squared log-likelihood gradients not finite")
     return out[0]
-
-
-def sgd_step(
-    params: ParameterVector, grad: ParameterVector, lr: float
-) -> ParameterVector:
-    """One plain SGD step: params - lr * grad."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    require_same_layout(params, grad)
-    return params.with_values(params.values - lr * grad.values)
 
 
 def lr_schedule(initial_lr: float, epoch: int) -> float:

@@ -281,9 +281,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     sim_clock_ms = 0.0
     wall_start = time.monotonic()
     for round_idx in range(config.rounds):
-        epoch_offset = round_idx * hp.local_epochs if hp.lr_decay else 0
         state, updates, metrics = fedcurv.run_round(
-            state, clients, hp, rng, test_set=test, epoch_offset=epoch_offset,
+            state, clients, hp, rng, test_set=test,
             client_step=algo.client_round, server_step=algo.server_step,
         )
 

