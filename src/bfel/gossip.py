@@ -42,8 +42,8 @@ class GossipNetwork:
             raise ValueError("fanout must be >= 1")
 
 
-def _hop_delay(rng: np.random.Generator) -> float:
-    return HOP_LATENCY_MS + HOP_JITTER_MS * float(rng.random())
+def _hop_delays(rng: np.random.Generator, shape) -> np.ndarray:
+    return HOP_LATENCY_MS + HOP_JITTER_MS * rng.random(shape)
 
 
 def gossip_broadcast(
@@ -51,39 +51,39 @@ def gossip_broadcast(
 ) -> tuple[int, np.ndarray]:
     """Simulate push gossip from `origin`.
 
+    Each hop, every informed node (in ascending order) pushes to `fanout`
+    uniformly random other nodes, and an uninformed node takes the earliest
+    of its arrivals. A hop makes two draws: the peers, one row per sender,
+    then one delay per peer.
+
     Returns (hops until full coverage, per-node receive times in ms).
     Raises GossipCoverageError if the hop cap is exceeded (never hangs).
     """
-    if not 0 <= origin < net.node_count:
+    n = net.node_count
+    if not 0 <= origin < n:
         raise ValueError("origin out of range")
     rng = np.random.default_rng([net.seed, origin])
-    times = np.full(net.node_count, np.inf)
+    times = np.full(n, np.inf)
     times[origin] = 0.0
-    if net.node_count == 1:
+    if n == 1:
         return 0, times
-    informed = {origin}
-    hop_cap = max(64, 10 * math.ceil(math.log2(net.node_count)) + 10)
+    informed = np.zeros(n, dtype=bool)
+    informed[origin] = True
+    hop_cap = max(64, 10 * math.ceil(math.log2(n)) + 10)
     for hop in range(1, hop_cap + 1):
-        newly = {}
-        for node in sorted(informed):
-            # uniform over the other nodes (no self-sends)
-            peers = rng.integers(0, net.node_count - 1, size=net.fanout)
-            for peer in peers:
-                peer = int(peer)
-                if peer >= node:
-                    peer += 1
-                t = times[node] + _hop_delay(rng)
-                if peer not in informed and (
-                    peer not in newly or t < newly[peer]
-                ):
-                    newly[peer] = t
-        for peer, t in newly.items():
-            times[peer] = t
-            informed.add(peer)
-        if len(informed) == net.node_count:
+        senders = np.flatnonzero(informed)
+        # uniform over the other nodes: draw from n - 1, skip past the sender
+        peers = rng.integers(0, n - 1, size=(senders.size, net.fanout))
+        peers += peers >= senders[:, None]
+        arrivals = times[senders, None] + _hop_delays(rng, peers.shape)
+        fresh = ~informed[peers]
+        reached = peers[fresh]
+        np.minimum.at(times, reached, arrivals[fresh])
+        informed[reached] = True
+        if informed.all():
             return hop, times
     raise GossipCoverageError(
-        f"{len(informed)}/{net.node_count} nodes reached after {hop_cap} hops"
+        f"{np.count_nonzero(informed)}/{n} nodes reached after {hop_cap} hops"
     )
 
 
@@ -93,12 +93,8 @@ def sequential_broadcast(net: GossipNetwork, origin: int) -> tuple[int, np.ndarr
         raise ValueError("origin out of range")
     rng = np.random.default_rng([net.seed, origin])
     times = np.zeros(net.node_count)
-    clock = 0.0
-    for node in range(net.node_count):
-        if node == origin:
-            continue
-        clock += _hop_delay(rng)
-        times[node] = clock
+    others = np.arange(net.node_count) != origin
+    times[others] = np.cumsum(_hop_delays(rng, net.node_count - 1))
     return max(0, net.node_count - 1), times
 
 

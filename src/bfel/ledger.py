@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 import numpy as np
@@ -98,8 +98,10 @@ class _Reader:
 
 @dataclass(frozen=True)
 class KeyPair:
-    secret: bytes
+    secret: bytes = field(repr=False)
     public: bytes
+    # `secret` parsed once, so that signing does not parse it again
+    private_key: Ed25519PrivateKey = field(compare=False, repr=False)
     scheme: str = "ed25519"
 
 
@@ -112,11 +114,11 @@ def keygen(seed: int) -> KeyPair:
     pk = sk.public_key().public_bytes(
         serialization.Encoding.Raw, serialization.PublicFormat.Raw
     )
-    return KeyPair(secret=sk_bytes, public=pk)
+    return KeyPair(secret=sk_bytes, public=pk, private_key=sk)
 
 
-def sign(secret: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+def sign(key: KeyPair, message: bytes) -> bytes:
+    return key.private_key.sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -170,7 +172,7 @@ def make_transaction(
         kind=kind,
         payload_digest=payload_digest,
         sender_public=sender.public,
-        signature=sign(sender.secret, _tx_body(kind, timestamp, payload_digest)),
+        signature=sign(sender, _tx_body(kind, timestamp, payload_digest)),
         timestamp=timestamp,
     )
 
@@ -272,7 +274,7 @@ def append_block(
         proposer_signature=b"",
         timestamp=timestamp,
     )
-    signature = sign(proposer.secret, block.header_bytes())
+    signature = sign(proposer, block.header_bytes())
     return Chain(chain.blocks + (replace(block, proposer_signature=signature),))
 
 

@@ -8,6 +8,7 @@ clock defaults to a simulated one.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -78,6 +79,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown partition mode {self.partition!r}")
         if self.clock not in ("simulated", "wall"):
             raise ConfigError(f"unknown clock {self.clock!r}")
+        if not (math.isfinite(self.test_fraction) and self.test_fraction > 0):
+            raise ConfigError(
+                f"test_fraction must be finite and > 0, got {self.test_fraction!r}"
+            )
+        if not (math.isfinite(self.synth_spread) and self.synth_spread >= 0):
+            raise ConfigError(
+                f"synth_spread must be finite and >= 0, got {self.synth_spread!r}"
+            )
         for key in ("idx_images", "idx_labels", "idx_test_images",
                     "idx_test_labels", "bfeldata_train", "bfeldata_test"):
             path = getattr(self, key)
@@ -192,7 +201,9 @@ def _load_datasets(config: ExperimentConfig):
     n = len(train)
     rng = np.random.default_rng([config.seed, 0x7E57])
     order = rng.permutation(n)
-    n_test = max(1, int(round(config.test_fraction * n)))
+    # a fraction above 1 leaves nothing to train on; capping it first keeps
+    # a huge one from overflowing the int conversion
+    n_test = max(1, int(round(min(config.test_fraction, 1.0) * n)))
     if n_test >= n:
         raise ConfigError(f"test_fraction leaves none of {n} samples to train on")
     return train.subset(np.sort(order[n_test:])), train.subset(np.sort(order[:n_test]))

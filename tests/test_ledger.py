@@ -40,19 +40,26 @@ class TestKeys:
         assert ledger.keygen(7) == ledger.keygen(7)
         assert ledger.keygen(7) != ledger.keygen(8)
 
+    def test_repr_hides_the_secret(self):
+        kp = ledger.keygen(1)
+        shown = repr(kp)
+        assert repr(kp.public) in shown
+        assert repr(kp.secret) not in shown
+        assert kp.secret.hex() not in shown
+
     def test_sign_verify_round_trip(self):
         kp = ledger.keygen(1)
-        sig = ledger.sign(kp.secret, b"abc")
+        sig = ledger.sign(kp, b"abc")
         assert ledger.verify(kp.public, b"abc", sig)
 
     def test_wrong_public_key_fails(self):
         a, b = ledger.keygen(1), ledger.keygen(2)
-        sig = ledger.sign(a.secret, b"abc")
+        sig = ledger.sign(a, b"abc")
         assert not ledger.verify(b.public, b"abc", sig)
 
     def test_tampered_message_fails(self):
         kp = ledger.keygen(3)
-        sig = ledger.sign(kp.secret, b"abc")
+        sig = ledger.sign(kp, b"abc")
         assert not ledger.verify(kp.public, b"abd", sig)
 
 
@@ -115,7 +122,7 @@ class TestChain:
         b = chain.blocks[4]
         resigned = ledger.Block(
             b.index, b.previous_hash, b.transactions, other.public,
-            ledger.sign(other.secret, b.header_bytes()), b.timestamp,
+            ledger.sign(other, b.header_bytes()), b.timestamp,
         )
         blocks = list(chain.blocks)
         blocks[4] = resigned

@@ -221,6 +221,11 @@ class TestCli:
     @pytest.mark.parametrize("setting", [
         "eta_local=-0.1", "eta_local=inf", "eta_global=-1", "eta_global=nan",
         "epsilon=nan", "lam=nan",
+        "test_fraction=nan", "test_fraction=inf", "test_fraction=-inf",
+        "test_fraction=0", "test_fraction=-0.0", "test_fraction=-0.5",
+        "test_fraction=1e308",
+        "synth_spread=nan", "synth_spread=inf", "synth_spread=-inf",
+        "synth_spread=-1",
     ])
     def test_bad_hyperparameter_exits_before_training(self, tmp_path, capsys, setting):
         key, value = setting.split("=")
