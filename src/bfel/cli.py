@@ -10,7 +10,7 @@ import numpy as np
 
 from . import gossip, ledger
 from .fedcurv import RoundNumericalError
-from .simulator import ConfigError, parse_config, run_experiment
+from .simulator import parse_config, run_experiment
 
 
 def _cmd_run(args) -> int:
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ledger.ChainFormatError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:  # config, data and format errors
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RoundNumericalError as e:

@@ -7,12 +7,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from .data import Dataset
-from .fedcurv import (AggregationError, ClientUpdate, GlobalModelState,
-                      HyperParams, _phase, local_train)
-from .models import ModelSpec, ParameterVector, require_same_layout
+from .fedcurv import ClientUpdate, HyperParams, _phase, client_sum, local_train
+from .models import ModelSpec, ParameterVector
 
 
 def client_round(
@@ -42,21 +39,11 @@ def client_round(
     ]
 
 
-def average_models(updates: list[ClientUpdate]) -> ParameterVector:
-    """Sample-count-weighted mean of the client models, summed in id order."""
-    if not updates:
-        raise AggregationError("no client updates to average")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    require_same_layout(*[u.theta_local for u in ordered])
-    total_n = sum(u.sample_count for u in ordered)
-    acc = np.zeros_like(ordered[0].theta_local.values)
-    for u in ordered:
-        acc += (u.sample_count / total_n) * u.theta_local.values
-    return ordered[0].theta_local.with_values(acc)
-
-
 def server_step(
-    state: GlobalModelState, updates: list[ClientUpdate], hp: HyperParams
-) -> GlobalModelState:
-    """FedAvg server step: the weighted mean model becomes the global model."""
-    return replace(state, theta_global=average_models(updates), round=state.round + 1)
+    theta: ParameterVector, updates: list[ClientUpdate], hp: HyperParams
+) -> ParameterVector:
+    """FedAvg server step: the clients' models weighted by their sample
+    counts, n_k / N, become the global model."""
+    total_n = sum(u.sample_count for u in updates)
+    weights = [u.sample_count / total_n for u in updates]
+    return theta.with_values(client_sum(theta, updates, "theta_local", weights))

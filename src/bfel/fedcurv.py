@@ -7,14 +7,15 @@ diagonals and gradients, followed by an inverse-curvature-scaled step on
 the global model. `run_round` drives one round of any algorithm given its
 client and server steps; the FedCurv steps are the defaults. A client
 step receives all of a round's sampled clients, and their local SGD runs
-in lockstep: one stacked step for every client at once.
+in lockstep: one stacked step for every client at once. A server step
+maps theta and the round's updates to the next theta over `client_sum`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,33 +255,40 @@ def local_train(
 def server_gradient(
     spec: ModelSpec, theta_local: ParameterVector, local_dataset: Dataset
 ) -> ParameterVector:
-    """Unregularized full-dataset gradient at theta_local (g_k)."""
-    if len(local_dataset) == 0:
+    """Unregularized full-dataset gradient at theta_local (g_k): the mean
+    gradients of chunks of 512 samples, each weighted by its share of them."""
+    n = len(local_dataset)
+    if n == 0:
         raise EmptyDatasetError("cannot take a gradient on an empty dataset")
-    _, grad = models.loss_and_grad(
-        spec, theta_local, local_dataset.samples, local_dataset.labels
-    )
-    return grad
+    samples, labels = local_dataset.samples, local_dataset.labels
+    total = None
+    for start in range(0, n, 512):
+        chunk = slice(start, start + 512)
+        _, grad = models.loss_and_grad(
+            spec, theta_local, samples[chunk], labels[chunk]
+        )
+        part = (len(labels[chunk]) / n) * grad.values
+        total = part if total is None else total + part
+    return theta_local.with_values(total)
 
 
-def aggregate(updates: list[ClientUpdate]) -> tuple[FisherDiagonal, ParameterVector]:
-    """Unweighted means of the clients' Fishers and gradients, in id order."""
+def client_sum(
+    theta: ParameterVector, updates: list[ClientUpdate], field: str, weights=None
+) -> np.ndarray:
+    """Sum of weight * `field` ("fisher", "gradient" or "theta_local") over
+    updates of one round in theta's layout, in client-id order, from zero;
+    `weights` lines up with `updates` and defaults to 1.0 each."""
     if not updates:
         raise AggregationError("no client updates to aggregate")
     if len({u.round for u in updates}) > 1:
         raise AggregationError("client updates span multiple rounds")
-    require_same_layout(*[u.theta_local for u in updates])
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    f_total = np.zeros_like(ordered[0].fisher.values)
-    g_total = np.zeros_like(ordered[0].gradient.values)
-    for u in ordered:
-        f_total += u.fisher.values
-        g_total += u.gradient.values
-    n = len(ordered)
-    return (
-        FisherDiagonal(f_total / n, ordered[0].fisher.layout),
-        ordered[0].gradient.with_values(g_total / n),
-    )
+    require_same_layout(theta, *[u.theta_local for u in updates])
+    if weights is None:
+        weights = [1.0] * len(updates)
+    total = np.zeros(theta.layout.size)
+    for w, u in sorted(zip(weights, updates), key=lambda wu: wu[1].client_id):
+        total += w * getattr(u, field).values
+    return total
 
 
 def client_round(
@@ -324,16 +332,14 @@ def client_round(
 
 
 def server_step(
-    state: GlobalModelState, updates: list[ClientUpdate], hp: HyperParams
-) -> GlobalModelState:
+    theta: ParameterVector, updates: list[ClientUpdate], hp: HyperParams
+) -> ParameterVector:
     """FedCurv server step: theta - eta_global * g / (F + epsilon), with F and
     g the clients' mean Fisher and gradient; epsilon guards zero curvature."""
-    f_global, g_global = aggregate(updates)
-    theta = state.theta_global
-    require_same_layout(theta, g_global)
-    step = hp.eta_global * (1.0 / (f_global.values + hp.epsilon)) * g_global.values
-    new_theta = theta.with_values(theta.values - step)
-    return replace(state, theta_global=new_theta, round=state.round + 1)
+    f_mean = client_sum(theta, updates, "fisher") / len(updates)
+    g_mean = client_sum(theta, updates, "gradient") / len(updates)
+    step = hp.eta_global * (1.0 / (f_mean + hp.epsilon)) * g_mean
+    return theta.with_values(theta.values - step)
 
 
 def sample_clients(
@@ -344,10 +350,10 @@ def sample_clients(
     return sorted(int(i) for i in rng.choice(client_count, size=m, replace=False))
 
 
-def divergence(thetas: list[ParameterVector]) -> float:
-    """Mean L2 distance of client parameter vectors from their round mean."""
-    stack = np.stack([t.values for t in thetas])
-    mean = stack.mean(axis=0)
+def divergence(theta: ParameterVector, updates: list[ClientUpdate]) -> float:
+    """Mean L2 distance of the client models from their mean."""
+    stack = np.stack([u.theta_local.values for u in updates])
+    mean = client_sum(theta, updates, "theta_local") / len(updates)
     return float(np.linalg.norm(stack - mean, axis=1).mean())
 
 
@@ -363,7 +369,8 @@ def run_round(
     """One full round: sample, run the client step, run the server step.
 
     client_step and server_step have the signatures of `client_round` and
-    `server_step`, so every algorithm shares the sampling, seeds and metrics.
+    `server_step`, so every algorithm shares the sampling, seeds, metrics
+    and the check that the new global model is finite.
     The client step receives every sampled client at once, in ascending id
     order, with per-client training seeds drawn in that order. A non-finite
     value anywhere in the round raises RoundNumericalError.
@@ -382,12 +389,13 @@ def run_round(
         seeds=seeds,
     )
     with _phase("global step", state.round):
-        new_state = server_step(state, updates, hp)
-        if not np.all(np.isfinite(new_state.theta_global.values)):
+        theta = server_step(state.theta_global, updates, hp)
+        if not np.all(np.isfinite(theta.values)):
             raise NumericalError("global model not finite")
+    new_state = GlobalModelState(theta, state.round + 1, state.spec)
     metrics = {
         "sampled_clients": sampled,
-        "divergence": divergence([u.theta_local for u in updates]),
+        "divergence": divergence(state.theta_global, updates),
     }
     if test_set is not None:
         x, labels = test_set.samples, test_set.labels

@@ -49,20 +49,8 @@ class StakeError(ValueError):
 # --- canonical little-endian serialization helpers ---
 
 
-def _u8(v: int) -> bytes:
-    return struct.pack("<B", v)
-
-
-def _u32(v: int) -> bytes:
-    return struct.pack("<I", v)
-
-
-def _u64(v: int) -> bytes:
-    return struct.pack("<Q", v)
-
-
 def _lp(b: bytes) -> bytes:
-    return _u32(len(b)) + b
+    return struct.pack("<I", len(b)) + b
 
 
 class _Reader:
@@ -77,17 +65,11 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def lp(self) -> bytes:
-        return self.take(self.u32())
+        return self.take(int.from_bytes(self.take(4), "little"))  # a "<I" prefix
 
     def done(self) -> bool:
         return self.pos == len(self.buf)
@@ -140,7 +122,7 @@ class TxKind(IntEnum):
 
 def _tx_body(kind: TxKind, timestamp: int, payload_digest: bytes) -> bytes:
     """The bytes a transaction's signature covers."""
-    return _u8(int(kind)) + _u64(timestamp) + _lp(payload_digest)
+    return struct.pack("<BQ", kind, timestamp) + _lp(payload_digest)
 
 
 @dataclass(frozen=True)
@@ -178,8 +160,8 @@ def make_transaction(
 
 
 def _parse_transaction(r: _Reader) -> SignedTransaction:
-    kind = TxKind(r.u8())
-    timestamp = r.u64()
+    kind, timestamp = r.unpack("<BQ")
+    kind = TxKind(kind)
     digest = r.lp()
     public = r.lp()
     signature = r.lp()
@@ -200,10 +182,9 @@ class Block:
 
     def header_bytes(self) -> bytes:
         out = (
-            _u64(self.index)
+            struct.pack("<Q", self.index)
             + _lp(self.previous_hash)
-            + _u64(self.timestamp)
-            + _u32(len(self.transactions))
+            + struct.pack("<QI", self.timestamp, len(self.transactions))
         )
         for tx in self.transactions:
             out += tx.to_bytes()
@@ -219,10 +200,10 @@ class Block:
 
 def _parse_block(buf: bytes) -> Block:
     r = _Reader(buf)
-    index = r.u64()
+    (index,) = r.unpack("<Q")
     previous_hash = r.lp()
-    timestamp = r.u64()
-    txs = tuple(_parse_transaction(r) for _ in range(r.u32()))
+    timestamp, count = r.unpack("<QI")
+    txs = tuple(_parse_transaction(r) for _ in range(count))
     proposer_public = r.lp()
     proposer_signature = r.lp()
     if not r.done():
@@ -302,7 +283,7 @@ def validate_chain(chain: Chain) -> tuple[bool, int | None]:
 def export_chain(chain: Chain) -> bytes:
     """Length-prefixed binary log of canonical block serializations."""
     return b"".join(
-        [CHAIN_LOG_MAGIC, _u32(len(chain.blocks))]
+        [CHAIN_LOG_MAGIC, struct.pack("<I", len(chain.blocks))]
         + [_lp(block.to_bytes()) for block in chain.blocks]
     )
 
@@ -312,7 +293,7 @@ def import_chain(blob: bytes) -> Chain:
     try:
         if r.take(8) != CHAIN_LOG_MAGIC:
             raise ChainFormatError(0, "bad magic")
-        count = r.u32()
+        (count,) = r.unpack("<I")
     except ValueError:
         raise ChainFormatError(0, "truncated header") from None
     blocks = []
@@ -367,9 +348,9 @@ def digest_update(update) -> bytes:
     plain = update.fisher is None
     h = hashlib.sha256()
     h.update(b"bfel-plain-update-v1" if plain else b"bfel-client-update-v1")
-    h.update(_u64(update.client_id))
-    h.update(_u64(update.round))
-    h.update(_u64(update.sample_count))
+    h.update(
+        struct.pack("<QQQ", update.client_id, update.round, update.sample_count)
+    )
     if not plain:
         h.update(_lp(_array_bytes(update.fisher.values)))
         h.update(_lp(_array_bytes(update.gradient.values)))
@@ -380,6 +361,6 @@ def digest_update(update) -> bytes:
 def digest_global_model(theta_values, round_no: int) -> bytes:
     h = hashlib.sha256()
     h.update(b"bfel-global-model-v1")
-    h.update(_u64(round_no))
+    h.update(struct.pack("<Q", round_no))
     h.update(_lp(_array_bytes(theta_values)))
     return h.digest()

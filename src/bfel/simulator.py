@@ -223,31 +223,6 @@ def _build_spec(config: ExperimentConfig, train) -> models.ModelSpec:
     )
 
 
-@dataclass
-class RoundMetrics:
-    round: int
-    global_acc: float
-    client_acc_mean: float
-    client_acc_min: float
-    client_acc_max: float
-    divergence: float
-    elapsed_ms: float
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(CSV_SCHEMA_VERSION),
-                str(self.round),
-                repr(self.global_acc),
-                repr(self.client_acc_mean),
-                repr(self.client_acc_min),
-                repr(self.client_acc_max),
-                repr(self.divergence),
-                repr(self.elapsed_ms),
-            ]
-        )
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured algorithm; write metrics CSV, model, chain log.
 
@@ -288,7 +263,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
     chain = ledger.new_chain() if config.ledger_enabled else None
 
-    rows: list[RoundMetrics] = []
+    rows = [CSV_HEADER]  # metrics.csv, one line per round
     sim_clock_ms = 0.0
     wall_start = time.monotonic()
     for round_idx in range(config.rounds):
@@ -304,17 +279,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
             elapsed = sim_clock_ms
 
         accs = metrics["client_accuracy"]
-        rows.append(
-            RoundMetrics(
-                round=round_idx + 1,
-                global_acc=metrics["global_accuracy"],
-                client_acc_mean=float(np.mean(accs)),
-                client_acc_min=float(np.min(accs)),
-                client_acc_max=float(np.max(accs)),
-                divergence=metrics["divergence"],
-                elapsed_ms=elapsed,
-            )
-        )
+        row = (CSV_SCHEMA_VERSION, round_idx + 1, metrics["global_accuracy"],
+               float(np.mean(accs)), float(np.min(accs)), float(np.max(accs)),
+               metrics["divergence"], elapsed)
+        rows.append(",".join(map(repr, row)))
 
         if chain is not None:
             ts = (round_idx + 1) * 1000
@@ -338,15 +306,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
             chain = ledger.append_block(chain, txs, server_key, timestamp=ts)
 
     metrics_path = out_dir / "metrics.csv"
-    metrics_path.write_text(
-        "\n".join([CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
-    )
+    metrics_path.write_text("\n".join(rows) + "\n")
     model_path = out_dir / "model.bin"
     save_model(state.theta_global, model_path)
     result = {
         "metrics_csv": str(metrics_path),
         "model_file": str(model_path),
-        "final_global_acc": rows[-1].global_acc,
+        "final_global_acc": metrics["global_accuracy"],
         "rounds": config.rounds,
     }
     if chain is not None:

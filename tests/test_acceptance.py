@@ -148,7 +148,8 @@ def test_c03_algebraic_identities():
             fisher=FisherDiagonal(np.array(fisher_vals), layout),
             gradient=ParameterVector(np.array(grad_vals), layout),
         )
-        return fedcurv.server_step(state, [update], hp)
+        theta = fedcurv.server_step(state.theta_global, [update], hp)
+        return replace(state, theta_global=theta)
 
     out = step(state, [1.0, 2.0], [0.0, 0.0])
     assert np.array_equal(out.theta_global.values, state.theta_global.values)

@@ -61,6 +61,12 @@ class TestLocalTrainPlain:
         assert np.allclose(out.values, self.theta.values - 0.2 * grad.values)
 
 
+def average_models(updates, layout):
+    """FedAvg's server step, which needs the global model only for its layout."""
+    theta = ParameterVector(np.full(layout.size, np.nan), layout)
+    return fedavg.server_step(theta, updates, HyperParams())
+
+
 class TestAverageModels:
     def setup_method(self):
         self.layout = build_layout(tiny_spec())
@@ -70,18 +76,18 @@ class TestAverageModels:
             plain_update(0, [0.0, 2.0], 5, self.layout),
             plain_update(1, [2.0, 0.0], 5, self.layout),
         ]
-        assert np.array_equal(fedavg.average_models(us).values, [1.0, 1.0])
+        assert np.array_equal(average_models(us, self.layout).values, [1.0, 1.0])
 
     def test_single_client(self):
         u = plain_update(0, [3.0, -1.0], 9, self.layout)
-        assert np.array_equal(fedavg.average_models([u]).values, [3.0, -1.0])
+        assert np.array_equal(average_models([u], self.layout).values, [3.0, -1.0])
 
     def test_weighted_counts(self):
         us = [
             plain_update(0, [0.0, 0.0], 1, self.layout),
             plain_update(1, [4.0, 4.0], 3, self.layout),
         ]
-        assert np.array_equal(fedavg.average_models(us).values, [3.0, 3.0])
+        assert np.array_equal(average_models(us, self.layout).values, [3.0, 3.0])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
@@ -90,13 +96,22 @@ class TestAverageModels:
             for i in range(6)
         ]
         assert np.array_equal(
-            fedavg.average_models(us).values, fedavg.average_models(us[::-1]).values
+            average_models(us, self.layout).values,
+            average_models(us[::-1], self.layout).values,
         )
 
     def test_idempotent_on_identical_models(self):
         us = [plain_update(i, [1.5, -2.5], i + 1, self.layout) for i in range(4)]
-        assert np.allclose(fedavg.average_models(us).values, [1.5, -2.5])
+        assert np.allclose(average_models(us, self.layout).values, [1.5, -2.5])
 
     def test_empty_error(self):
         with pytest.raises(AggregationError):
-            fedavg.average_models([])
+            average_models([], self.layout)
+
+    def test_mixed_rounds_rejected(self):
+        us = [
+            plain_update(0, [1.0, 1.0], 2, self.layout),
+            replace(plain_update(1, [1.0, 1.0], 2, self.layout), round=1),
+        ]
+        with pytest.raises(AggregationError, match="multiple rounds"):
+            average_models(us, self.layout)

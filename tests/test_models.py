@@ -398,6 +398,19 @@ class TestColumnBuffers:
         assert columns == 1_893_888
         assert first - second >= columns
 
+    @pytest.mark.parametrize("call", ["accuracy", "server_gradient"])
+    def test_full_set_pass_holds_at_most_512_samples_of_columns(self, empty, call):
+        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
+        params = models.init_params(spec, 0)
+        x, y = random_batch(spec, 600, 7)
+        if call == "accuracy":
+            models.accuracy(spec, params, x, y)
+        else:
+            fedcurv.server_gradient(spec, params, data.Dataset(x, y, spec.classes))
+        # columns per sample: 1*9*10*10 in stage 1, 8*9*3*3 in stage 2
+        assert 0 < models._COLUMNS[0].size <= 512 * 900
+        assert 0 < models._COLUMNS[1].size <= 512 * 648
+
     def test_interleaved_sizes_match_calls_on_empty_buffers(self, empty):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
         layout = build_layout(spec)

@@ -234,6 +234,27 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["run --config", "bfeldata_train",
+                                       "validate-chain --chain"])
+    def test_directory_path_exits_2_without_traceback(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        monkeypatch.chdir(tmp_path)  # the default output_dir is ./out
+        folder = tmp_path / "a-directory"
+        folder.mkdir()
+        if where == "run --config":
+            argv = ["run", "--config", str(folder)]
+        elif where == "bfeldata_train":
+            path = write_config(tmp_path, dataset="bfeldata",
+                                bfeldata_train=str(folder))
+            argv = ["run", "--config", str(path)]
+        else:
+            argv = ["validate-chain", "--chain", str(folder)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_forged_dataset_count_exits_before_output(self, tmp_path, capsys):
         train_path = tmp_path / "train.bfel"
         data.save_bfeldata(data.synth_blobs(2, 10, 3, 0.2, seed=1), train_path)
