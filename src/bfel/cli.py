@@ -35,6 +35,8 @@ def _cmd_validate_chain(args) -> int:
 
 
 def _cmd_gossip_sim(args) -> int:
+    if args.seeds < 1:  # without a broadcast there is no median to print
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     hops_all = []
     for seed in range(args.seeds):
         net = gossip.GossipNetwork(

@@ -245,18 +245,14 @@ def synth_blobs(
         raise ValueError("class_count, per_class and dim must be positive")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-1.0, 1.0, size=(class_count, dim))
-    samples = np.concatenate(
-        [
-            centers[c] + spread * rng.standard_normal((per_class, dim))
-            for c in range(class_count)
-        ]
-    )
+    # each class's draws go straight into its rows, scaled and shifted in
+    # place: the same products and sums as centers[c] + spread * draws
+    samples = np.empty((class_count * per_class, dim))
+    for c in range(class_count):
+        rows = samples[c * per_class : (c + 1) * per_class]
+        rng.standard_normal(out=rows)
+        rows *= spread
+        rows += centers[c]
     labels = np.repeat(np.arange(class_count), per_class)
     return Dataset(samples, labels, class_count)
 
-
-def shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Yield index arrays covering [0, n) in seeded-shuffled order."""
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .data import Dataset, shuffled_batches
+from .data import Dataset
 from .models import (
     LayoutMismatchError,
     ModelSpec,
@@ -180,13 +180,17 @@ def local_train(
 ) -> list[ParameterVector]:
     """E epochs of mini-batch SGD on the anchored loss, one model per client.
 
-    Client k starts from theta_global and takes the batches that
-    `shuffled_batches` draws from its own generator, seeded by seeds[k],
-    exactly as it would alone. The clients run in lockstep: at each step,
-    those whose batches have the same size take one stacked step together,
-    so ragged datasets and last partial batches form separate groups. A
-    stacked call holds at most as many samples as the largest dataset, so
-    it needs no more memory than one full-batch step of that client would.
+    Client k starts from theta_global and, each epoch, takes consecutive
+    batches of one shuffle of its data, `rng.permutation(n)` from its own
+    generator seeded by seeds[k], exactly as it would alone. The clients
+    run in lockstep: at each step, those whose batches have the same size
+    take one stacked step together, so ragged datasets and last partial
+    batches form separate groups. A stacked call holds at most as many
+    samples as the largest dataset. Each epoch copies every client's data
+    once, in shuffled order, into one (K, largest n, ...) buffer; a step
+    over a run of consecutive clients passes a view of it, and any other
+    group a gather of its rows. The buffer is one more copy of the clients'
+    data for the length of the call.
     With hp.lr_decay, round round_no starts the schedule at epoch
     round_no * hp.local_epochs. At hp.lam == 0 this is plain SGD and
     fishers may be None. A non-finite loss or gradient raises NumericalError
@@ -201,17 +205,18 @@ def local_train(
         if any(f.layout != layout for f in fishers):
             raise LayoutMismatchError("fisher diagonal does not match the model")
         lam_f = hp.lam * np.stack([f.values for f in fishers])
-    max_samples = max(map(len, datasets))
+    sizes = [len(ds) for ds in datasets]
+    max_samples = max(sizes)
+    xs = np.empty((len(datasets), max_samples) + datasets[0].samples.shape[1:])
+    ys = np.empty((len(datasets), max_samples), dtype=np.int64)
 
-    def step(ks, idxs, lr):
+    def step(ks, cols, lr):
         # a run of consecutive clients is a view that the update writes
         # through; any other group is gathered and written back
         rows = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
         theta = thetas[rows]
         losses, grads = models.stacked_loss_and_grad(
-            spec, layout, theta,
-            np.stack([datasets[k].samples[i] for k, i in zip(ks, idxs)]),
-            np.stack([datasets[k].labels[i] for k, i in zip(ks, idxs)]),
+            spec, layout, theta, xs[rows, cols], ys[rows, cols]
         )
         bad = ~(np.isfinite(losses) & np.isfinite(grads).all(axis=1))
         if bad.any():
@@ -235,20 +240,21 @@ def local_train(
             lr = lr_schedule(hp.eta_local, round_no * hp.local_epochs + epoch)
         if lr == 0.0:
             continue
-        batches = [
-            list(shuffled_batches(len(ds), hp.batch_size, rng))
-            for ds, rng in zip(datasets, rngs)
-        ]
-        for s in range(max(map(len, batches))):
+        for k, (ds, n, rng) in enumerate(zip(datasets, sizes, rngs)):
+            order = rng.permutation(n)
+            # a permutation is in range, so "clip" clips nothing; unlike
+            # "raise", it writes straight into out
+            np.take(ds.samples, order, axis=0, out=xs[k, :n], mode="clip")
+            np.take(ds.labels, order, out=ys[k, :n], mode="clip")
+        for start in range(0, max_samples, hp.batch_size):
             groups: dict[int, list[int]] = {}  # batch size -> clients
-            for k, client_batches in enumerate(batches):
-                if s < len(client_batches):
-                    groups.setdefault(len(client_batches[s]), []).append(k)
+            for k, n in enumerate(sizes):
+                if start < n:
+                    groups.setdefault(min(hp.batch_size, n - start), []).append(k)
             for size, ks in groups.items():
                 per_call = max_samples // size
                 for lo in range(0, len(ks), per_call):
-                    chunk = ks[lo : lo + per_call]
-                    step(chunk, [batches[k][s] for k in chunk], lr)
+                    step(ks[lo : lo + per_call], slice(start, start + size), lr)
     return [theta_global.with_values(row) for row in thetas]
 
 

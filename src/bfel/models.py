@@ -346,16 +346,16 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
             caches.append(
                 ("conv", name, cols, relu_mask, pool_idx, conv_shape, a.shape)
             )
-            a = np.maximum(pooled, 0.0)
+            a = np.maximum(pooled, 0.0, out=pooled)
         a = a.reshape(kk, n, -1)
     for i in range(dense):
         name = f"fc{i}"
         z = a @ layout.stacked(thetas, name, "weight")
         if spec.bias:
-            z = z + layout.stacked(thetas, name, "bias")[:, None, :]
+            z += layout.stacked(thetas, name, "bias")[:, None, :]
         if i < dense - 1:
             caches.append(("fc", name, a, z > 0))
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
         else:
             caches.append(("fc", name, a, None))
             a = z
@@ -370,7 +370,8 @@ def _layer_deltas(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits)
     "fc" (inputs (K, N, fan_in), delta (K, N, fan_out)) and
     delta[k, n] @ inputs[k, n]^T for "conv" (inputs the im2col columns
     (K, N, C*k*k, L), delta (K, N, OC, L)). The gradient with respect to
-    the model input is never computed.
+    the model input is never computed. Every delta below the logits is an
+    array made here, which the ReLU masks overwrite; dlogits is only read.
     """
     da = dlogits
     for i in range(len(caches) - 1, -1, -1):
@@ -380,14 +381,16 @@ def _layer_deltas(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits)
         if cache[0] == "fc":
             _, _, a_in, relu_mask = cache
             if relu_mask is not None:
-                # da is w.r.t. this layer's post-ReLU output; undo the ReLU
-                da = da * relu_mask
+                # da is w.r.t. this layer's post-ReLU output; undo the ReLU.
+                # The logits have no mask, so da is the product made below
+                da *= relu_mask
             yield "fc", name, a_in, da
             if i:
                 da = da @ wgt.transpose(0, 2, 1)
         else:
             _, _, cols, relu_mask, pool_idx, conv_shape, in_shape = cache
-            dpooled = da.reshape(relu_mask.shape) * relu_mask
+            dpooled = da.reshape(relu_mask.shape)
+            dpooled *= relu_mask
             dz = _maxpool2_backward(dpooled, pool_idx, conv_shape)
             dflat = dz.reshape(cols.shape[:2] + (conv_shape[1], -1))
             yield "conv", name, cols, dflat
@@ -402,7 +405,8 @@ def _layer_deltas(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits)
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _pick(labels: np.ndarray) -> tuple:
@@ -426,9 +430,10 @@ def _grad_sums(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits, p)
     for kind, name, a, delta in _layer_deltas(spec, layout, thetas, caches, dlogits):
         ow = layout.stacked(out, name, "weight")
         if kind == "fc":
+            delta = power(delta)  # once, for the weights and the bias
             # straight into the output rows: no (K, fan_in, fan_out) temporary
-            np.matmul(power(a).transpose(0, 2, 1), power(delta), out=ow)
-            bias = power(delta).sum(axis=1)
+            np.matmul(power(a).transpose(0, 2, 1), delta, out=ow)
+            bias = delta.sum(axis=1)
         else:
             ow += power(delta @ a.transpose(0, 1, 3, 2)).sum(axis=1).reshape(ow.shape)
             bias = power(delta.sum(axis=3)).sum(axis=1)
@@ -453,7 +458,7 @@ def stacked_loss_and_grad(
     pick = _pick(labels)
     logp = _log_softmax(logits)
     losses = -logp[pick].mean(axis=1)
-    dlogits = np.exp(logp)
+    dlogits = np.exp(logp, out=logp)
     dlogits[pick] -= 1.0
     dlogits /= n
     return losses, _grad_sums(spec, layout, thetas, caches, dlogits, 1)
@@ -506,7 +511,8 @@ def sum_squared_loglik_grads(
     _check_inputs(spec, layout, x, labels)
     thetas = params.values[None]
     logits, caches = _forward_cached(spec, layout, thetas, x)
-    dlogits = np.exp(_log_softmax(logits))
+    logp = _log_softmax(logits)
+    dlogits = np.exp(logp, out=logp)
     dlogits[_pick(labels)] -= 1.0  # per-sample, unscaled
     out = _grad_sums(spec, layout, thetas, caches, dlogits, 2)
     if not np.all(np.isfinite(out)):

@@ -248,6 +248,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             seed=config.seed,
         )
         clients = data_mod.partition(train, plan)
+    # only partition reads the whole set: let it go before the rounds, whose
+    # local SGD makes one more copy of the sampled clients' data
+    del train
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

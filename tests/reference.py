@@ -1,8 +1,9 @@
 """Plain reference implementations that the tests compare against.
 
 No program path calls these: `fedcurv.local_train` takes the one-model
-steps below for a whole cohort at once, and `bfel.gossip` runs each hop
-and the sequential baseline as array operations.
+steps below for a whole cohort at once, reading its batches from one
+shuffled copy of each client's data per epoch, and `bfel.gossip` runs each
+hop and the sequential baseline as array operations.
 """
 
 import math
@@ -18,6 +19,13 @@ from bfel.gossip import (
     GossipNetwork,
 )
 from bfel.models import ModelSpec, ParameterVector, require_same_layout
+
+
+def shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
+    """Yield index arrays covering [0, n) in seeded-shuffled order."""
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start : start + batch_size]
 
 
 def sgd_step(

@@ -18,7 +18,7 @@ from bfel import data, fedavg, fedcurv, gossip, ledger, models, simulator
 from bfel.data import Dataset, PartitionMode, PartitionPlan
 from bfel.fedcurv import FisherDiagonal, GlobalModelState, HyperParams
 from bfel.models import ModelSpec, ParameterVector, build_layout
-from reference import regularized_gradient, regularized_loss
+from reference import regularized_gradient, regularized_loss, shuffled_batches
 
 
 def ok(line):
@@ -124,7 +124,7 @@ def test_c03_algebraic_identities():
     # reference: plain mini-batch SGD, written out here
     plain, rng = theta_g, np.random.default_rng(7)
     for _ in range(hp.local_epochs):
-        for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
+        for idx in shuffled_batches(len(ds), hp.batch_size, rng):
             _, grad = models.loss_and_grad(
                 spec, plain, ds.samples[idx], ds.labels[idx]
             )

@@ -12,7 +12,12 @@ from bfel.fedcurv import (
     HyperParams,
 )
 from bfel.models import ModelSpec, ParameterVector, build_layout
-from reference import regularized_gradient, regularized_loss, sgd_step
+from reference import (
+    regularized_gradient,
+    regularized_loss,
+    sgd_step,
+    shuffled_batches,
+)
 
 
 def logistic_spec():
@@ -47,7 +52,7 @@ def plain_sgd(spec, theta, ds, hp, seed):
     """Reference: mini-batch SGD on the unregularized loss, no decay."""
     rng = np.random.default_rng(seed)
     for _ in range(hp.local_epochs):
-        for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
+        for idx in shuffled_batches(len(ds), hp.batch_size, rng):
             _, grad = models.loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
             theta = theta.with_values(theta.values - hp.eta_local * grad.values)
     return theta
@@ -500,11 +505,37 @@ def train_alone(spec, theta_g, fisher, ds, hp, seed, epoch_offset):
     theta = theta_g
     for epoch in range(hp.local_epochs):
         lr = models.lr_schedule(hp.eta_local, epoch_offset + epoch)
-        for idx in data.shuffled_batches(len(ds), hp.batch_size, rng):
+        for idx in shuffled_batches(len(ds), hp.batch_size, rng):
             _, grad = models.loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
             penalty = hp.lam * fisher.values * (theta.values - theta_g.values)
             theta = sgd_step(theta, grad.with_values(grad.values + penalty), lr)
     return theta
+
+
+class TestLocalTrainInputs:
+    @pytest.mark.parametrize("kind", sorted(LOCKSTEP_SPECS))
+    def test_read_only_datasets_and_anchor_are_read_and_kept(self, kind):
+        spec = LOCKSTEP_SPECS[kind]
+        theta_g = models.init_params(spec, 5)
+        clients = ragged_clients(spec, [10, 7, 10, 9], seed=6)
+        fishers = [
+            fedcurv.compute_fisher_diagonal(spec, theta_g, ds) for ds in clients
+        ]
+        hp = make_hp(lam=0.3, eta_local=0.05, local_epochs=2, batch_size=4)
+        writable = fedcurv.local_train(
+            spec, theta_g, fishers, clients, hp, [11, 12, 13, 14]
+        )
+        arrays = [theta_g.values] + [f.values for f in fishers]
+        arrays += [a for ds in clients for a in (ds.samples, ds.labels)]
+        before = [a.tobytes() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False
+        thetas = fedcurv.local_train(
+            spec, theta_g, fishers, clients, hp, [11, 12, 13, 14]
+        )
+        assert [a.tobytes() for a in arrays] == before
+        for got, want in zip(thetas, writable):
+            assert np.array_equal(got.values, want.values)
 
 
 class TestLockstep:

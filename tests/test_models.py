@@ -355,6 +355,35 @@ class TestStackedLossAndGrad:
             assert np.array_equal(grads[k], grad.values)
 
 
+class TestReadOnlyInputs:
+    """The model calls overwrite only arrays they made themselves."""
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(5, 6)),
+        SWEEP_CNN,
+    ], ids=["mlp", "cnn"])
+    @pytest.mark.parametrize("call", [
+        "stacked_loss_and_grad", "sum_squared_loglik_grads", "loss_and_grad",
+        "forward", "accuracy",
+    ])
+    def test_read_only_inputs_are_read_and_kept(self, spec, call):
+        layout = build_layout(spec)
+        thetas = np.stack([models.init_params(spec, s).values for s in range(2)])
+        batches = [random_batch(spec, 6, seed=20 + k) for k in range(2)]
+        x = np.stack([b for b, _ in batches])
+        labels = np.stack([y for _, y in batches])
+        before = [a.tobytes() for a in (thetas, x, labels)]
+        for a in (thetas, x, labels):
+            a.flags.writeable = False
+        if call == "stacked_loss_and_grad":
+            models.stacked_loss_and_grad(spec, layout, thetas, x, labels)
+        else:
+            params = ParameterVector(thetas[0], layout)
+            assert not params.values.flags.writeable  # not a copy
+            getattr(models, call)(spec, params, x[0], labels[0])
+        assert [a.tobytes() for a in (thetas, x, labels)] == before
+
+
 def traced_peak(call) -> int:
     """Peak traced allocation, in bytes, while `call` runs."""
     tracemalloc.start()

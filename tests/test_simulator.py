@@ -1,9 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from bfel import cli, data, ledger, models, simulator
+from bfel import cli, data, fedcurv, ledger, models, simulator
 from bfel.data import Dataset
 from bfel.models import ModelSpec
 from bfel.simulator import ConfigError, ExperimentConfig, parse_config, run_experiment
@@ -106,6 +107,25 @@ class TestRunExperiment:
             kinds = [tx.kind for tx in block.transactions]
             assert kinds.count(ledger.TxKind.GLOBAL_MODEL) == 1
             assert kinds.count(ledger.TxKind.CLIENT_UPDATE) >= 1
+
+    def test_training_set_is_released_before_the_rounds(self, tmp_path, monkeypatch):
+        # only partition reads the whole training set; local SGD's epoch
+        # copy of the clients' data must not come on top of it
+        partition, run_round, refs, alive = data.partition, fedcurv.run_round, [], []
+
+        def spy_partition(dataset, plan):
+            refs.append(weakref.ref(dataset))
+            return partition(dataset, plan)
+
+        def spy_round(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(data, "partition", spy_partition)
+        monkeypatch.setattr(fedcurv, "run_round", spy_round)
+        run_experiment(parse_config(write_config(tmp_path, algorithm="fedavg")))
+        assert len(refs) == 1
+        assert alive == [False] * 3
 
     def test_ledger_off(self, tmp_path):
         config = parse_config(write_config(tmp_path, ledger="false"))
@@ -375,6 +395,15 @@ class TestCli:
         assert f"round 1, local SGD, client(s) [{owner}]:" in err
         assert "not finite" in err and "Traceback" not in err
         assert sizes[-1] > 1  # the failing call stacked several clients
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_gossip_sim_without_seeds_exits_2(self, seeds, capsys):
+        code = cli.main(["gossip-sim", "--nodes", "16", "--fanout", "2",
+                         "--seeds", seeds])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: --seeds must be >= 1")
+        assert out == ""  # no seed lines and no median_hops=nan
 
     def test_gossip_and_latency_commands(self, tmp_path, capsys):
         assert cli.main(["gossip-sim", "--nodes", "16", "--fanout", "2",
