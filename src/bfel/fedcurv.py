@@ -22,7 +22,6 @@ import numpy as np
 from . import models
 from .data import Dataset
 from .models import (
-    LayoutMismatchError,
     ModelSpec,
     NumericalError,
     ParameterVector,
@@ -73,22 +72,6 @@ def _phase(phase: str, round_no: int, client_ids=()):
 
 
 @dataclass(frozen=True)
-class FisherDiagonal:
-    """Per-parameter importance scores: mean squared log-likelihood gradient."""
-
-    values: np.ndarray
-    layout: models.ParamLayout
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if vals.ndim != 1 or vals.shape[0] != self.layout.size:
-            raise LayoutMismatchError("fisher diagonal does not match layout")
-        if np.any(vals < 0):
-            raise ValueError("fisher diagonal entries must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
 class HyperParams:
     lam: float = 0.1
     local_epochs: int = 1
@@ -121,13 +104,17 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One client's round output; FedAvg updates carry no fisher or gradient."""
+    """One client's round output; FedAvg updates carry no fisher or gradient.
+
+    fisher (F_k) and gradient (g_k) are in theta_local's layout; `client_sum`
+    checks that when it adds them up.
+    """
 
     client_id: int
     round: int
     theta_local: ParameterVector
     sample_count: int
-    fisher: FisherDiagonal | None = None
+    fisher: ParameterVector | None = None
     gradient: ParameterVector | None = None
 
     def __post_init__(self):
@@ -135,44 +122,30 @@ class ClientUpdate:
             raise ValueError("sample_count must be >= 1")
         if (self.fisher is None) != (self.gradient is None):
             raise ValueError("fisher and gradient must be given together")
-        if self.fisher is not None and not (
-            self.fisher.layout == self.gradient.layout == self.theta_local.layout
-        ):
-            raise LayoutMismatchError("client update fields have mixed layouts")
-
-
-@dataclass(frozen=True)
-class GlobalModelState:
-    theta_global: ParameterVector
-    round: int
-    spec: ModelSpec
 
 
 def compute_fisher_diagonal(
     spec: ModelSpec, theta_global: ParameterVector, local_dataset: Dataset
-) -> FisherDiagonal:
-    """Diagonal empirical Fisher at theta_global over the local dataset.
+) -> ParameterVector:
+    """Diagonal empirical Fisher at theta_global over the local dataset: the
+    mean squared per-sample log-likelihood gradient, in theta's layout.
 
-    The squared per-sample gradients are summed in batched chunks of 512
-    samples, for the MLP and the CNN alike.
+    The squares are summed in batched chunks of samples, for the MLP and the
+    CNN alike.
     """
     n = len(local_dataset)
     if n == 0:
         raise EmptyDatasetError("cannot estimate Fisher on an empty dataset")
-    samples, labels = local_dataset.samples, local_dataset.labels
     acc = np.zeros(theta_global.layout.size)
-    for start in range(0, n, 512):
-        chunk = slice(start, start + 512)  # row views: nothing is copied
-        acc += models.sum_squared_loglik_grads(
-            spec, theta_global, samples[chunk], labels[chunk]
-        )
-    return FisherDiagonal(acc / n, theta_global.layout)
+    for x, labels in models._chunks(local_dataset.samples, local_dataset.labels):
+        acc += models.sum_squared_loglik_grads(spec, theta_global, x, labels)
+    return theta_global.with_values(acc / n)
 
 
 def local_train(
     spec: ModelSpec,
     theta_global: ParameterVector,
-    fishers: list[FisherDiagonal] | None,
+    fishers: list[ParameterVector] | None,
     datasets: list[Dataset],
     hp: HyperParams,
     seeds: list[int],
@@ -202,8 +175,7 @@ def local_train(
     thetas = np.tile(anchor, (len(datasets), 1))
     lam_f = None
     if hp.lam != 0.0:
-        if any(f.layout != layout for f in fishers):
-            raise LayoutMismatchError("fisher diagonal does not match the model")
+        require_same_layout(theta_global, *fishers)
         lam_f = hp.lam * np.stack([f.values for f in fishers])
     sizes = [len(ds) for ds in datasets]
     max_samples = max(sizes)
@@ -262,18 +234,14 @@ def server_gradient(
     spec: ModelSpec, theta_local: ParameterVector, local_dataset: Dataset
 ) -> ParameterVector:
     """Unregularized full-dataset gradient at theta_local (g_k): the mean
-    gradients of chunks of 512 samples, each weighted by its share of them."""
+    gradients of chunks of samples, each weighted by its share of them."""
     n = len(local_dataset)
     if n == 0:
         raise EmptyDatasetError("cannot take a gradient on an empty dataset")
-    samples, labels = local_dataset.samples, local_dataset.labels
     total = None
-    for start in range(0, n, 512):
-        chunk = slice(start, start + 512)
-        _, grad = models.loss_and_grad(
-            spec, theta_local, samples[chunk], labels[chunk]
-        )
-        part = (len(labels[chunk]) / n) * grad.values
+    for x, labels in models._chunks(local_dataset.samples, local_dataset.labels):
+        _, grad = models.loss_and_grad(spec, theta_local, x, labels)
+        part = (len(labels) / n) * grad.values
         total = part if total is None else total + part
     return theta_local.with_values(total)
 
@@ -288,12 +256,14 @@ def client_sum(
         raise AggregationError("no client updates to aggregate")
     if len({u.round for u in updates}) > 1:
         raise AggregationError("client updates span multiple rounds")
-    require_same_layout(theta, *[u.theta_local for u in updates])
     if weights is None:
         weights = [1.0] * len(updates)
+    pairs = sorted(zip(weights, updates), key=lambda wu: wu[1].client_id)
+    vectors = [getattr(u, field) for _, u in pairs]
+    require_same_layout(theta, *vectors)
     total = np.zeros(theta.layout.size)
-    for w, u in sorted(zip(weights, updates), key=lambda wu: wu[1].client_id):
-        total += w * getattr(u, field).values
+    for (w, _), v in zip(pairs, vectors):
+        total += w * v.values
     return total
 
 
@@ -364,15 +334,18 @@ def divergence(theta: ParameterVector, updates: list[ClientUpdate]) -> float:
 
 
 def run_round(
-    state: GlobalModelState,
+    spec: ModelSpec,
+    theta: ParameterVector,
+    round_no: int,
     clients: list[Dataset],
     hp: HyperParams,
     rng: np.random.Generator,
     test_set: Dataset | None = None,
     client_step=client_round,
     server_step=server_step,
-) -> tuple[GlobalModelState, list[ClientUpdate], dict]:
-    """One full round: sample, run the client step, run the server step.
+) -> tuple[ParameterVector, list[ClientUpdate], dict]:
+    """Round round_no (from 0) from global model theta: sample, run the
+    client step, run the server step; returns the new global model.
 
     client_step and server_step have the signatures of `client_round` and
     `server_step`, so every algorithm shares the sampling, seeds, metrics
@@ -386,31 +359,27 @@ def run_round(
     sampled = sample_clients(len(clients), hp.client_fraction, rng)
     seeds = [int(rng.integers(2**63)) for _ in sampled]
     updates = client_step(
-        state.spec,
-        state.theta_global,
+        spec,
+        theta,
         [clients[cid] for cid in sampled],
         hp,
         client_ids=sampled,
-        round_no=state.round,
+        round_no=round_no,
         seeds=seeds,
     )
-    with _phase("global step", state.round):
-        theta = server_step(state.theta_global, updates, hp)
-        if not np.all(np.isfinite(theta.values)):
+    with _phase("global step", round_no):
+        new_theta = server_step(theta, updates, hp)
+        if not np.all(np.isfinite(new_theta.values)):
             raise NumericalError("global model not finite")
-    new_state = GlobalModelState(theta, state.round + 1, state.spec)
     metrics = {
         "sampled_clients": sampled,
-        "divergence": divergence(state.theta_global, updates),
+        "divergence": divergence(theta, updates),
     }
     if test_set is not None:
         x, labels = test_set.samples, test_set.labels
-        with _phase("evaluation", state.round):
+        with _phase("evaluation", round_no):
             metrics["client_accuracy"] = [
-                models.accuracy(state.spec, u.theta_local, x, labels)
-                for u in updates
+                models.accuracy(spec, u.theta_local, x, labels) for u in updates
             ]
-            metrics["global_accuracy"] = models.accuracy(
-                state.spec, new_state.theta_global, x, labels
-            )
-    return new_state, updates, metrics
+            metrics["global_accuracy"] = models.accuracy(spec, new_theta, x, labels)
+    return new_theta, updates, metrics

@@ -222,49 +222,39 @@ GENESIS = Block(
 GENESIS_HASH = GENESIS.hash()
 
 
-@dataclass(frozen=True)
-class Chain:
-    blocks: tuple[Block, ...]
-
-    def tip(self) -> Block:
-        return self.blocks[-1]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def new_chain() -> Chain:
-    return Chain((GENESIS,))
+def new_chain() -> tuple[Block, ...]:
+    """A chain is a tuple of blocks, genesis first."""
+    return (GENESIS,)
 
 
 def append_block(
-    chain: Chain,
+    chain: tuple[Block, ...],
     transactions: list[SignedTransaction],
     proposer: KeyPair,
     timestamp: int,
-) -> Chain:
+) -> tuple[Block, ...]:
     """Return a new chain extended by one proposer-signed block."""
     for i, tx in enumerate(transactions):
         if not tx.verified():
             raise InvalidTransactionError(i)
     block = Block(
-        index=len(chain.blocks),
-        previous_hash=chain.tip().hash(),
+        index=len(chain),
+        previous_hash=chain[-1].hash(),
         transactions=tuple(transactions),
         proposer_public=proposer.public,
         proposer_signature=b"",
         timestamp=timestamp,
     )
     signature = sign(proposer, block.header_bytes())
-    return Chain(chain.blocks + (replace(block, proposer_signature=signature),))
+    return chain + (replace(block, proposer_signature=signature),)
 
 
-def validate_chain(chain: Chain) -> tuple[bool, int | None]:
+def validate_chain(chain: tuple[Block, ...]) -> tuple[bool, int | None]:
     """True iff all hash links and signatures hold; else earliest bad index."""
-    if not chain.blocks or chain.blocks[0].to_bytes() != GENESIS.to_bytes():
+    if not chain or chain[0].to_bytes() != GENESIS.to_bytes():
         return False, 0
     prev_hash = GENESIS_HASH
-    for pos, block in enumerate(chain.blocks[1:], start=1):
+    for pos, block in enumerate(chain[1:], start=1):
         if block.index != pos:
             return False, pos
         if block.previous_hash != prev_hash:
@@ -280,15 +270,15 @@ def validate_chain(chain: Chain) -> tuple[bool, int | None]:
     return True, None
 
 
-def export_chain(chain: Chain) -> bytes:
+def export_chain(chain: tuple[Block, ...]) -> bytes:
     """Length-prefixed binary log of canonical block serializations."""
     return b"".join(
-        [CHAIN_LOG_MAGIC, struct.pack("<I", len(chain.blocks))]
-        + [_lp(block.to_bytes()) for block in chain.blocks]
+        [CHAIN_LOG_MAGIC, struct.pack("<I", len(chain))]
+        + [_lp(block.to_bytes()) for block in chain]
     )
 
 
-def import_chain(blob: bytes) -> Chain:
+def import_chain(blob: bytes) -> tuple[Block, ...]:
     r = _Reader(blob)
     try:
         if r.take(8) != CHAIN_LOG_MAGIC:
@@ -304,7 +294,7 @@ def import_chain(blob: bytes) -> Chain:
             raise ChainFormatError(i, str(e)) from None
     if not r.done():
         raise ChainFormatError(count - 1 if count else 0, "trailing bytes")
-    return Chain(tuple(blocks))
+    return tuple(blocks)
 
 
 def validate_chain_bytes(blob: bytes) -> tuple[bool, int | None]:
@@ -335,8 +325,12 @@ def select_proposer(stakes: list[float], round_no: int, seed: int) -> int:
 # --- payload digests (wire format between FL modules and the ledger) ---
 
 
-def _array_bytes(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _digest(tag: bytes, header: bytes, *arrays) -> bytes:
+    """SHA-256 of tag, header and each array as length-prefixed <f8 bytes."""
+    h = hashlib.sha256(tag + header)
+    for arr in arrays:
+        h.update(_lp(np.ascontiguousarray(arr, dtype="<f8").tobytes()))
+    return h.digest()
 
 
 def digest_update(update) -> bytes:
@@ -345,22 +339,16 @@ def digest_update(update) -> bytes:
     FedCurv updates hash (F_k, g_k, theta_local); FedAvg updates, which
     carry no Fisher, hash theta_local alone under their own tag.
     """
-    plain = update.fisher is None
-    h = hashlib.sha256()
-    h.update(b"bfel-plain-update-v1" if plain else b"bfel-client-update-v1")
-    h.update(
-        struct.pack("<QQQ", update.client_id, update.round, update.sample_count)
+    header = struct.pack("<QQQ", update.client_id, update.round, update.sample_count)
+    if update.fisher is None:
+        return _digest(b"bfel-plain-update-v1", header, update.theta_local.values)
+    return _digest(
+        b"bfel-client-update-v1", header, update.fisher.values,
+        update.gradient.values, update.theta_local.values,
     )
-    if not plain:
-        h.update(_lp(_array_bytes(update.fisher.values)))
-        h.update(_lp(_array_bytes(update.gradient.values)))
-    h.update(_lp(_array_bytes(update.theta_local.values)))
-    return h.digest()
 
 
 def digest_global_model(theta_values, round_no: int) -> bytes:
-    h = hashlib.sha256()
-    h.update(b"bfel-global-model-v1")
-    h.update(struct.pack("<Q", round_no))
-    h.update(_lp(_array_bytes(theta_values)))
-    return h.digest()
+    return _digest(
+        b"bfel-global-model-v1", struct.pack("<Q", round_no), theta_values
+    )

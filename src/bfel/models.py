@@ -61,17 +61,9 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.classes < 1:
             raise ValueError("classes must be >= 1")
-        if self.kind == "cnn":
-            if len(self.conv_channels) != 2:
-                raise ValueError("cnn requires exactly two conv stages")
-            c, h, w = self._chw()
-            for _ in self.conv_channels:
-                h = (h - self.kernel + 1) // 2
-                w = (w - self.kernel + 1) // 2
-            if h < 1 or w < 1:
-                raise ShapeMismatchError(
-                    "input too small for two conv+pool stages"
-                )
+        if self.kind == "cnn" and len(self.conv_channels) != 2:
+            raise ValueError("cnn requires exactly two conv stages")
+        build_layout(self)  # raises ShapeMismatchError for a too-small input
 
     def _chw(self) -> tuple[int, int, int]:
         if len(self.input_shape) == 2:
@@ -153,6 +145,8 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
             h = (h - k + 1) // 2
             w = (w - k + 1) // 2
             in_c = out_c
+        if h < 1 or w < 1:
+            raise ShapeMismatchError("input too small for two conv+pool stages")
         flat = in_c * h * w
         add("fc0", "weight", (flat, spec.fc_hidden))
         if spec.bias:
@@ -284,12 +278,13 @@ def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape):
     return dx
 
 
-def _check_inputs(spec: ModelSpec, layout: ParamLayout, x, labels) -> None:
+def _check_inputs(spec: ModelSpec, layout: ParamLayout, thetas, x, labels) -> None:
     """The one check of a model call's inputs, in stacked form.
 
-    x is (K, N, *input_shape) and labels (K, N), with N >= 1; a one-model
-    call passes x[None] and labels[None]. Samples are not checked for
-    finiteness: a `Dataset` checked them when it was built.
+    thetas is (K, P) in the spec's layout, x (K, N, *input_shape) and labels
+    (K, N), with N >= 1; a one-model call passes values[None], x[None] and
+    labels[None]. Samples are not checked for finiteness: a `Dataset`
+    checked them when it was built.
     """
     if layout != build_layout(spec):
         raise LayoutMismatchError("parameter layout does not match model spec")
@@ -297,6 +292,10 @@ def _check_inputs(spec: ModelSpec, layout: ParamLayout, x, labels) -> None:
         raise ShapeMismatchError(
             f"labels shape {labels.shape[1:]} does not give one label per "
             f"sample of inputs shape {x.shape[1:]}"
+        )
+    if thetas.shape != (labels.shape[0], layout.size):
+        raise LayoutMismatchError(
+            f"thetas shape {thetas.shape} is not {(labels.shape[0], layout.size)}"
         )
     if labels.shape[1] < 1:
         raise ShapeMismatchError("a model call needs at least one sample")
@@ -452,7 +451,7 @@ def stacked_loss_and_grad(
     gradients (K, P). Non-finite results are returned, not raised, so that
     the caller can name the rows they came from.
     """
-    _check_inputs(spec, layout, inputs, labels)
+    _check_inputs(spec, layout, thetas, inputs, labels)
     logits, caches = _forward_cached(spec, layout, thetas, inputs)
     n = labels.shape[1]
     pick = _pick(labels)
@@ -468,8 +467,9 @@ def forward(
     spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Logits (N, classes) for samples x (N, ...) labelled by labels (N,)."""
-    _check_inputs(spec, params.layout, x[None], labels[None])
-    logits, _ = _forward_cached(spec, params.layout, params.values[None], x[None])
+    thetas, x = params.values[None], x[None]
+    _check_inputs(spec, params.layout, thetas, x, labels[None])
+    logits, _ = _forward_cached(spec, params.layout, thetas, x)
     if not np.isfinite(logits).all():
         raise NumericalError("logits not finite")
     return logits[0]
@@ -506,10 +506,9 @@ def sum_squared_loglik_grads(
     spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Sum over the samples x of squared per-sample log-likelihood gradients."""
-    layout = params.layout
+    layout, thetas = params.layout, params.values[None]
     x, labels = x[None], labels[None]
-    _check_inputs(spec, layout, x, labels)
-    thetas = params.values[None]
+    _check_inputs(spec, layout, thetas, x, labels)
     logits, caches = _forward_cached(spec, layout, thetas, x)
     logp = _log_softmax(logits)
     dlogits = np.exp(logp, out=logp)
@@ -518,6 +517,14 @@ def sum_squared_loglik_grads(
     if not np.all(np.isfinite(out)):
         raise NumericalError("squared log-likelihood gradients not finite")
     return out[0]
+
+
+def _chunks(x: np.ndarray, labels: np.ndarray):
+    """(x, labels) as row views of at most 512 samples each, so that a
+    full-dataset pass keeps the column buffers bounded. An empty set gives
+    one empty chunk, whose model call's input check rejects it."""
+    for start in range(0, max(len(labels), 1), 512):
+        yield x[start : start + 512], labels[start : start + 512]
 
 
 def lr_schedule(initial_lr: float, epoch: int) -> float:
@@ -530,12 +537,9 @@ def lr_schedule(initial_lr: float, epoch: int) -> float:
 def accuracy(
     spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Fraction of argmax predictions matching labels (ties -> lowest class),
-    made in chunks of 512 samples so that the column buffers stay bounded."""
+    """Fraction of argmax predictions matching labels (ties -> lowest class)."""
     correct = 0
-    # at least one call, whose input check rejects an empty set
-    for start in range(0, max(len(labels), 1), 512):
-        chunk = slice(start, start + 512)
-        preds = forward(spec, params, x[chunk], labels[chunk]).argmax(axis=1)
-        correct += int((preds == labels[chunk]).sum())
+    for xc, lc in _chunks(x, labels):
+        preds = forward(spec, params, xc, lc).argmax(axis=1)
+        correct += int((preds == lc).sum())
     return correct / len(labels)

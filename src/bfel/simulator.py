@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown partition mode {self.partition!r}")
         if self.clock not in ("simulated", "wall"):
             raise ConfigError(f"unknown clock {self.clock!r}")
+        if any(width < 1 for width in self.mlp_hidden):
+            raise ConfigError(f"mlp_hidden widths must be >= 1, got {self.mlp_hidden!r}")
         if not (math.isfinite(self.test_fraction) and self.test_fraction > 0):
             raise ConfigError(
                 f"test_fraction must be finite and > 0, got {self.test_fraction!r}"
@@ -254,8 +256,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    theta0 = models.init_params(spec, config.seed)
-    state = fedcurv.GlobalModelState(theta0, 0, spec)
+    theta = models.init_params(spec, config.seed)
     rng = np.random.default_rng([config.seed, 0x1A])
     clock_rng = np.random.default_rng([config.seed, 0x2B])
 
@@ -270,8 +271,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     sim_clock_ms = 0.0
     wall_start = time.monotonic()
     for round_idx in range(config.rounds):
-        state, updates, metrics = fedcurv.run_round(
-            state, clients, hp, rng, test_set=test,
+        theta, updates, metrics = fedcurv.run_round(
+            spec, theta, round_idx, clients, hp, rng, test_set=test,
             client_step=algo.client_round, server_step=algo.server_step,
         )
 
@@ -301,7 +302,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             txs.append(
                 ledger.make_transaction(
                     ledger.TxKind.GLOBAL_MODEL,
-                    ledger.digest_global_model(state.theta_global.values, state.round),
+                    ledger.digest_global_model(theta.values, round_idx + 1),
                     server_key,
                     ts,
                 )
@@ -311,7 +312,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     metrics_path = out_dir / "metrics.csv"
     metrics_path.write_text("\n".join(rows) + "\n")
     model_path = out_dir / "model.bin"
-    save_model(state.theta_global, model_path)
+    save_model(theta, model_path)
     result = {
         "metrics_csv": str(metrics_path),
         "model_file": str(model_path),

@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from bfel import models
-from bfel.fedcurv import FisherDiagonal
 from bfel.gossip import (
     HOP_JITTER_MS,
     HOP_LATENCY_MS,
@@ -42,7 +41,7 @@ def regularized_loss(
     spec: ModelSpec,
     theta: ParameterVector,
     theta_global: ParameterVector,
-    fisher: FisherDiagonal,
+    fisher: ParameterVector,
     x: np.ndarray,
     labels: np.ndarray,
     lam: float,
@@ -60,7 +59,7 @@ def regularized_gradient(
     spec: ModelSpec,
     theta: ParameterVector,
     theta_global: ParameterVector,
-    fisher: FisherDiagonal,
+    fisher: ParameterVector,
     x: np.ndarray,
     labels: np.ndarray,
     lam: float,

@@ -8,7 +8,6 @@ runs unconditionally through the same IDX + partition + training pipeline.
 
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 
 from bfel import data, fedavg, fedcurv, gossip, ledger, models, simulator
 from bfel.data import Dataset, PartitionMode, PartitionPlan
-from bfel.fedcurv import FisherDiagonal, GlobalModelState, HyperParams
+from bfel.fedcurv import HyperParams
 from bfel.models import ModelSpec, ParameterVector, build_layout
 from reference import regularized_gradient, regularized_loss, shuffled_batches
 
@@ -68,7 +67,7 @@ def test_c01_gradient_oracle():
         n = int(rng.integers(2, 6))
         x = rng.random((n,) + spec.input_shape)
         labels = rng.integers(0, spec.classes, n)
-        fisher = FisherDiagonal(rng.random(theta.values.size), theta.layout)
+        fisher = theta.with_values(rng.random(theta.values.size))
         grad = regularized_gradient(
             spec, theta, theta_g, fisher, x, labels, lam
         )
@@ -136,27 +135,22 @@ def test_c03_algebraic_identities():
         spec, theta_g, theta_g, fisher, ds.samples, ds.labels, lam=5.0
     ) == plain_loss
 
-    layout = build_layout(logistic_spec())
-    state = GlobalModelState(
-        ParameterVector(np.array([0.2, -0.2]), layout), 0, logistic_spec()
-    )
+    theta = ParameterVector(np.array([0.2, -0.2]), build_layout(logistic_spec()))
     hp = HyperParams(eta_global=1.0, epsilon=1e-8)
 
-    def step(state, fisher_vals, grad_vals):
+    def step(theta, fisher_vals, grad_vals):
         update = fedcurv.ClientUpdate(
-            0, 0, state.theta_global, 1,
-            fisher=FisherDiagonal(np.array(fisher_vals), layout),
-            gradient=ParameterVector(np.array(grad_vals), layout),
+            0, 0, theta, 1,
+            fisher=theta.with_values(np.array(fisher_vals)),
+            gradient=theta.with_values(np.array(grad_vals)),
         )
-        theta = fedcurv.server_step(state.theta_global, [update], hp)
-        return replace(state, theta_global=theta)
+        return fedcurv.server_step(theta, [update], hp)
 
-    out = step(state, [1.0, 2.0], [0.0, 0.0])
-    assert np.array_equal(out.theta_global.values, state.theta_global.values)
+    out = step(theta, [1.0, 2.0], [0.0, 0.0])
+    assert np.array_equal(out.values, theta.values)
 
     # from theta = 0 with g = 1 and eta = 1 the step is -1/(F + eps)
-    at_zero = replace(state, theta_global=ParameterVector(np.zeros(2), layout))
-    inv = -step(at_zero, [0.0, 3.0], [1.0, 1.0]).theta_global.values
+    inv = -step(theta.with_values(np.zeros(2)), [0.0, 3.0], [1.0, 1.0]).values
     assert inv[0] == 1.0 / 1e-8
     ok("C3 algebraic identities: lambda-0 bitwise, zero penalty, fixed point, 1/eps")
 
@@ -178,9 +172,10 @@ def test_c04_one_round_end_to_end_oracle():
         lam=0.1, local_epochs=1, eta_local=0.05, eta_global=0.2,
         epsilon=1e-6, batch_size=8, client_fraction=1.0,
     )
-    state = GlobalModelState(ParameterVector(w0, layout), 0, spec)
     rng = np.random.default_rng(5)
-    new_state, updates, _ = fedcurv.run_round(state, datasets, hp, rng)
+    theta, updates, _ = fedcurv.run_round(
+        spec, ParameterVector(w0, layout), 0, datasets, hp, rng
+    )
 
     # straight-line: fisher at anchor, one full-batch step, server gradient,
     # unweighted means, damped inverse, scaled global step
@@ -197,7 +192,7 @@ def test_c04_one_round_end_to_end_oracle():
     g_global = np.mean(grads, axis=0)
     theta_new = w0 - hp.eta_global * (1.0 / (f_global + hp.epsilon)) * g_global
 
-    err = float(np.abs(new_state.theta_global.values - theta_new).max())
+    err = float(np.abs(theta.values - theta_new).max())
     assert err < 1e-10
     ok(f"C4 one-round oracle: max abs err {err:.2e}")
 
@@ -216,9 +211,9 @@ def test_c04_fedavg_one_round_oracle():
     ]
     # lam is set to show that FedAvg ignores the anchor penalty
     hp = HyperParams(lam=0.7, local_epochs=1, eta_local=0.05, batch_size=8)
-    state = GlobalModelState(ParameterVector(w0, build_layout(spec)), 0, spec)
-    new_state, updates, _ = fedcurv.run_round(
-        state, datasets, hp, np.random.default_rng(5),
+    theta, updates, _ = fedcurv.run_round(
+        spec, ParameterVector(w0, build_layout(spec)), 0, datasets, hp,
+        np.random.default_rng(5),
         client_step=fedavg.client_round, server_step=fedavg.server_step,
     )
 
@@ -230,9 +225,8 @@ def test_c04_fedavg_one_round_oracle():
         for xs, ys in client_data
     )
 
-    assert new_state.round == 1
     assert [u.sample_count for u in updates] == [3, 5]
-    err = float(np.abs(new_state.theta_global.values - theta_new).max())
+    err = float(np.abs(theta.values - theta_new).max())
     assert err < 1e-10
     ok(f"C4 FedAvg one-round oracle: max abs err {err:.2e}")
 
@@ -250,14 +244,16 @@ def _trend_run(algo, train, test, seed, hp, spec, rounds=20):
     clients = data.partition(
         train, PartitionPlan(5, PartitionMode.NONIID_SHARDS, 2, seed)
     )
-    state = GlobalModelState(models.init_params(spec, seed), 0, spec)
+    theta = models.init_params(spec, seed)
     rng = np.random.default_rng([seed, 2])
     steps = {} if algo == "fedcurv" else dict(
         client_step=fedavg.client_round, server_step=fedavg.server_step
     )
     accs, divs = [], []
-    for _ in range(rounds):
-        state, _, m = fedcurv.run_round(state, clients, hp, rng, test_set=test, **steps)
+    for round_no in range(rounds):
+        theta, _, m = fedcurv.run_round(
+            spec, theta, round_no, clients, hp, rng, test_set=test, **steps
+        )
         accs.append(m["global_accuracy"])
         divs.append(m["divergence"])
     return accs[-1], float(np.mean(divs[9:]))
@@ -344,7 +340,7 @@ def test_c06_ledger_tamper_suite():
     blob = ledger.export_chain(chain)
     offsets = []
     pos = 12
-    for i in range(len(chain.blocks)):
+    for i in range(len(chain)):
         length = int.from_bytes(blob[pos : pos + 4], "little")
         offsets.append((i, pos, pos + 4 + length))
         pos += 4 + length

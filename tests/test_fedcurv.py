@@ -7,11 +7,14 @@ from bfel.fedcurv import (
     AggregationError,
     ClientUpdate,
     EmptyDatasetError,
-    FisherDiagonal,
-    GlobalModelState,
     HyperParams,
 )
-from bfel.models import ModelSpec, ParameterVector, build_layout
+from bfel.models import (
+    LayoutMismatchError,
+    ModelSpec,
+    ParameterVector,
+    build_layout,
+)
 from reference import (
     regularized_gradient,
     regularized_loss,
@@ -134,7 +137,7 @@ class TestRegularizedLoss:
 
     def test_unit_fisher_unit_offset_adds_n(self):
         n = self.theta_g.values.size
-        ones_fisher = FisherDiagonal(np.ones(n), self.theta_g.layout)
+        ones_fisher = self.theta_g.with_values(np.ones(n))
         theta = self.theta_g.with_values(self.theta_g.values + 1.0)
         plain, _ = models.loss_and_grad(self.spec, theta, self.x, self.y)
         reg = regularized_loss(
@@ -246,7 +249,7 @@ def make_update(client_id, fisher_vals, grad_vals, layout, round_no=0):
         round=round_no,
         theta_local=ParameterVector(np.zeros(layout.size), layout),
         sample_count=1,
-        fisher=FisherDiagonal(np.asarray(fisher_vals, dtype=float), layout),
+        fisher=ParameterVector(np.asarray(fisher_vals, dtype=float), layout),
         gradient=ParameterVector(np.asarray(grad_vals, dtype=float), layout),
     )
 
@@ -257,8 +260,8 @@ def aggregate(updates, layout):
     f_sum = fedcurv.client_sum(theta, updates, "fisher")
     g_sum = fedcurv.client_sum(theta, updates, "gradient")
     return (
-        FisherDiagonal(f_sum / len(updates), layout),
-        ParameterVector(g_sum / len(updates), layout),
+        theta.with_values(f_sum / len(updates)),
+        theta.with_values(g_sum / len(updates)),
     )
 
 
@@ -313,30 +316,71 @@ class TestAggregation:
 
     def test_update_takes_fisher_and_gradient_together(self):
         theta = ParameterVector(np.zeros(2), self.layout)
-        fisher = FisherDiagonal(np.ones(2), self.layout)
+        fisher = ParameterVector(np.ones(2), self.layout)
         with pytest.raises(ValueError, match="together"):
             ClientUpdate(0, 0, theta, 1, fisher=fisher)
 
 
-def round_with_updates(state, updates, hp):
-    """The state after a `run_round` whose client step returns `updates`."""
+def layout_check_cases():
+    """One call per layout check, each given a vector of the wrong layout.
+
+    `other` has theta's size but another layout, so only a layout check,
+    not a length check, can reject it.
+    """
+    spec = logistic_spec()
+    theta = logistic_params([0.0, 0.0])
+    other = ParameterVector(np.ones(2), build_layout(
+        ModelSpec(kind="mlp", input_shape=(2,), classes=1, bias=False)
+    ))
+    ds = Dataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
+    x, labels = ds.samples, ds.labels
+    return {
+        "vector-length": lambda: ParameterVector(np.zeros(3), theta.layout),
+        "model-spec": lambda: models.loss_and_grad(spec, other, x, labels),
+        "wide-thetas": lambda: models.stacked_loss_and_grad(
+            spec, theta.layout, np.zeros((2, 2 + 5)), np.stack([x, x]),
+            np.stack([labels, labels]),
+        ),
+        "client-sum": lambda: fedcurv.client_sum(
+            theta, [ClientUpdate(0, 0, theta, 2, fisher=other, gradient=theta)],
+            "fisher",
+        ),
+        "local-train": lambda: fedcurv.local_train(
+            spec, theta, [other], [ds], make_hp(), [0]
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "vector-length", "model-spec", "wide-thetas", "client-sum", "local-train",
+])
+def test_layout_check_raises(case):
+    call = layout_check_cases()[case]
+    with pytest.raises(LayoutMismatchError):
+        call()
+
+
+def round_with_updates(theta, updates, hp):
+    """The global model after a round 0 of the logistic model from theta,
+    by `run_round` with a client step that returns `updates`."""
 
     def given_updates(spec, theta_global, datasets, hp, client_ids, round_no,
                       seeds):
         return updates
 
     one = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=int), 2)
-    new_state, _, _ = fedcurv.run_round(
-        state, [one], hp, np.random.default_rng(0), client_step=given_updates
+    new_theta, _, _ = fedcurv.run_round(
+        logistic_spec(), theta, 0, [one], hp, np.random.default_rng(0),
+        client_step=given_updates,
     )
-    return new_state
+    return new_theta
 
 
-def server_step(state, fisher_vals, grad_vals, eta_global, epsilon):
+def server_step(theta, fisher_vals, grad_vals, eta_global, epsilon):
     """The FedCurv server step for one client update of these F and g."""
-    u = make_update(0, fisher_vals, grad_vals, state.theta_global.layout, state.round)
+    u = make_update(0, fisher_vals, grad_vals, theta.layout)
     return round_with_updates(
-        state, [u], make_hp(eta_global=eta_global, epsilon=epsilon)
+        theta, [u], make_hp(eta_global=eta_global, epsilon=epsilon)
     )
 
 
@@ -344,13 +388,10 @@ class TestInvertFisher:
     """1/(F + epsilon), read off a step from theta = 0 with g = 1, eta = 1."""
 
     def setup_method(self):
-        self.layout = build_layout(logistic_spec())
-        theta = ParameterVector(np.zeros(2), self.layout)
-        self.state = GlobalModelState(theta, round=0, spec=logistic_spec())
+        self.theta = ParameterVector(np.zeros(2), build_layout(logistic_spec()))
 
     def invert(self, fisher_vals, epsilon):
-        out = server_step(self.state, fisher_vals, [1.0, 1.0], 1.0, epsilon)
-        return -out.theta_global.values
+        return -server_step(self.theta, fisher_vals, [1.0, 1.0], 1.0, epsilon).values
 
     def test_zero_entry_gives_one_over_epsilon(self):
         inv = self.invert([0.0, 1.0], 1e-8)
@@ -373,26 +414,23 @@ class TestInvertFisher:
 
 class TestGlobalUpdate:
     def setup_method(self):
-        self.spec = logistic_spec()
-        self.layout = build_layout(self.spec)
-        theta = ParameterVector(np.array([1.0, -1.0]), self.layout)
-        self.state = GlobalModelState(theta, round=3, spec=self.spec)
+        layout = build_layout(logistic_spec())
+        self.theta = ParameterVector(np.array([1.0, -1.0]), layout)
 
     def test_zero_gradient_fixed_point(self):
-        out = server_step(self.state, [0.2, 0.2], [0.0, 0.0], 1.0, 1e-8)
-        assert np.array_equal(out.theta_global.values, self.state.theta_global.values)
-        assert out.round == 4
+        out = server_step(self.theta, [0.2, 0.2], [0.0, 0.0], 1.0, 1e-8)
+        assert np.array_equal(out.values, self.theta.values)
 
     def test_constant_fisher_is_scaled_sgd(self):
         c, eps, eta = 4.0, 1e-8, 0.5
         g = np.array([1.0, -2.0])
-        out = server_step(self.state, [c, c], g, eta, eps)
-        expected = self.state.theta_global.values - (eta / (c + eps)) * g
-        assert np.allclose(out.theta_global.values, expected, rtol=1e-15)
+        out = server_step(self.theta, [c, c], g, eta, eps)
+        expected = self.theta.values - (eta / (c + eps)) * g
+        assert np.allclose(out.values, expected, rtol=1e-15)
 
     def test_high_curvature_moves_less(self):
-        out = server_step(self.state, [10.0, 0.1], [1.0, 1.0], 0.1, 1e-8)
-        moves = np.abs(out.theta_global.values - self.state.theta_global.values)
+        out = server_step(self.theta, [10.0, 0.1], [1.0, 1.0], 0.1, 1e-8)
+        moves = np.abs(out.values - self.theta.values)
         assert moves[0] < moves[1]
 
 
@@ -400,7 +438,6 @@ class TestRunRound:
     def setup_method(self):
         self.spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))
         self.theta = models.init_params(self.spec, 10)
-        self.state = GlobalModelState(self.theta, 0, self.spec)
         self.ds = small_dataset(seed=11, n=12, classes=2)
 
     def test_identical_clients_symmetry(self):
@@ -409,7 +446,7 @@ class TestRunRound:
         # two identical-data trajectories comparable
         hp = make_hp(lam=0.1, eta_local=0.05, local_epochs=1, batch_size=len(self.ds))
         _, updates, _ = fedcurv.run_round(
-            self.state, [self.ds, self.ds], hp, rng
+            self.spec, self.theta, 0, [self.ds, self.ds], hp, rng
         )
         assert len(updates) == 2
         assert np.allclose(updates[0].theta_local.values, updates[1].theta_local.values)
@@ -424,8 +461,10 @@ class TestRunRound:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            state, updates, metrics = fedcurv.run_round(self.state, clients, hp, rng)
-            runs.append((state.theta_global.values, metrics["sampled_clients"]))
+            theta, _, metrics = fedcurv.run_round(
+                self.spec, self.theta, 0, clients, hp, rng
+            )
+            runs.append((theta.values, metrics["sampled_clients"]))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
@@ -433,14 +472,16 @@ class TestRunRound:
         hp = make_hp(lam=0.1, eta_local=0.0, local_epochs=1, batch_size=4,
                      client_fraction=0.5, eta_global=0.3, epsilon=1e-8)
         rng = np.random.default_rng(13)
-        state, updates, _ = fedcurv.run_round(self.state, [self.ds, self.ds], hp, rng)
+        theta, updates, _ = fedcurv.run_round(
+            self.spec, self.theta, 0, [self.ds, self.ds], hp, rng
+        )
         assert len(updates) == 1
         u = updates[0]
         # theta_local == theta_global, so g_k is evaluated at the anchor
         assert np.array_equal(u.theta_local.values, self.theta.values)
         f_inv = 1.0 / (u.fisher.values + hp.epsilon)
         expected = self.theta.values - 0.3 * f_inv * u.gradient.values
-        assert np.allclose(state.theta_global.values, expected, atol=1e-15)
+        assert np.allclose(theta.values, expected, atol=1e-15)
 
     def test_infinite_weight_is_an_evaluation_error(self):
         def infinite_clients(spec, theta_global, datasets, hp, client_ids,
@@ -459,7 +500,8 @@ class TestRunRound:
             fedcurv.RoundNumericalError
         ) as info:
             fedcurv.run_round(
-                self.state, [self.ds, self.ds], make_hp(), np.random.default_rng(0),
+                self.spec, self.theta, 0, [self.ds, self.ds], make_hp(),
+                np.random.default_rng(0),
                 test_set=self.ds, client_step=infinite_clients,
                 server_step=keep_global,
             )
@@ -469,13 +511,11 @@ class TestRunRound:
 
     def test_anchor_fixed_point_when_all_gradients_zero(self):
         layout = build_layout(logistic_spec())
-        state = GlobalModelState(
-            ParameterVector(np.array([0.5, -0.5]), layout), 0, logistic_spec()
-        )
+        theta = ParameterVector(np.array([0.5, -0.5]), layout)
         us = [make_update(i, [1.0, 2.0], [0.0, 0.0], layout) for i in range(3)]
         hp = make_hp(eta_global=1.0, epsilon=1e-8)
-        out = round_with_updates(state, us, hp)
-        assert np.array_equal(out.theta_global.values, state.theta_global.values)
+        out = round_with_updates(theta, us, hp)
+        assert np.array_equal(out.values, theta.values)
 
 
 LOCKSTEP_SPECS = {
@@ -573,8 +613,7 @@ class TestLockstep:
         hp = make_hp(client_fraction=0.5, **self.HP)
         widths = self.spy_widths(monkeypatch)
         _, updates, _ = fedcurv.run_round(
-            GlobalModelState(theta_g, self.ROUND, spec), clients, hp,
-            np.random.default_rng(21),
+            spec, theta_g, self.ROUND, clients, hp, np.random.default_rng(21)
         )
         monkeypatch.undo()
         rng = np.random.default_rng(21)
@@ -627,9 +666,9 @@ class TestLockstep:
 
         monkeypatch.setattr(models, "stacked_loss_and_grad", poisoned)
         hp = make_hp(client_fraction=0.5, batch_size=4)
-        state = GlobalModelState(models.init_params(spec, 0), 6, spec)
+        theta = models.init_params(spec, 0)
         with pytest.raises(fedcurv.RoundNumericalError) as info:
-            fedcurv.run_round(state, clients, hp, rng)
+            fedcurv.run_round(spec, theta, 6, clients, hp, rng)
         assert info.value.phase == "local SGD"
         assert info.value.client_ids == (target,)
         assert info.value.round == 6

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bfel import ledger
-from bfel.fedcurv import ClientUpdate, FisherDiagonal
+from bfel.fedcurv import ClientUpdate
 from bfel.ledger import (
-    Chain,
     ChainFormatError,
     InvalidTransactionError,
     StakeError,
@@ -66,8 +65,8 @@ class TestKeys:
 class TestChain:
     def test_append_links_to_genesis(self):
         chain, _ = build_chain(1)
-        assert chain.blocks[1].index == 1
-        assert chain.blocks[1].previous_hash == ledger.GENESIS_HASH
+        assert chain[1].index == 1
+        assert chain[1].previous_hash == ledger.GENESIS_HASH
 
     def test_fresh_chain_validates(self):
         chain, _ = build_chain(10)
@@ -90,7 +89,7 @@ class TestChain:
         chain = ledger.new_chain()
         chain = ledger.append_block(chain, [tx], kp, timestamp=5)
         chain = ledger.append_block(chain, [tx], kp, timestamp=5)
-        assert chain.blocks[1].hash() != chain.blocks[2].hash()
+        assert chain[1].hash() != chain[2].hash()
 
     def test_append_only_no_mutation(self):
         chain, proposer = build_chain(2)
@@ -100,33 +99,33 @@ class TestChain:
 
     def test_tampered_payload_detected(self):
         chain, _ = build_chain(5)
-        tampered_tx = chain.blocks[3].transactions[0]
+        tampered_tx = chain[3].transactions[0]
         flipped = bytearray(tampered_tx.payload_digest)
         flipped[0] ^= 0x01
         bad_tx = ledger.SignedTransaction(
             tampered_tx.kind, bytes(flipped), tampered_tx.sender_public,
             tampered_tx.signature, tampered_tx.timestamp,
         )
-        blocks = list(chain.blocks)
+        blocks = list(chain)
         b = blocks[3]
         blocks[3] = ledger.Block(
             b.index, b.previous_hash, (bad_tx,) + b.transactions[1:],
             b.proposer_public, b.proposer_signature, b.timestamp,
         )
-        ok, bad = ledger.validate_chain(Chain(tuple(blocks)))
+        ok, bad = ledger.validate_chain(tuple(blocks))
         assert not ok and bad == 3
 
     def test_resigned_block_with_other_key_detected(self):
         chain, _ = build_chain(5)
         other = ledger.keygen(999)
-        b = chain.blocks[4]
+        b = chain[4]
         resigned = ledger.Block(
             b.index, b.previous_hash, b.transactions, other.public,
             ledger.sign(other, b.header_bytes()), b.timestamp,
         )
-        blocks = list(chain.blocks)
+        blocks = list(chain)
         blocks[4] = resigned
-        ok, bad = ledger.validate_chain(Chain(tuple(blocks)))
+        ok, bad = ledger.validate_chain(tuple(blocks))
         # proposer key is part of the signed header; swapping it breaks the
         # hash link to the next block or the header signature itself
         assert not ok and bad <= 4
@@ -151,7 +150,7 @@ class TestSerialization:
         # map byte ranges to block indices via the log framing
         offsets = []
         pos = 12  # magic + count
-        for i in range(len(chain.blocks)):
+        for i in range(len(chain)):
             length = int.from_bytes(blob[pos : pos + 4], "little")
             offsets.append((i, pos, pos + 4 + length))
             pos += 4 + length
@@ -204,7 +203,7 @@ class TestUpdateDigest:
             ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
         )
         self.theta = ParameterVector(np.array([0.5, -1.25]), layout)
-        self.fisher = FisherDiagonal(np.array([0.25, 2.0]), layout)
+        self.fisher = ParameterVector(np.array([0.25, 2.0]), layout)
         self.gradient = ParameterVector(np.array([-0.125, 3.0]), layout)
 
     def test_fedcurv_update_bytes(self):

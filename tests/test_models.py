@@ -398,7 +398,7 @@ def result_arrays(result) -> list:
     """The arrays a public model call returned, flattened into a list."""
     if isinstance(result, tuple):
         return [a for part in result for a in result_arrays(part)]
-    if hasattr(result, "values"):  # ParameterVector, FisherDiagonal
+    if hasattr(result, "values"):  # ParameterVector
         return [result.values]
     return [np.asarray(result)]
 

@@ -103,7 +103,7 @@ class TestRunExperiment:
         ok, _ = ledger.validate_chain(chain)
         assert ok
         # every round block carries client digests plus the global model digest
-        for block in chain.blocks[1:]:
+        for block in chain[1:]:
             kinds = [tx.kind for tx in block.transactions]
             assert kinds.count(ledger.TxKind.GLOBAL_MODEL) == 1
             assert kinds.count(ledger.TxKind.CLIENT_UPDATE) >= 1
@@ -166,7 +166,7 @@ class TestRunExperiment:
             chain = ledger.import_chain(
                 (tmp_path / algo / "chain.log").read_bytes()
             )
-            results[algo] = [len(b.transactions) for b in chain.blocks[1:]]
+            results[algo] = [len(b.transactions) for b in chain[1:]]
         assert results["fedcurv"] == results["fedavg"]
 
     def test_model_file_round_trip(self, tmp_path):
@@ -246,6 +246,7 @@ class TestCli:
         "test_fraction=1e308",
         "synth_spread=nan", "synth_spread=inf", "synth_spread=-inf",
         "synth_spread=-1",
+        "mlp_hidden=0", "mlp_hidden=-3", "mlp_hidden=8,0",
     ])
     def test_bad_hyperparameter_exits_before_training(self, tmp_path, capsys, setting):
         key, value = setting.split("=")
