@@ -57,13 +57,17 @@ class RoundNumericalError(NumericalError):
 
 @contextlib.contextmanager
 def _phase(phase: str, round_no: int, client_ids=()):
-    """Re-raise a NumericalError from inside as a RoundNumericalError.
+    """Re-raise a NumericalError from inside as a RoundNumericalError, with
+    numpy's floating-point warnings silenced.
 
     An error that names positions on a stacked client axis is charged to
     those clients only; any other is charged to all of client_ids.
     """
     try:
-        yield
+        # every phase checks its results for finiteness, so numpy's
+        # overflow and invalid-value warnings would only repeat the error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
     except RoundNumericalError:
         raise
     except NumericalError as e:
@@ -327,10 +331,18 @@ def sample_clients(
 
 
 def divergence(theta: ParameterVector, updates: list[ClientUpdate]) -> float:
-    """Mean L2 distance of the client models from their mean."""
-    stack = np.stack([u.theta_local.values for u in updates])
+    """Mean L2 distance of the client models from their mean.
+
+    Each distance is the square root of np.add.reduce of the squared
+    difference, as np.linalg.norm takes it for one row of a stack.
+    """
     mean = client_sum(theta, updates, "theta_local") / len(updates)
-    return float(np.linalg.norm(stack - mean, axis=1).mean())
+    squares = []
+    for u in updates:
+        diff = u.theta_local.values - mean
+        diff *= diff
+        squares.append(np.add.reduce(diff))
+    return float(np.sqrt(squares).mean())
 
 
 def run_round(

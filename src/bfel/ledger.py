@@ -329,7 +329,9 @@ def _digest(tag: bytes, header: bytes, *arrays) -> bytes:
     """SHA-256 of tag, header and each array as length-prefixed <f8 bytes."""
     h = hashlib.sha256(tag + header)
     for arr in arrays:
-        h.update(_lp(np.ascontiguousarray(arr, dtype="<f8").tobytes()))
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        h.update(struct.pack("<I", arr.nbytes))
+        h.update(arr)  # the buffer itself: no bytes copy
     return h.digest()
 
 

@@ -61,6 +61,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.classes < 1:
             raise ValueError("classes must be >= 1")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.kind == "cnn" and len(self.conv_channels) != 2:
             raise ValueError("cnn requires exactly two conv stages")
         build_layout(self)  # raises ShapeMismatchError for a too-small input
@@ -238,15 +240,35 @@ def _im2col(x: np.ndarray, k: int, stage: int) -> np.ndarray:
     return cols.reshape(n, c * k * k, ho * wo)
 
 
+# (C, H, W, k) -> for each of one sample's (C, k, k, Ho, Wo) columns, the
+# flat (C, H, W) pixel it was read from; built once per shape
+_SCATTER_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+
+def _scatter_index(c: int, h: int, w: int, k: int) -> np.ndarray:
+    key = (c, h, w, k)
+    if key not in _SCATTER_INDEX:
+        ho, wo = h - k + 1, w - k + 1
+        pixels = np.arange(c * h * w).reshape(c, h, w)
+        windows = [
+            pixels[:, i : i + ho, j : j + wo] for i in range(k) for j in range(k)
+        ]
+        _SCATTER_INDEX[key] = np.stack(windows, axis=1).ravel()
+    return _SCATTER_INDEX[key]
+
+
 def _col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
+    """Sum (n, C*k*k, L) column gradients back onto their (n, C, H, W) pixels.
+
+    One bincount per sample: each pixel adds its contributions in (i, j)
+    window order, starting from +0.0, as a loop of k*k shifted adds would.
+    """
     n, c, h, w = x_shape
-    ho, wo = h - k + 1, w - k + 1
-    dc = dcols.reshape(n, c, k, k, ho, wo)
-    dx = np.zeros(x_shape)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i : i + ho, j : j + wo] += dc[:, :, i, j]
-    return dx
+    index = _scatter_index(c, h, w, k)
+    dx = np.empty((n, c * h * w))
+    for s, weights in enumerate(dcols.reshape(n, -1)):
+        dx[s] = np.bincount(index, weights=weights, minlength=c * h * w)
+    return dx.reshape(x_shape)
 
 
 def _pool_views(x: np.ndarray):
@@ -257,10 +279,13 @@ def _pool_views(x: np.ndarray):
     ]
 
 
-def _maxpool2(x: np.ndarray):
-    """2x2 max-pool; idx holds the window position of the first maximum."""
+def _maxpool2(x: np.ndarray, index: bool = True):
+    """2x2 max-pool; idx holds the window position of the first maximum,
+    and is None when `index` is false."""
     v = _pool_views(x)
     out = np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+    if not index:
+        return out, None
     # the first p with v[p] == out, as miss0 * (1 + miss1 * (1 + miss2))
     # where miss_p = (v[p] != out): no boolean-mask writes
     idx = (v[2] != out).astype(np.int8)
@@ -272,7 +297,11 @@ def _maxpool2(x: np.ndarray):
 
 
 def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape):
-    dx = np.zeros(x_shape)
+    """Route dout to each window's first maximum; the four views write every
+    element of dx but an odd last row or column, which is zeroed alone."""
+    dx = np.empty(x_shape)
+    dx[:, :, 2 * (x_shape[2] // 2) :] = 0.0
+    dx[:, :, :, 2 * (x_shape[3] // 2) :] = 0.0
     for pos, view in enumerate(_pool_views(dx)):
         np.multiply(dout, idx == pos, out=view)
     return dx
@@ -308,7 +337,7 @@ def _check_inputs(spec: ModelSpec, layout: ParamLayout, thetas, x, labels) -> No
         raise ShapeMismatchError(f"label out of range for {spec.classes} classes")
 
 
-def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
+def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
     """Run the forward pass of K models, keeping what backprop needs.
 
     thetas is (K, P) in `layout`; x is (K, N, *input_shape), client k's N
@@ -318,6 +347,8 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
     or im2col columns (K, N, C*k*k, L) for a conv, a view of that stage's
     column buffer), the ReLU mask of its output (None on the logits) and,
     for a conv, the pooling indices and the (K*N, ...) shapes backprop needs.
+    With keep false, the same logits come with no caches, and no mask or
+    pooling index is computed.
     """
     caches = []
     kk, n = x.shape[:2]
@@ -340,11 +371,11 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
             conv_shape = (kk * n, oc, a.shape[2] - k + 1, a.shape[3] - k + 1)
             # ReLU after the pool: the same values and gradients, as ReLU
             # is monotone, on a quarter of the elements
-            pooled, pool_idx = _maxpool2(z.reshape(conv_shape))
-            relu_mask = pooled > 0
-            caches.append(
-                ("conv", name, cols, relu_mask, pool_idx, conv_shape, a.shape)
-            )
+            pooled, pool_idx = _maxpool2(z.reshape(conv_shape), keep)
+            if keep:
+                caches.append(
+                    ("conv", name, cols, pooled > 0, pool_idx, conv_shape, a.shape)
+                )
             a = np.maximum(pooled, 0.0, out=pooled)
         a = a.reshape(kk, n, -1)
     for i in range(dense):
@@ -352,12 +383,10 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x):
         z = a @ layout.stacked(thetas, name, "weight")
         if spec.bias:
             z += layout.stacked(thetas, name, "bias")[:, None, :]
-        if i < dense - 1:
-            caches.append(("fc", name, a, z > 0))
-            a = np.maximum(z, 0.0, out=z)
-        else:
-            caches.append(("fc", name, a, None))
-            a = z
+        last = i == dense - 1
+        if keep:
+            caches.append(("fc", name, a, None if last else z > 0))
+        a = z if last else np.maximum(z, 0.0, out=z)
     return a, caches
 
 
@@ -469,7 +498,7 @@ def forward(
     """Logits (N, classes) for samples x (N, ...) labelled by labels (N,)."""
     thetas, x = params.values[None], x[None]
     _check_inputs(spec, params.layout, thetas, x, labels[None])
-    logits, _ = _forward_cached(spec, params.layout, thetas, x)
+    logits, _ = _forward_cached(spec, params.layout, thetas, x, keep=False)
     if not np.isfinite(logits).all():
         raise NumericalError("logits not finite")
     return logits[0]

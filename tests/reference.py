@@ -2,11 +2,15 @@
 
 No program path calls these: `fedcurv.local_train` takes the one-model
 steps below for a whole cohort at once, reading its batches from one
-shuffled copy of each client's data per epoch, and `bfel.gossip` runs each
-hop and the sequential baseline as array operations.
+shuffled copy of each client's data per epoch, `bfel.gossip` runs each
+hop and the sequential baseline as array operations, `bfel.models` scatters
+column gradients with one bincount per sample and zero-fills only the edges
+a max-pool's windows miss, and `bfel.ledger` hashes array buffers in place.
 """
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 
@@ -121,3 +125,32 @@ def sequential_broadcast(net: GossipNetwork, origin: int) -> tuple[int, np.ndarr
         clock += HOP_LATENCY_MS + HOP_JITTER_MS * float(rng.random())
         times[node] = clock
     return max(0, net.node_count - 1), times
+
+
+def col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
+    """Column gradients summed onto their pixels by k*k shifted adds."""
+    n, c, h, w = x_shape
+    ho, wo = h - k + 1, w - k + 1
+    dc = dcols.reshape(n, c, k, k, ho, wo)
+    dx = np.zeros(x_shape)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i : i + ho, j : j + wo] += dc[:, :, i, j]
+    return dx
+
+
+def maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape) -> np.ndarray:
+    """dout routed to each window's first maximum in a zero-filled dx."""
+    dx = np.zeros(x_shape)
+    for pos, view in enumerate(models._pool_views(dx)):
+        np.multiply(dout, idx == pos, out=view)
+    return dx
+
+
+def digest(tag: bytes, header: bytes, *arrays) -> bytes:
+    """SHA-256 of tag, header and each array's length-prefixed <f8 bytes."""
+    h = hashlib.sha256(tag + header)
+    for arr in arrays:
+        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        h.update(struct.pack("<I", len(raw)) + raw)
+    return h.digest()

@@ -408,3 +408,24 @@ def test_c10_experiment_determinism(tmp_path):
     simulator.run_experiment(config)
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == first
     ok("C10 determinism: rerun produced byte-identical metrics CSV")
+
+
+def test_c10_cnn_experiment_determinism(tmp_path):
+    """Criterion 10 on the CNN: a 2-round FedCurv rerun in the same process,
+    on column buffers and a scatter index the first run filled, gives
+    byte-identical metrics.csv, model.bin and chain.log."""
+    from test_golden import CNN, write_images
+
+    train = write_images(tmp_path / "train.bfel")
+    config = simulator.ExperimentConfig(
+        **dict(CNN, algorithm="fedcurv"), bfeldata_train=str(train),
+        output_dir=str(tmp_path / "a"),
+    )
+    names = ("metrics.csv", "model.bin", "chain.log")
+    runs = []
+    for _ in range(2):
+        simulator.run_experiment(config)
+        runs.append([(tmp_path / "a" / name).read_bytes() for name in names])
+    assert models._SCATTER_INDEX and models._COLUMNS[1].size
+    assert runs[0] == runs[1]
+    ok("C10 determinism: CNN rerun produced byte-identical outputs")

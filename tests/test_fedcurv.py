@@ -434,6 +434,33 @@ class TestGlobalUpdate:
         assert moves[0] < moves[1]
 
 
+class TestDivergence:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="mlp", input_shape=(64,), classes=10, hidden=(64,)),
+        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
+    ])
+    @pytest.mark.parametrize("clients", [1, 3, 10])
+    def test_equals_stacked_norm_formula_bitwise(self, spec, clients):
+        layout = build_layout(spec)
+        rng = np.random.default_rng(clients)
+        theta = ParameterVector(rng.standard_normal(layout.size), layout)
+        updates = [
+            ClientUpdate(
+                client_id=cid, round=0, sample_count=1,
+                theta_local=theta.with_values(
+                    theta.values + 10.0 ** rng.integers(-3, 3)
+                    * rng.standard_normal(layout.size)
+                ),
+            )
+            for cid in rng.permutation(clients)  # not in client-id order
+        ]
+        stack = np.stack([u.theta_local.values for u in updates])
+        mean = fedcurv.client_sum(theta, updates, "theta_local") / clients
+        want = float(np.linalg.norm(stack - mean, axis=1).mean())
+        got = fedcurv.divergence(theta, updates)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestRunRound:
     def setup_method(self):
         self.spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))

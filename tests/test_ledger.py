@@ -12,6 +12,7 @@ from bfel.ledger import (
     TxKind,
 )
 from bfel.models import ModelSpec, ParameterVector, build_layout
+from reference import digest as reference_digest
 
 
 def digest(payload: bytes) -> bytes:
@@ -211,6 +212,18 @@ class TestUpdateDigest:
         assert ledger.digest_update(update).hex() == (
             "21d7024a807e7a49da4c6219050e89c1b6a770f992323f40cf1ebed4585080b0"
         )
+
+    @pytest.mark.parametrize("form", ["contiguous", "strided", "big-endian"])
+    def test_buffer_hash_matches_bytes_copy_formula(self, form):
+        values = np.random.default_rng(4).standard_normal(2 * 27_000)
+        arrays = {
+            "contiguous": values[:27_000],
+            "strided": values[::2],
+            "big-endian": values[:27_000].astype(">f8"),
+        }[form]
+        header = b"\x01\x02"
+        want = reference_digest(b"tag", header, arrays, values[:3])
+        assert ledger._digest(b"tag", header, arrays, values[:3]) == want
 
     def test_fedavg_update_bytes(self):
         update = ClientUpdate(3, 7, self.theta, 11)

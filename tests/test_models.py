@@ -12,7 +12,7 @@ from bfel.models import (
     ShapeMismatchError,
     build_layout,
 )
-from reference import sgd_step
+from reference import col2im, maxpool2_backward, sgd_step
 
 SWEEP_CNN = ModelSpec(
     kind="cnn", input_shape=(10, 10), classes=3, conv_channels=(2, 3), fc_hidden=5
@@ -59,6 +59,25 @@ class TestForward:
         a = models.forward(spec, params, x, y)
         b = models.forward(spec, params, x, y)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="mlp", input_shape=(5,), classes=4, hidden=(6, 3)),
+        SWEEP_CNN,
+        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
+    ])
+    def test_logits_are_the_cached_pass_logits_bitwise(self, spec):
+        params = models.init_params(spec, 5)
+        x, y = random_batch(spec, 9, 6)
+        logits, caches = models._forward_cached(
+            spec, params.layout, params.values[None], x[None]
+        )
+        assert len(caches) == len(params.layout.segments) // 2
+        got = models.forward(spec, params, x, y)
+        assert got.tobytes() == logits[0].tobytes()
+        _, kept = models._forward_cached(
+            spec, params.layout, params.values[None], x[None], keep=False
+        )
+        assert kept == []
 
     def test_hand_computed_222_mlp(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(2,))
@@ -253,6 +272,14 @@ class TestInputChecks:
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="logits"):
             models.forward(self.SPEC, params.with_values(values), x, y)
 
+    def test_infinite_conv_weight_makes_forward_raise(self):
+        params = models.init_params(SWEEP_CNN, 0)
+        values = params.values.copy()
+        values[0] = np.inf  # a first-stage conv weight
+        x, y = random_batch(SWEEP_CNN, 4, 2)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="logits"):
+            models.forward(SWEEP_CNN, params.with_values(values), x, y)
+
 
 class TestSgdAndSchedule:
     def test_zero_grad_is_identity(self):
@@ -331,6 +358,11 @@ class TestLayout:
     def test_cnn_spec_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
             ModelSpec(kind="cnn", input_shape=(4, 4), classes=2)
+
+    @pytest.mark.parametrize("width", [-3, 0])
+    def test_hidden_width_below_one_is_rejected(self, width):
+        with pytest.raises(ValueError, match="hidden"):
+            ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(4, width))
 
 
 class TestStackedLossAndGrad:
@@ -412,6 +444,7 @@ class TestColumnBuffers:
 
         def reset():
             monkeypatch.setattr(models, "_COLUMNS", [np.empty(0), np.empty(0)])
+            monkeypatch.setattr(models, "_SCATTER_INDEX", {})
 
         reset()
         return reset
@@ -439,6 +472,18 @@ class TestColumnBuffers:
         # columns per sample: 1*9*10*10 in stage 1, 8*9*3*3 in stage 2
         assert 0 < models._COLUMNS[0].size <= 512 * 900
         assert 0 < models._COLUMNS[1].size <= 512 * 648
+
+    def test_scatter_index_holds_one_sample_per_shape(self, empty):
+        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
+        params = models.init_params(spec, 0)
+        x, y = random_batch(spec, 600, 7)
+        fedcurv.server_gradient(spec, params, data.Dataset(x, y, spec.classes))
+        # only the second stage's input gradient is taken: one sample's
+        # 8 x 5 x 5 input read as 8*9 columns of 3*3 pixels
+        sizes = {key: a.size for key, a in models._SCATTER_INDEX.items()}
+        assert sizes == {(8, 5, 5, 3): 8 * 9 * 3 * 3}
+        models.accuracy(spec, params, x, y)  # a forward pass scatters nothing
+        assert models._SCATTER_INDEX.keys() == sizes.keys()
 
     def test_interleaved_sizes_match_calls_on_empty_buffers(self, empty):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
@@ -606,3 +651,49 @@ class TestMaxPool:
         )
         assert np.array_equal(idx, windows.argmax(axis=-1))
         assert np.array_equal(out, windows.max(axis=-1))
+
+
+def signed_zero_deltas(rng, shape):
+    """Normal values rounded to make ties, a tenth of them +0.0 or -0.0."""
+    d = np.round(rng.standard_normal(shape), 1)
+    zeros = rng.random(shape) < 0.1
+    d[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return d
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes, so also each zero's np.signbit."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SCATTER_SHAPES = [(3, 2, 7, 6), (16, 8, 13, 13), (600, 1, 12, 12), (5, 3, 4, 3)]
+
+
+class TestSpatialBackward:
+    """The backward kernels against their plain references, bit for bit."""
+
+    @pytest.mark.parametrize("x_shape", SCATTER_SHAPES)
+    def test_col2im_matches_shifted_adds(self, x_shape, monkeypatch):
+        monkeypatch.setattr(models, "_SCATTER_INDEX", {})
+        n, c, h, w = x_shape
+        k = 3
+        rng = np.random.default_rng(sum(x_shape))
+        dcols = signed_zero_deltas(rng, (n, c * k * k, (h - k + 1) * (w - k + 1)))
+        want = col2im(dcols, x_shape, k)
+        for _ in range(2):  # on a fresh index, then on the cached one
+            got = models._col2im(dcols, x_shape, k)
+            assert same_bits(got, want)
+
+    def test_col2im_all_negative_zeros_gives_positive_zeros(self):
+        dcols = np.full((2, 2 * 9, 4 * 3), -0.0)
+        got = models._col2im(dcols, (2, 2, 6, 5), 3)
+        assert same_bits(got, np.zeros((2, 2, 6, 5)))
+
+    @pytest.mark.parametrize("x_shape", SCATTER_SHAPES)
+    def test_maxpool_backward_matches_zero_filled(self, x_shape):
+        rng = np.random.default_rng(sum(x_shape) + 1)
+        _, idx = models._maxpool2(np.round(rng.standard_normal(x_shape), 1))
+        dout = signed_zero_deltas(rng, idx.shape)
+        got = models._maxpool2_backward(dout, idx, x_shape)
+        want = maxpool2_backward(dout, idx, x_shape)
+        assert same_bits(got, want)

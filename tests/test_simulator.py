@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,6 +400,29 @@ class TestCli:
         assert f"round 1, local SGD, client(s) [{owner}]:" in err
         assert "not finite" in err and "Traceback" not in err
         assert sizes[-1] > 1  # the failing call stacked several clients
+
+    def test_blow_up_prints_the_error_and_no_numpy_warning(self, tmp_path):
+        # default step sizes (eta_global 1, epsilon 1e-8): a client's local
+        # SGD overflows in round 2. Run in a child process, so that numpy's
+        # warnings meet the default filters a user's shell would.
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "algorithm = fedcurv\ndataset = synth\nsynth_classes = 3\n"
+            "mlp_hidden = 8,5\nclients = 6\nbatch_size = 6\nepochs = 2\n"
+            "lr_decay = true\nrounds = 3\nseed = 0\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        src = str(Path(simulator.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "bfel.cli", "run", "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "round 2, local SGD, client(s) [5]:" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_gossip_sim_without_seeds_exits_2(self, seeds, capsys):
