@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,12 +285,22 @@ def client_round(
 
     Each client's Fisher at the anchor, then anchored SGD for all of them
     in lockstep, then each client's g_k. The Fisher and g_k passes stay
-    per client, so that no full-dataset pass is stacked.
+    per client, so that no full-dataset pass is stacked. A stderr warning
+    names the round when eta_local * lam * max F_k reaches 2.
     """
     fishers = []
     for cid, ds in zip(client_ids, datasets):
         with _phase("Fisher", round_no, [cid]):
             fishers.append(compute_fisher_diagonal(spec, theta_global, ds))
+    # a penalty coordinate shrinks by 1 - eta_local * lam * F per step, so
+    # from 2 on, the steps overshoot the anchor by more each time
+    stiffness = hp.eta_local * hp.lam * max(float(f.values.max()) for f in fishers)
+    if stiffness >= 2:
+        print(
+            f"warning: round {round_no + 1}: eta_local * lambda * max Fisher = "
+            f"{stiffness:.3g} >= 2, so local SGD on the anchor penalty diverges",
+            file=sys.stderr,
+        )
     with _phase("local SGD", round_no, client_ids):
         thetas = local_train(
             spec, theta_global, fishers, datasets, hp, seeds, round_no

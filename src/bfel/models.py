@@ -222,43 +222,52 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
 _COLUMNS = [np.empty(0), np.empty(0)]
 
 
+# (C, H, W, k) -> for each of one sample's (C*k*k, 4*L) columns, the flat
+# (C, H, W) pixel it holds: `_im2col` gathers through it and `_col2im`
+# scatters back; built once per shape
+_SCATTER_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+
+def _scatter_index(c: int, h: int, w: int, k: int) -> np.ndarray:
+    """The columns are pool-window-major: the row of input channel c and
+    kernel offset (i, j) holds four blocks, one per 2x2 pool window member
+    in `_maxpool2`'s order, each over the L = (Ho//2)*(Wo//2) windows in
+    row-major order. An odd last conv output row or column, which no window
+    covers, has no column."""
+    key = (c, h, w, k)
+    if key not in _SCATTER_INDEX:
+        pixels = np.arange(c * h * w).reshape(c, h, w)
+        sc, sh, sw = pixels.strides
+        shape = (c, k, k, 2, 2, (h - k + 1) // 2, (w - k + 1) // 2)
+        strides = (sc, sh, sw, sh, sw, 2 * sh, 2 * sw)
+        patches = np.lib.stride_tricks.as_strided(pixels, shape, strides)
+        _SCATTER_INDEX[key] = patches.ravel()
+    return _SCATTER_INDEX[key]
+
+
 def _im2col(x: np.ndarray, k: int, stage: int) -> np.ndarray:
-    """The k x k patches of x as (n, C*k*k, L) columns in `stage`'s buffer.
+    """The k x k patches of x as (n, C*k*k, 4*L) columns in `stage`'s
+    buffer, in `_scatter_index`'s order: one gather through that index, as
+    a strided copy of the same patches runs one inner loop per row of
+    pool windows, Wo//2 values long.
 
     The result is a view of the buffer, overwritten by the next call for
     the same stage, so it must not outlive the model call that made it.
     """
     n, c, h, w = x.shape
-    ho, wo = h - k + 1, w - k + 1
-    size = n * c * k * k * ho * wo
+    index = _scatter_index(c, h, w, k)
+    size = n * index.size
     if _COLUMNS[stage].size < size:
         _COLUMNS[stage] = np.empty(size)
-    cols = _COLUMNS[stage][:size].reshape(n, c, k, k, ho, wo)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = x[:, :, i : i + ho, j : j + wo]
-    return cols.reshape(n, c * k * k, ho * wo)
-
-
-# (C, H, W, k) -> for each of one sample's (C, k, k, Ho, Wo) columns, the
-# flat (C, H, W) pixel it was read from; built once per shape
-_SCATTER_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-
-def _scatter_index(c: int, h: int, w: int, k: int) -> np.ndarray:
-    key = (c, h, w, k)
-    if key not in _SCATTER_INDEX:
-        ho, wo = h - k + 1, w - k + 1
-        pixels = np.arange(c * h * w).reshape(c, h, w)
-        windows = [
-            pixels[:, i : i + ho, j : j + wo] for i in range(k) for j in range(k)
-        ]
-        _SCATTER_INDEX[key] = np.stack(windows, axis=1).ravel()
-    return _SCATTER_INDEX[key]
+    cols = _COLUMNS[stage][:size].reshape(n, index.size)
+    # an in-range index: "clip" clips nothing and writes straight into out
+    np.take(x.reshape(n, -1), index, axis=1, out=cols, mode="clip")
+    return cols.reshape(n, c * k * k, -1)
 
 
 def _col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
-    """Sum (n, C*k*k, L) column gradients back onto their (n, C, H, W) pixels.
+    """Sum (n, C*k*k, 4*L) column gradients back onto their (n, C, H, W)
+    pixels; a pixel that no pool window reads gets +0.0.
 
     One bincount per sample: each pixel adds its contributions in (i, j)
     window order, starting from +0.0, as a loop of k*k shifted adds would.
@@ -271,18 +280,11 @@ def _col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
     return dx.reshape(x_shape)
 
 
-def _pool_views(x: np.ndarray):
-    """The four stride-2 views of a 2x2 pooling grid, in window order."""
-    ho, wo = x.shape[2] // 2, x.shape[3] // 2
-    return [
-        x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)
-    ]
-
-
-def _maxpool2(x: np.ndarray, index: bool = True):
-    """2x2 max-pool; idx holds the window position of the first maximum,
-    and is None when `index` is false."""
-    v = _pool_views(x)
+def _maxpool2(z: np.ndarray, index: bool = True):
+    """2x2 max-pool of window-major (..., 4, L) conv outputs to (..., L):
+    z[..., 2*i + j, :] is member (i, j) of each window. idx holds the
+    member of the first maximum, and is None when `index` is false."""
+    v = [z[..., p, :] for p in range(4)]
     out = np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
     if not index:
         return out, None
@@ -296,15 +298,12 @@ def _maxpool2(x: np.ndarray, index: bool = True):
     return out, idx
 
 
-def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape):
-    """Route dout to each window's first maximum; the four views write every
-    element of dx but an odd last row or column, which is zeroed alone."""
-    dx = np.empty(x_shape)
-    dx[:, :, 2 * (x_shape[2] // 2) :] = 0.0
-    dx[:, :, :, 2 * (x_shape[3] // 2) :] = 0.0
-    for pos, view in enumerate(_pool_views(dx)):
-        np.multiply(dout, idx == pos, out=view)
-    return dx
+def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Route (..., L) dout to each window's first maximum, as (..., 4, L)."""
+    dz = np.empty(idx.shape[:-1] + (4,) + idx.shape[-1:])
+    for pos in range(4):
+        np.multiply(dout, idx == pos, out=dz[..., pos, :])
+    return dz
 
 
 def _check_inputs(spec: ModelSpec, layout: ParamLayout, thetas, x, labels) -> None:
@@ -343,10 +342,12 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
     thetas is (K, P) in `layout`; x is (K, N, *input_shape), client k's N
     samples seen by model k. Every weight op is one matmul batched over
     the client axis; im2col and the pools run on the K*N samples.
+    A conv's outputs are pool-window-major, (K*N, OC, 4, L) for L pool
+    windows, and its pooled map is NCHW again.
     Each cache entry holds a layer's input (dense activations (K, N, fan_in),
-    or im2col columns (K, N, C*k*k, L) for a conv, a view of that stage's
+    or im2col columns (K, N, C*k*k, 4*L) for a conv, a view of that stage's
     column buffer), the ReLU mask of its output (None on the logits) and,
-    for a conv, the pooling indices and the (K*N, ...) shapes backprop needs.
+    for a conv, the pooling indices and the (K*N, C, H, W) input shape.
     With keep false, the same logits come with no caches, and no mask or
     pooling index is computed.
     """
@@ -368,15 +369,13 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
             z = wgt.reshape(kk, 1, oc, -1) @ cols
             if spec.bias:
                 z += layout.stacked(thetas, name, "bias")[:, None, :, None]
-            conv_shape = (kk * n, oc, a.shape[2] - k + 1, a.shape[3] - k + 1)
             # ReLU after the pool: the same values and gradients, as ReLU
             # is monotone, on a quarter of the elements
-            pooled, pool_idx = _maxpool2(z.reshape(conv_shape), keep)
+            pooled, pool_idx = _maxpool2(z.reshape(kk * n, oc, 4, -1), keep)
             if keep:
-                caches.append(
-                    ("conv", name, cols, pooled > 0, pool_idx, conv_shape, a.shape)
-                )
-            a = np.maximum(pooled, 0.0, out=pooled)
+                caches.append(("conv", name, cols, pooled > 0, pool_idx, a.shape))
+            pooled_shape = (kk * n, oc, (a.shape[2] - k + 1) // 2, -1)
+            a = np.maximum(pooled, 0.0, out=pooled).reshape(pooled_shape)
         a = a.reshape(kk, n, -1)
     for i in range(dense):
         name = f"fc{i}"
@@ -397,7 +396,7 @@ def _layer_deltas(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits)
     where each sample's weight gradient is inputs[k, n]^T delta[k, n] for
     "fc" (inputs (K, N, fan_in), delta (K, N, fan_out)) and
     delta[k, n] @ inputs[k, n]^T for "conv" (inputs the im2col columns
-    (K, N, C*k*k, L), delta (K, N, OC, L)). The gradient with respect to
+    (K, N, C*k*k, 4*L), delta (K, N, OC, 4*L)). The gradient with respect to
     the model input is never computed. Every delta below the logits is an
     array made here, which the ReLU masks overwrite; dlogits is only read.
     """
@@ -416,14 +415,14 @@ def _layer_deltas(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits)
             if i:
                 da = da @ wgt.transpose(0, 2, 1)
         else:
-            _, _, cols, relu_mask, pool_idx, conv_shape, in_shape = cache
+            _, _, cols, relu_mask, pool_idx, in_shape = cache
             dpooled = da.reshape(relu_mask.shape)
             dpooled *= relu_mask
-            dz = _maxpool2_backward(dpooled, pool_idx, conv_shape)
-            dflat = dz.reshape(cols.shape[:2] + (conv_shape[1], -1))
+            dz = _maxpool2_backward(dpooled, pool_idx)
+            dflat = dz.reshape(cols.shape[:2] + (wgt.shape[1], -1))
             yield "conv", name, cols, dflat
             if i:
-                wmat = wgt.reshape(wgt.shape[0], 1, conv_shape[1], -1)
+                wmat = wgt.reshape(wgt.shape[0], 1, wgt.shape[1], -1)
                 dcols = (wmat.transpose(0, 1, 3, 2) @ dflat).reshape(
                     (-1,) + cols.shape[2:]
                 )

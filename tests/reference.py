@@ -3,9 +3,12 @@
 No program path calls these: `fedcurv.local_train` takes the one-model
 steps below for a whole cohort at once, reading its batches from one
 shuffled copy of each client's data per epoch, `bfel.gossip` runs each
-hop and the sequential baseline as array operations, `bfel.models` scatters
-column gradients with one bincount per sample and zero-fills only the edges
-a max-pool's windows miss, and `bfel.ledger` hashes array buffers in place.
+hop and the sequential baseline as array operations, `bfel.models` orders
+each conv stage's outputs pool-window-major, builds no output that a pool
+window misses, and gathers its columns and scatters their gradients
+through one index per shape, and `bfel.ledger` hashes array buffers in
+place. The CNN below keeps the
+row-major conv layout and builds every per-sample gradient whole.
 """
 
 import hashlib
@@ -127,6 +130,18 @@ def sequential_broadcast(net: GossipNetwork, origin: int) -> tuple[int, np.ndarr
     return max(0, net.node_count - 1), times
 
 
+def im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The k x k patches of x as (n, C*k*k, Ho*Wo) columns, one per conv
+    output position in row-major order."""
+    n, c, h, w = x.shape
+    ho, wo = h - k + 1, w - k + 1
+    cols = np.empty((n, c, k, k, ho, wo))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = x[:, :, i : i + ho, j : j + wo]
+    return cols.reshape(n, c * k * k, ho * wo)
+
+
 def col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
     """Column gradients summed onto their pixels by k*k shifted adds."""
     n, c, h, w = x_shape
@@ -139,12 +154,104 @@ def col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
     return dx
 
 
+def pool_views(x: np.ndarray) -> list:
+    """The four stride-2 views of an (n, C, H, W) map's 2x2 pooling grid,
+    in window order (0,0), (0,1), (1,0), (1,1)."""
+    ho, wo = x.shape[2] // 2, x.shape[3] // 2
+    return [x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)]
+
+
+def window_major(x: np.ndarray) -> np.ndarray:
+    """An (n, C, H, W) map as (n, C, 4, L): each pool view, flattened.
+
+    An odd last row or column, which no window covers, is dropped.
+    """
+    return np.stack([v.reshape(v.shape[:2] + (-1,)) for v in pool_views(x)], axis=2)
+
+
+def maxpool2(x: np.ndarray):
+    """2x2 max-pool of an (n, C, H, W) map, and each window's position of
+    its first maximum."""
+    v = pool_views(x)
+    out = np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+    idx = np.select([v[0] == out, v[1] == out, v[2] == out], [0, 1, 2], 3)
+    return out, idx.astype(np.int8)
+
+
 def maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape) -> np.ndarray:
     """dout routed to each window's first maximum in a zero-filled dx."""
     dx = np.zeros(x_shape)
-    for pos, view in enumerate(models._pool_views(dx)):
+    for pos, view in enumerate(pool_views(dx)):
         np.multiply(dout, idx == pos, out=view)
     return dx
+
+
+def cnn_per_sample(spec: ModelSpec, layout, thetas, x, labels):
+    """Logits (K, N, classes) of K CNNs, each on its N samples, and every
+    sample's gradient of -log p(label), (K, N, P), in row-major conv layout.
+
+    Each conv stage is an im2col matmul, a ReLU and a 2x2 max-pool of the
+    whole (Ho, Wo) map; every per-sample gradient is built whole.
+    """
+    kk, n = labels.shape
+    k = spec.kernel
+    a = x.reshape((kk * n,) + spec._chw())
+    layers = []  # (name, input, mask of the output, conv pooling state)
+    for name in ("conv0", "conv1"):
+        wgt = layout.stacked(thetas, name, "weight")
+        cols = im2col(a, k).reshape(kk, n, wgt[0, 0].size, -1)
+        z = wgt.reshape(kk, 1, wgt.shape[1], -1) @ cols
+        if spec.bias:
+            z = z + layout.stacked(thetas, name, "bias")[:, None, :, None]
+        z = np.maximum(z, 0.0).reshape(
+            (kk * n, wgt.shape[1], a.shape[2] - k + 1, a.shape[3] - k + 1)
+        )
+        pooled, idx = maxpool2(z)
+        layers.append((name, cols, pooled > 0, (idx, z.shape, a.shape)))
+        a = pooled
+    a = a.reshape(kk, n, -1)
+    for name in ("fc0", "fc1"):
+        z = a @ layout.stacked(thetas, name, "weight")
+        if spec.bias:
+            z = z + layout.stacked(thetas, name, "bias")[:, None, :]
+        layers.append((name, a, z > 0 if name == "fc0" else None, None))
+        a = np.maximum(z, 0.0) if name == "fc0" else z
+    logits = a
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    da = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+    da[np.arange(kk)[:, None], np.arange(n), labels] -= 1.0
+    grads = np.zeros((kk, n, layout.size))
+    for name, inputs, mask, pool in reversed(layers):
+        wgt = layout.stacked(thetas, name, "weight")
+        if mask is not None:
+            da = da.reshape(mask.shape) * mask
+        if pool is None:
+            gw = inputs[..., :, None] * da[..., None, :]
+            gb = da
+            da = da @ wgt.transpose(0, 2, 1)
+        else:
+            idx, z_shape, in_shape = pool
+            dz = maxpool2_backward(da, idx, z_shape).reshape(kk, n, z_shape[1], -1)
+            gw = dz @ inputs.transpose(0, 1, 3, 2)
+            gb = dz.sum(axis=-1)
+            wmat = wgt.reshape(kk, 1, z_shape[1], -1).transpose(0, 1, 3, 2)
+            da = col2im((wmat @ dz).reshape(kk * n, -1, dz.shape[-1]), in_shape, k)
+        start, stop, _ = layout.slots[name, "weight"]
+        grads[:, :, start:stop] = gw.reshape(kk, n, -1)
+        if spec.bias:
+            start, stop, _ = layout.slots[name, "bias"]
+            grads[:, :, start:stop] = gb
+    return logits, grads
+
+
+def cnn_stacked_loss_and_grad(spec: ModelSpec, layout, thetas, x, labels):
+    """Mean cross-entropy (K,) and its gradient (K, P) from cnn_per_sample."""
+    logits, grads = cnn_per_sample(spec, layout, thetas, x, labels)
+    kk, n = labels.shape
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    losses = -logp[np.arange(kk)[:, None], np.arange(n), labels].mean(axis=1)
+    return losses, grads.mean(axis=1)
 
 
 def digest(tag: bytes, header: bytes, *arrays) -> bytes:

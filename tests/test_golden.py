@@ -6,11 +6,16 @@ scipy-openblas 0.3.31.188.0 (OpenBLAS DYNAMIC_ARCH, x86-64, Python 3.11).
 Another numpy or BLAS build may round matrix products differently, so on
 such a build a mismatch skips with both build names instead of failing; on
 the capturing build every mismatch fails.
+
+`PYTHONPATH=src python tests/test_golden.py` prints this build's digests
+as a GOLDEN dict, for a deliberate re-capture.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,18 +74,18 @@ GOLDEN = {
     },
     "cnn-fedavg": {
         "metrics.csv": "a3ec1d23f9f8d750c0fd4c3711982cd8a5e50d2065863d22680169d9da58fbce",
-        "model.bin": "6be5847fbf19fcdabafca399c220858e94e888eb25a0d074c53dc193e542c740",
-        "chain.log": "1e215022e24d1fac6b9722822c94805c60b33cc7ae1013972c543b1f0b228900",
+        "model.bin": "38e947a539713c4e690a8abfe7ba2bee71d88ad8ef0859097d1e43ed6789b8f1",
+        "chain.log": "9af7ffe659113390d014dcb413cc606666504351887a195ed46b6bb14800c896",
     },
     "cnn-fedcurv": {
         "metrics.csv": "95a4819192d32894774ebd451c1aed5e710ce7874086bb8302343c9da582bfb9",
-        "model.bin": "20d5597461d1ea0a3114ed5552299d78b8271c68beabd23fe182737a112ce79b",
-        "chain.log": "4924a504396b42fc4e76feb82d70d7aa23fc2f8b01118ae7c949c3cabc60e019",
+        "model.bin": "ca3e35bd846fe78237a5922ea66a872f01b86768458b2c52099db08b5c833df6",
+        "chain.log": "fdc29d24dd80600e61845de86006c849bcc5c8b6235c549228d248f20690da91",
     },
     "cnn-fedcurv-fraction": {
-        "metrics.csv": "f91a3a2a8962466ee7870a01cf6ca5d22359b94fd6a11c53afa6f9103ff9fdd2",
-        "model.bin": "eaaa8476b9089144b930cf42cc16cf926df3c671f05b6622f6d43d3abcdbb6b1",
-        "chain.log": "8bbe8ded4358f044071ae6e4d5b124623be2aef7bb5b4e898faf910401ae827d",
+        "metrics.csv": "26874989a654dff4c3195270b69ec5082a45c84d98120ada3ddf9d116a2e66b5",
+        "model.bin": "ab37ed3d064afe08ecde0e9578022402c4f5f9a8023a05cd8b99af08c8750ea5",
+        "chain.log": "5574d5e47c534c70ca31d16972bb11bb3b4cb20111d8bd6769c428661afb054d",
     },
 }
 
@@ -123,3 +128,17 @@ def test_outputs_match_golden_digests(tmp_path, name):
     if digests != GOLDEN[name] and numpy_build() != CAPTURED_ON:
         pytest.skip(f"digests captured on {CAPTURED_ON}; this is {numpy_build()}")
     assert digests == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print(f"# {numpy_build()}")
+    print("GOLDEN = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in GOLDEN:
+            run_dir = Path(tmp) / name
+            run_dir.mkdir()
+            print(f'    "{name}": {{')
+            for file, digest in output_digests(run_dir, CONFIGS[name]).items():
+                print(f'        "{file}": "{digest}",')
+            print("    },")
+    print("}")

@@ -12,7 +12,16 @@ from bfel.models import (
     ShapeMismatchError,
     build_layout,
 )
-from reference import col2im, maxpool2_backward, sgd_step
+from reference import (
+    cnn_per_sample,
+    cnn_stacked_loss_and_grad,
+    col2im,
+    im2col,
+    maxpool2,
+    maxpool2_backward,
+    sgd_step,
+    window_major,
+)
 
 SWEEP_CNN = ModelSpec(
     kind="cnn", input_shape=(10, 10), classes=3, conv_channels=(2, 3), fc_hidden=5
@@ -455,9 +464,11 @@ class TestColumnBuffers:
         x, y = random_batch(spec, 16, 1)
         first = traced_peak(lambda: models.loss_and_grad(spec, params, x, y))
         second = traced_peak(lambda: models.loss_and_grad(spec, params, x, y))
-        # both stages' columns: 16 images x (1*9*26*26 + 8*9*11*11) doubles
-        columns = 16 * (1 * 9 * 26 * 26 + 8 * 9 * 11 * 11) * 8
-        assert columns == 1_893_888
+        # both stages' columns, window-major: 16 images x (1*9*4*13*13 +
+        # 8*9*4*5*5) doubles; stage 2's odd 11th output row and column,
+        # which no pool window reads, are not built
+        columns = 16 * (1 * 9 * 4 * 13 * 13 + 8 * 9 * 4 * 5 * 5) * 8
+        assert columns == 1_700_352
         assert first - second >= columns
 
     @pytest.mark.parametrize("call", ["accuracy", "server_gradient"])
@@ -469,21 +480,34 @@ class TestColumnBuffers:
             models.accuracy(spec, params, x, y)
         else:
             fedcurv.server_gradient(spec, params, data.Dataset(x, y, spec.classes))
-        # columns per sample: 1*9*10*10 in stage 1, 8*9*3*3 in stage 2
+        # columns per sample: 1*9*4*5*5 in stage 1; 8*9*4*1*1 in stage 2,
+        # whose 3x3 output has one pool window
         assert 0 < models._COLUMNS[0].size <= 512 * 900
-        assert 0 < models._COLUMNS[1].size <= 512 * 648
+        assert 0 < models._COLUMNS[1].size <= 512 * 288
 
     def test_scatter_index_holds_one_sample_per_shape(self, empty):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
         params = models.init_params(spec, 0)
         x, y = random_batch(spec, 600, 7)
         fedcurv.server_gradient(spec, params, data.Dataset(x, y, spec.classes))
-        # only the second stage's input gradient is taken: one sample's
-        # 8 x 5 x 5 input read as 8*9 columns of 3*3 pixels
+        # each stage gathers its columns through its index: one sample's
+        # 1 x 12 x 12 input as 9 columns of the 4 members of its 5*5 pool
+        # windows, and its 8 x 5 x 5 input as 8*9 columns of the 4 members
+        # of its one pool window
         sizes = {key: a.size for key, a in models._SCATTER_INDEX.items()}
-        assert sizes == {(8, 5, 5, 3): 8 * 9 * 3 * 3}
-        models.accuracy(spec, params, x, y)  # a forward pass scatters nothing
+        assert sizes == {(1, 12, 12, 3): 9 * 4 * 5 * 5, (8, 5, 5, 3): 8 * 9 * 4}
+        models.accuracy(spec, params, x, y)  # the same shapes: no new index
         assert models._SCATTER_INDEX.keys() == sizes.keys()
+
+    @pytest.mark.parametrize("x_shape", [(3, 2, 7, 6), (2, 3, 12, 11)])
+    def test_columns_are_the_reference_columns_window_major(self, empty, x_shape):
+        x = np.random.default_rng(sum(x_shape)).standard_normal(x_shape)
+        n, c, h, w = x_shape
+        rows = im2col(x, 3).reshape(n, c * 9, h - 2, w - 2)
+        want = window_major(rows).reshape(n, c * 9, -1)
+        assert same_bits(models._im2col(x, 3, 0), want)
+        # a strided input, as a slice of a client's shuffled data is
+        assert same_bits(models._im2col(x[::-1].copy()[::-1], 3, 1), want)
 
     def test_interleaved_sizes_match_calls_on_empty_buffers(self, empty):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
@@ -618,6 +642,8 @@ class TestSquaredGradients:
 
 
 class TestMaxPool:
+    """The window-major max-pool, (n, C, 4, L) -> (n, C, L)."""
+
     def test_ties_route_to_first_maximum_in_window_order(self):
         # one 4x5 map: two full 2x2 windows, the last column is dropped
         x = np.array(
@@ -628,26 +654,28 @@ class TestMaxPool:
                 [4.0, 5.0, -2.0, -1.0, 9.0],
             ]
         )[None, None]
-        out, idx = models._maxpool2(x)
-        assert np.array_equal(out[0, 0], [[3.0, 2.0], [5.0, -1.0]])
+        z = window_major(x)
+        assert z.shape == (1, 1, 4, 4)
+        out, idx = models._maxpool2(z)
+        assert np.array_equal(out[0, 0], [3.0, 2.0, 5.0, -1.0])
         # window order is (0,0), (0,1), (1,0), (1,1): the first tie wins
-        assert np.array_equal(idx[0, 0], [[1, 0], [0, 0]])
-        dout = np.array([[10.0, 20.0], [30.0, 40.0]])[None, None]
-        dx = models._maxpool2_backward(dout, idx, x.shape)
+        assert np.array_equal(idx[0, 0], [1, 0, 0, 0])
+        dout = np.array([10.0, 20.0, 30.0, 40.0])[None, None]
+        dz = models._maxpool2_backward(dout, idx)
         want = np.zeros_like(x)
         want[0, 0, 0, 1] = 10.0
         want[0, 0, 0, 2] = 20.0
         want[0, 0, 2, 0] = 30.0
         want[0, 0, 2, 2] = 40.0
-        assert np.array_equal(dx, want)
+        assert np.array_equal(dz, window_major(want))
 
     def test_matches_argmax_over_windows(self):
         rng = np.random.default_rng(3)
         x = np.round(rng.standard_normal((3, 2, 7, 6)), 1)  # many ties
-        out, idx = models._maxpool2(x)
+        out, idx = models._maxpool2(window_major(x))
         windows = (
             x[:, :, :6, :6].reshape(3, 2, 3, 2, 3, 2)
-            .transpose(0, 1, 2, 4, 3, 5).reshape(3, 2, 3, 3, 4)
+            .transpose(0, 1, 2, 4, 3, 5).reshape(3, 2, 9, 4)
         )
         assert np.array_equal(idx, windows.argmax(axis=-1))
         assert np.array_equal(out, windows.max(axis=-1))
@@ -670,30 +698,102 @@ SCATTER_SHAPES = [(3, 2, 7, 6), (16, 8, 13, 13), (600, 1, 12, 12), (5, 3, 4, 3)]
 
 
 class TestSpatialBackward:
-    """The backward kernels against their plain references, bit for bit."""
+    """The window-major backward kernels against the row-major references,
+    bit for bit."""
 
     @pytest.mark.parametrize("x_shape", SCATTER_SHAPES)
     def test_col2im_matches_shifted_adds(self, x_shape, monkeypatch):
         monkeypatch.setattr(models, "_SCATTER_INDEX", {})
         n, c, h, w = x_shape
         k = 3
+        ho, wo = h - k + 1, w - k + 1
         rng = np.random.default_rng(sum(x_shape))
-        dcols = signed_zero_deltas(rng, (n, c * k * k, (h - k + 1) * (w - k + 1)))
+        dcols = signed_zero_deltas(rng, (n, c * k * k, ho, wo))
+        # an output no pool window reads has a zero gradient, of either sign
+        outside = np.ones((ho, wo), dtype=bool)
+        outside[: ho // 2 * 2, : wo // 2 * 2] = False
+        dcols[..., outside] = np.where(rng.random(outside.sum()) < 0.5, 0.0, -0.0)
         want = col2im(dcols, x_shape, k)
+        major = window_major(dcols).reshape(n, c * k * k, -1)
         for _ in range(2):  # on a fresh index, then on the cached one
-            got = models._col2im(dcols, x_shape, k)
+            got = models._col2im(major, x_shape, k)
             assert same_bits(got, want)
 
     def test_col2im_all_negative_zeros_gives_positive_zeros(self):
-        dcols = np.full((2, 2 * 9, 4 * 3), -0.0)
+        # a 6x5 input's 4x3 conv output has 2x1 pool windows
+        dcols = np.full((2, 2 * 9, 4 * 2), -0.0)
         got = models._col2im(dcols, (2, 2, 6, 5), 3)
         assert same_bits(got, np.zeros((2, 2, 6, 5)))
 
     @pytest.mark.parametrize("x_shape", SCATTER_SHAPES)
     def test_maxpool_backward_matches_zero_filled(self, x_shape):
         rng = np.random.default_rng(sum(x_shape) + 1)
-        _, idx = models._maxpool2(np.round(rng.standard_normal(x_shape), 1))
-        dout = signed_zero_deltas(rng, idx.shape)
-        got = models._maxpool2_backward(dout, idx, x_shape)
-        want = maxpool2_backward(dout, idx, x_shape)
-        assert same_bits(got, want)
+        x = np.round(rng.standard_normal(x_shape), 1)
+        want_out, want_idx = maxpool2(x)
+        out, idx = models._maxpool2(window_major(x))
+        assert same_bits(out, want_out.reshape(out.shape))
+        assert same_bits(idx, want_idx.reshape(idx.shape))
+        dout = signed_zero_deltas(rng, want_idx.shape)
+        got = models._maxpool2_backward(dout.reshape(idx.shape), idx)
+        want = maxpool2_backward(dout, want_idx, x_shape)
+        assert same_bits(got, window_major(want))
+
+
+ORACLE_CNNS = [
+    ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
+    ModelSpec(
+        kind="cnn", input_shape=(12, 11), classes=4, conv_channels=(3, 2),
+        fc_hidden=6, bias=False,
+    ),
+    ModelSpec(
+        kind="cnn", input_shape=(3, 10, 10), classes=2, conv_channels=(4, 3),
+        fc_hidden=5,
+    ),
+    ModelSpec(kind="cnn", input_shape=(12, 12), classes=4),
+]
+
+
+def assert_close_per_segment(layout, got, want, rtol=1e-12):
+    """Within each layer segment, every value is within rtol of the
+    segment's largest magnitude in want, which is not zero."""
+    for seg in layout.segments:
+        g = got[..., seg.offset : seg.offset + seg.size]
+        w = want[..., seg.offset : seg.offset + seg.size]
+        scale = np.max(np.abs(w))
+        assert scale > 0, seg
+        assert np.max(np.abs(g - w)) <= rtol * scale, seg
+
+
+class TestReferenceCnn:
+    """The window-major CNN against the row-major reference CNN, which
+    builds every per-sample gradient whole."""
+
+    @pytest.mark.parametrize("spec", ORACLE_CNNS, ids=lambda s: str(s.input_shape))
+    def test_stacked_loss_and_grad(self, spec):
+        layout = build_layout(spec)
+        thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
+        x, y = random_batch(spec, 3 * 7, 30)
+        x, y = x.reshape((3, 7) + spec.input_shape), y.reshape(3, 7)
+        losses, grads = models.stacked_loss_and_grad(spec, layout, thetas, x, y)
+        want_losses, want_grads = cnn_stacked_loss_and_grad(spec, layout, thetas, x, y)
+        assert np.all(np.abs(losses - want_losses) <= 1e-12 * want_losses)
+        for got, want in zip(grads, want_grads):
+            assert_close_per_segment(layout, got, want)
+
+    @pytest.mark.parametrize("spec", ORACLE_CNNS, ids=lambda s: str(s.input_shape))
+    def test_one_model_calls(self, spec):
+        params = models.init_params(spec, 5)
+        layout = params.layout
+        x, y = random_batch(spec, 9, 31)
+        thetas = params.values[None]
+        logits, per_sample = cnn_per_sample(spec, layout, thetas, x[None], y[None])
+        got = models.forward(spec, params, x, y)
+        assert np.max(np.abs(got - logits[0])) <= 1e-12 * np.max(np.abs(logits[0]))
+        (want_loss,), (want_grad,) = cnn_stacked_loss_and_grad(
+            spec, layout, thetas, x[None], y[None]
+        )
+        loss, grad = models.loss_and_grad(spec, params, x, y)
+        assert abs(loss - want_loss) <= 1e-12 * want_loss
+        assert_close_per_segment(layout, grad.values, want_grad)
+        fisher = models.sum_squared_loglik_grads(spec, params, x, y)
+        assert_close_per_segment(layout, fisher, (per_sample[0] ** 2).sum(axis=0))

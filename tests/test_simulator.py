@@ -209,6 +209,47 @@ class TestRunExperiment:
         assert result["rounds"] == 2
 
 
+def stiffness_warnings(err: str) -> list[tuple[int, float]]:
+    """(round, eta_local * lambda * max Fisher) of each warning line."""
+    found = []
+    for line in err.splitlines():
+        assert line.startswith("warning: round "), line
+        head, value = line.split(" = ", 1)
+        found.append((int(head.split()[2].rstrip(":")), float(value.split()[0])))
+    return found
+
+
+class TestStiffnessWarning:
+    """FedCurv warns on stderr in each round where eta_local * lambda *
+    max_k max F_k reaches 2, and the run goes on as before."""
+
+    def test_healthy_golden_mlp_run_prints_nothing(self, tmp_path, capsys):
+        from test_golden import CONFIGS, output_digests
+
+        output_digests(tmp_path, CONFIGS["fedcurv"])
+        assert capsys.readouterr().err == ""
+
+    def test_golden_mlp_decay_run_warns_in_round_2(self, tmp_path, capsys):
+        from test_golden import CONFIGS, output_digests
+
+        output_digests(tmp_path, CONFIGS["fedcurv-fraction-decay"])
+        [(round_no, stiffness)] = stiffness_warnings(capsys.readouterr().err)
+        assert round_no == 2
+        assert stiffness == pytest.approx(2.32, abs=0.005)
+
+    def test_golden_cnn_images_warn_a_round_before_the_blow_up(
+        self, tmp_path, capsys
+    ):
+        from test_golden import CNN, output_digests
+
+        config = dict(CNN, algorithm="fedcurv", epsilon=1e-3, eta_global=1.0, rounds=3)
+        with pytest.raises(fedcurv.RoundNumericalError, match="round 3"):
+            output_digests(tmp_path, config)
+        warnings = stiffness_warnings(capsys.readouterr().err)
+        assert [round_no for round_no, _ in warnings] == [2, 3]
+        assert warnings[0][1] == pytest.approx(4.8e8, rel=0.01)
+
+
 class TestCli:
     def test_run_and_validate(self, tmp_path, capsys):
         path = write_config(tmp_path, rounds=2)
