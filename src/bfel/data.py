@@ -12,7 +12,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ class DataFormatError(ValueError):
 
 
 class PartitionError(ValueError):
-    """A partition plan cannot be satisfied."""
+    """A partition cannot be made."""
 
 
 @dataclass(frozen=True)
@@ -76,25 +75,6 @@ class Dataset:
         object.__setattr__(sub, "labels", self.labels[indices])
         object.__setattr__(sub, "class_count", self.class_count)
         return sub
-
-
-class PartitionMode(Enum):
-    IID = "iid"
-    NONIID_SHARDS = "noniid_shards"
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    client_count: int
-    mode: PartitionMode
-    shards_per_client: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.client_count < 1:
-            raise PartitionError("client_count must be >= 1")
-        if self.mode is PartitionMode.NONIID_SHARDS and self.shards_per_client < 1:
-            raise PartitionError("shards_per_client must be >= 1")
 
 
 def _check_payload(f, n: int, path) -> None:
@@ -206,15 +186,25 @@ def load_bfeldata(path) -> Dataset:
         raise DataFormatError(f"{path}: {e}") from None
 
 
-def partition(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
-    """Split a dataset into disjoint, exhaustive per-client datasets."""
+def partition(
+    dataset: Dataset, client_count: int, mode: str, shards_per_client: int, seed: int
+) -> list[Dataset]:
+    """Split a dataset into disjoint, exhaustive per-client datasets: a
+    seeded iid split (mode "iid"), or label-sorted shards dealt out
+    shards_per_client to each client (mode "noniid_shards")."""
+    if client_count < 1:
+        raise PartitionError("client_count must be >= 1")
+    if mode not in ("iid", "noniid_shards"):
+        raise PartitionError(f"unknown partition mode {mode!r}")
     n = len(dataset)
-    rng = np.random.default_rng(plan.seed)
-    if plan.mode is PartitionMode.IID:
+    rng = np.random.default_rng(seed)
+    if mode == "iid":
         order = rng.permutation(n)
-        splits = np.array_split(order, plan.client_count)
+        splits = np.array_split(order, client_count)
     else:
-        shard_count = plan.client_count * plan.shards_per_client
+        if shards_per_client < 1:
+            raise PartitionError("shards_per_client must be >= 1")
+        shard_count = client_count * shards_per_client
         if shard_count > n:
             raise PartitionError(
                 f"{shard_count} shards requested from {n} samples"
@@ -225,11 +215,11 @@ def partition(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
         splits = [
             np.concatenate(
                 [
-                    shards[shard_order[c * plan.shards_per_client + s]]
-                    for s in range(plan.shards_per_client)
+                    shards[shard_order[c * shards_per_client + s]]
+                    for s in range(shards_per_client)
                 ]
             )
-            for c in range(plan.client_count)
+            for c in range(client_count)
         ]
     parts = [dataset.subset(np.sort(idx)) for idx in splits]
     if any(len(p) == 0 for p in parts):

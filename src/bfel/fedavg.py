@@ -5,8 +5,6 @@ These are FedAvg's client and server steps for `fedcurv.run_round`.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .data import Dataset
 from .fedcurv import ClientUpdate, HyperParams, _phase, client_sum, local_train
 from .models import ModelSpec, ParameterVector
@@ -21,13 +19,10 @@ def client_round(
     round_no: int,
     seeds: list[int],
 ) -> list[ClientUpdate]:
-    """FedAvg client step: E epochs of unregularized SGD from theta_global,
-    for all of a round's sampled clients in lockstep."""
+    """FedAvg client step: E epochs of SGD from theta_global with no Fisher,
+    so no anchor penalty, for all of a round's sampled clients in lockstep."""
     with _phase("local SGD", round_no, client_ids):
-        thetas = local_train(
-            spec, theta_global, None, datasets, replace(hp, lam=0.0), seeds,
-            round_no,
-        )
+        thetas = local_train(spec, theta_global, None, datasets, hp, seeds, round_no)
     return [
         ClientUpdate(
             client_id=cid,

@@ -88,23 +88,15 @@ class HyperParams:
     lr_decay: bool = False
 
     def __post_init__(self):
-        for name in ("lam", "eta_local", "eta_global", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        for name, low in (("lam", 0), ("eta_local", 0), ("eta_global", 0),
+                          ("local_epochs", 1), ("batch_size", 1)):
+            value = getattr(self, name)
+            if not low <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= {low}, got {value!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not 0 < self.client_fraction <= 1:
             raise ValueError("client_fraction must be in (0, 1]")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.eta_local < 0:
-            raise ValueError("eta_local must be >= 0")
-        if self.eta_global < 0:
-            raise ValueError("eta_global must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -170,16 +162,16 @@ def local_train(
     group a gather of its rows. The buffer is one more copy of the clients'
     data for the length of the call.
     With hp.lr_decay, round round_no starts the schedule at epoch
-    round_no * hp.local_epochs. At hp.lam == 0 this is plain SGD and
-    fishers may be None. A non-finite loss or gradient raises NumericalError
-    naming the clients' positions in `datasets`.
+    round_no * hp.local_epochs. With fishers None or hp.lam == 0 this is
+    plain SGD. A non-finite loss or gradient raises NumericalError naming
+    the clients' positions in `datasets`.
     """
     if any(len(ds) == 0 for ds in datasets):
         raise EmptyDatasetError("cannot train on an empty dataset")
     layout, anchor = theta_global.layout, theta_global.values
     thetas = np.tile(anchor, (len(datasets), 1))
     lam_f = None
-    if hp.lam != 0.0:
+    if fishers is not None and hp.lam != 0.0:
         require_same_layout(theta_global, *fishers)
         lam_f = hp.lam * np.stack([f.values for f in fishers])
     sizes = [len(ds) for ds in datasets]

@@ -125,37 +125,32 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
     segs: list[Segment] = []
     offset = 0
 
-    def add(layer, role, shape):
+    def add(layer, shape, width):
+        # the layer's weight of `shape`, then with spec.bias its `width` biases
         nonlocal offset
-        segs.append(Segment(layer, role, tuple(shape), offset))
-        offset += math.prod(shape)
+        parts = (("weight", shape), ("bias", (width,)))
+        for role, part in parts if spec.bias else parts[:1]:
+            segs.append(Segment(layer, role, tuple(part), offset))
+            offset += math.prod(part)
 
     if spec.kind == "mlp":
         dims = [spec.input_size, *spec.hidden, spec.classes]
         for i in range(len(dims) - 1):
-            add(f"fc{i}", "weight", (dims[i], dims[i + 1]))
-            if spec.bias:
-                add(f"fc{i}", "bias", (dims[i + 1],))
+            add(f"fc{i}", (dims[i], dims[i + 1]), dims[i + 1])
     else:
         c, h, w = spec._chw()
         k = spec.kernel
         in_c = c
         for i, out_c in enumerate(spec.conv_channels):
-            add(f"conv{i}", "weight", (out_c, in_c, k, k))
-            if spec.bias:
-                add(f"conv{i}", "bias", (out_c,))
+            add(f"conv{i}", (out_c, in_c, k, k), out_c)
             h = (h - k + 1) // 2
             w = (w - k + 1) // 2
             in_c = out_c
         if h < 1 or w < 1:
             raise ShapeMismatchError("input too small for two conv+pool stages")
         flat = in_c * h * w
-        add("fc0", "weight", (flat, spec.fc_hidden))
-        if spec.bias:
-            add("fc0", "bias", (spec.fc_hidden,))
-        add("fc1", "weight", (spec.fc_hidden, spec.classes))
-        if spec.bias:
-            add("fc1", "bias", (spec.classes,))
+        add("fc0", (flat, spec.fc_hidden), spec.fc_hidden)
+        add("fc1", (spec.fc_hidden, spec.classes), spec.classes)
     return ParamLayout(tuple(segs))
 
 
@@ -199,16 +194,15 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
         view = values[seg.offset : seg.offset + seg.size]
         if seg.role == "bias":
             view[:] = 0.0
-        elif len(seg.shape) == 2:
+            continue
+        if len(seg.shape) == 2:
             fan_in, fan_out = seg.shape
-            a = math.sqrt(6.0 / (fan_in + fan_out))
-            view[:] = rng.uniform(-a, a, seg.size)
         else:  # conv weight (OC, C, k, k)
             oc, c, k, _ = seg.shape
             fan_in = c * k * k
             fan_out = oc * k * k
-            a = math.sqrt(6.0 / (fan_in + fan_out))
-            view[:] = rng.uniform(-a, a, seg.size)
+        a = math.sqrt(6.0 / (fan_in + fan_out))
+        view[:] = rng.uniform(-a, a, seg.size)
     return ParameterVector(values, layout)
 
 

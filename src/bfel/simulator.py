@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,9 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(fedcurv.HyperParams):
+    """A run's settings; it is the HyperParams every round is given."""
+
     algorithm: str = "fedcurv"  # fedcurv | fedavg | base
     model: str = "mlp"  # mlp | cnn
     mlp_hidden: tuple[int, ...] = (64,)
@@ -53,20 +55,19 @@ class ExperimentConfig:
     partition: str = "iid"  # iid | noniid_shards
     shards_per_client: int = 2
     rounds: int = 20
-    lam: float = 0.1
-    epochs: int = 1
-    eta_local: float = 0.01
-    eta_global: float = 1.0
-    epsilon: float = 1e-8
-    batch_size: int = 20
-    client_fraction: float = 1.0
-    lr_decay: bool = False
     ledger_enabled: bool = True
     clock: str = "simulated"  # simulated | wall
     seed: int = 0
     output_dir: str = "out"
 
     def __post_init__(self):
+        try:
+            super().__post_init__()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        # the seeds derived from it must fit numpy's and the ledger's
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if self.algorithm not in ("fedcurv", "fedavg", "base"):
@@ -95,28 +96,19 @@ class ExperimentConfig:
             if path and not Path(path).exists():
                 raise ConfigError(f"{key}: file not found: {path}")
 
-    def hyperparams(self) -> fedcurv.HyperParams:
-        return fedcurv.HyperParams(
-            lam=self.lam,
-            local_epochs=self.epochs,
-            eta_local=self.eta_local,
-            eta_global=self.eta_global,
-            epsilon=self.epsilon,
-            batch_size=self.batch_size,
-            client_fraction=self.client_fraction,
-            lr_decay=self.lr_decay,
-        )
-
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False, "on": True, "off": False}
 
-_FIELD_ALIASES = {"lambda": "lam", "ledger": "ledger_enabled"}
+_FIELD_ALIASES = {
+    "lambda": "lam", "epochs": "local_epochs", "ledger": "ledger_enabled"
+}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a flat key=value config file (# starts a comment)."""
-    kwargs = {}
+    """Parse a flat key=value config file (# starts a comment); a key may
+    be given once, under either of its spellings."""
+    kwargs, set_on = {}, {}
     fields = ExperimentConfig.__dataclass_fields__
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -124,10 +116,16 @@ def parse_config(path) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = _FIELD_ALIASES.get(key, key)
+        name, value = (part.strip() for part in line.split("=", 1))
+        key = _FIELD_ALIASES.get(name, name)
         if key not in fields:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {name!r}: {key!r} is already "
+                f"set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
         default = fields[key].default
         try:
             if isinstance(default, bool):
@@ -212,16 +210,11 @@ def _load_datasets(config: ExperimentConfig):
 
 
 def _build_spec(config: ExperimentConfig, train) -> models.ModelSpec:
-    sample_shape = train.samples.shape[1:]
-    if config.model == "mlp":
-        return models.ModelSpec(
-            kind="mlp",
-            input_shape=sample_shape,
-            classes=train.class_count,
-            hidden=config.mlp_hidden,
-        )
     return models.ModelSpec(
-        kind="cnn", input_shape=sample_shape, classes=train.class_count
+        kind=config.model,
+        input_shape=train.samples.shape[1:],
+        classes=train.class_count,
+        hidden=config.mlp_hidden if config.model == "mlp" else (),
     )
 
 
@@ -230,7 +223,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     Config and data errors are raised before output_dir is created.
     """
-    hp = config.hyperparams()
     train, test = _load_datasets(config)
     spec = _build_spec(config, train)
     if test.samples.shape[1:] != spec.input_shape or test.labels.max() >= spec.classes:
@@ -240,16 +232,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
         )
     algo = fedcurv if config.algorithm == "fedcurv" else fedavg  # base: FedAvg
     if config.algorithm == "base":
-        clients = [train]
-        hp = replace(hp, client_fraction=1.0)
+        clients = [train]  # so client_fraction samples it every round
     else:
-        plan = data_mod.PartitionPlan(
-            client_count=config.clients,
-            mode=data_mod.PartitionMode(config.partition),
-            shards_per_client=config.shards_per_client,
-            seed=config.seed,
+        clients = data_mod.partition(
+            train, config.clients, config.partition, config.shards_per_client,
+            config.seed,
         )
-        clients = data_mod.partition(train, plan)
     # only partition reads the whole set: let it go before the rounds, whose
     # local SGD makes one more copy of the sampled clients' data
     del train
@@ -272,7 +260,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     wall_start = time.monotonic()
     for round_idx in range(config.rounds):
         theta, updates, metrics = fedcurv.run_round(
-            spec, theta, round_idx, clients, hp, rng, test_set=test,
+            spec, theta, round_idx, clients, config, rng, test_set=test,
             client_step=algo.client_round, server_step=algo.server_step,
         )
 

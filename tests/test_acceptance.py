@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bfel import data, fedavg, fedcurv, gossip, ledger, models, simulator
-from bfel.data import Dataset, PartitionMode, PartitionPlan
+from bfel.data import Dataset
 from bfel.fedcurv import HyperParams
 from bfel.models import ModelSpec, ParameterVector, build_layout
 from reference import regularized_gradient, regularized_loss, shuffled_batches
@@ -241,9 +241,7 @@ def _digits_as_idx(tmp_path):
 
 
 def _trend_run(algo, train, test, seed, hp, spec, rounds=20):
-    clients = data.partition(
-        train, PartitionPlan(5, PartitionMode.NONIID_SHARDS, 2, seed)
-    )
+    clients = data.partition(train, 5, "noniid_shards", 2, seed)
     theta = models.init_params(spec, seed)
     rng = np.random.default_rng([seed, 2])
     steps = {} if algo == "fedcurv" else dict(

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from bfel import data
-from bfel.data import (
-    DataFormatError,
-    Dataset,
-    PartitionError,
-    PartitionMode,
-    PartitionPlan,
-)
+from bfel.data import DataFormatError, Dataset, PartitionError
 
 
 def forged_bfeldata(path, count, shape=(3, 5), samples=2):
@@ -197,45 +191,54 @@ class TestDataset:
 class TestPartition:
     def test_iid_two_clients(self):
         ds = data.synth_blobs(2, 5, 2, 0.1, seed=0)
-        parts = data.partition(ds, PartitionPlan(2, PartitionMode.IID, seed=1))
+        parts = data.partition(ds, 2, "iid", 2, seed=1)
         assert [len(p) for p in parts] == [5, 5]
         all_samples = np.concatenate([p.samples for p in parts])
         assert sorted(map(tuple, all_samples)) == sorted(map(tuple, ds.samples))
 
     def test_iid_remainder_to_earliest(self):
         ds = data.synth_blobs(1, 11, 2, 0.1, seed=0)
-        parts = data.partition(ds, PartitionPlan(3, PartitionMode.IID, seed=1))
+        parts = data.partition(ds, 3, "iid", 2, seed=1)
         assert [len(p) for p in parts] == [4, 4, 3]
 
     def test_noniid_shards_limit_distinct_labels(self):
         ds = data.synth_blobs(10, 100, 2, 0.1, seed=2)
-        plan = PartitionPlan(5, PartitionMode.NONIID_SHARDS, shards_per_client=2, seed=3)
-        parts = data.partition(ds, plan)
+        parts = data.partition(ds, 5, "noniid_shards", shards_per_client=2, seed=3)
         distinct = [len(set(p.labels.tolist())) for p in parts]
         # fine shards: roughly 2 labels per client, never close to all 10
         assert np.mean(distinct) < 4
 
     def test_noniid_exhaustive_disjoint(self):
         ds = data.synth_blobs(4, 25, 3, 0.2, seed=4)
-        plan = PartitionPlan(5, PartitionMode.NONIID_SHARDS, shards_per_client=2, seed=5)
-        parts = data.partition(ds, plan)
+        parts = data.partition(ds, 5, "noniid_shards", shards_per_client=2, seed=5)
         assert sum(len(p) for p in parts) == len(ds)
 
     def test_seed_determinism(self):
         ds = data.synth_blobs(3, 30, 2, 0.2, seed=6)
-        for mode in PartitionMode:
-            plan = PartitionPlan(3, mode, shards_per_client=2, seed=7)
-            a = data.partition(ds, plan)
-            b = data.partition(ds, plan)
+        for mode in ("iid", "noniid_shards"):
+            a = data.partition(ds, 3, mode, shards_per_client=2, seed=7)
+            b = data.partition(ds, 3, mode, shards_per_client=2, seed=7)
             for pa, pb in zip(a, b):
                 assert np.array_equal(pa.samples, pb.samples)
                 assert np.array_equal(pa.labels, pb.labels)
 
     def test_too_many_shards(self):
         ds = data.synth_blobs(2, 2, 2, 0.1, seed=0)
-        plan = PartitionPlan(4, PartitionMode.NONIID_SHARDS, shards_per_client=2, seed=0)
         with pytest.raises(PartitionError):
-            data.partition(ds, plan)
+            data.partition(ds, 4, "noniid_shards", shards_per_client=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "clients, mode, shards, match",
+        [
+            (0, "iid", 2, "client_count must be >= 1"),
+            (2, "noniid_shards", 0, "shards_per_client must be >= 1"),
+            (2, "by_label", 2, "unknown partition mode 'by_label'"),
+        ],
+    )
+    def test_unsatisfiable_arguments(self, clients, mode, shards, match):
+        ds = data.synth_blobs(2, 5, 2, 0.1, seed=0)
+        with pytest.raises(PartitionError, match=match):
+            data.partition(ds, clients, mode, shards_per_client=shards, seed=0)
 
 
 class TestSynthBlobs:

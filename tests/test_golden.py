@@ -44,7 +44,7 @@ CONFIGS = {
     "fedavg": dict(MLP, algorithm="fedavg"),
     "base": dict(MLP, algorithm="base"),
     "fedcurv-fraction-decay": dict(
-        MLP, algorithm="fedcurv", client_fraction=0.5, lr_decay=True, epochs=2
+        MLP, algorithm="fedcurv", client_fraction=0.5, lr_decay=True, local_epochs=2
     ),
     "cnn-fedcurv": dict(CNN, algorithm="fedcurv"),
     "cnn-fedavg": dict(CNN, algorithm="fedavg"),

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -48,9 +49,10 @@ def write_config(tmp_path, **overrides):
 
 class TestConfig:
     def test_parse_round_trip(self, tmp_path):
-        path = write_config(tmp_path, rounds=7, lr_decay="true")
+        path = write_config(tmp_path, rounds=7, lr_decay="true", epochs=3)
         config = parse_config(path)
         assert config.rounds == 7
+        assert config.local_epochs == 3
         assert config.lam == 0.1
         assert config.lr_decay is True
         assert config.mlp_hidden == (6,)
@@ -74,6 +76,46 @@ class TestConfig:
     def test_invalid_rounds(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(rounds=0)
+
+    def test_training_settings_are_checked_when_parsed(self, tmp_path):
+        with pytest.raises(ConfigError, match="eta_local must be finite and >= 0"):
+            parse_config(write_config(tmp_path, eta_local=-0.1))
+
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1])
+    def test_seed_range_bounds_are_accepted(self, seed):
+        assert ExperimentConfig(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("first, second", [
+        ("seed = 1", "seed = 2"),
+        ("lambda = 0.1", "lam = 0.2"),
+        ("epochs = 1", "local_epochs = 2"),
+        ("ledger = true", "ledger_enabled = false"),
+    ])
+    def test_key_given_twice_names_both_lines(self, tmp_path, first, second):
+        path = tmp_path / "twice.txt"
+        path.write_text(f"{first}\nrounds = 2\n# a comment\n{second}\n")
+        with pytest.raises(ConfigError) as caught:
+            parse_config(path)
+        name = second.split()[0]
+        assert str(caught.value) == (
+            f"{path}:4: duplicate key {name!r}: "
+            f"{simulator._FIELD_ALIASES.get(name, name)!r} is already set on line 1"
+        )
+
+    def test_readme_block_names_every_key_with_its_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("## Config format"):]
+        start = section.index("```ini\n") + len("```ini\n")
+        block = section[start : section.index("```", start)]
+        named = set()
+        for line in block.splitlines():
+            named.add(line.split("=", 1)[0].strip())
+            named.update(re.findall(r"# or (\w+)", line))
+        accepted = set(ExperimentConfig.__dataclass_fields__)
+        assert named == accepted | set(simulator._FIELD_ALIASES)
+        path = tmp_path / "readme.txt"
+        path.write_text(block)
+        assert parse_config(path) == ExperimentConfig()
 
 
 class TestRunExperiment:
@@ -117,9 +159,9 @@ class TestRunExperiment:
         # copy of the clients' data must not come on top of it
         partition, run_round, refs, alive = data.partition, fedcurv.run_round, [], []
 
-        def spy_partition(dataset, plan):
+        def spy_partition(dataset, *args):
             refs.append(weakref.ref(dataset))
-            return partition(dataset, plan)
+            return partition(dataset, *args)
 
         def spy_round(*args, **kwargs):
             alive.append(refs[0]() is not None)
@@ -155,6 +197,25 @@ class TestRunExperiment:
         base_csv = (tmp_path / "base" / "metrics.csv").read_bytes()
         favg_csv = (tmp_path / "favg" / "metrics.csv").read_bytes()
         assert base_csv == favg_csv
+
+    @pytest.mark.parametrize("algorithm, setting, values", [
+        ("base", "client_fraction", (1.0, 0.5)),
+        ("fedavg", "lam", (0.0, 0.7)),
+    ])
+    def test_setting_without_effect_leaves_every_output_byte(
+        self, tmp_path, algorithm, setting, values
+    ):
+        # base's one client is sampled at any fraction; FedAvg has no anchor
+        outputs = []
+        for value in values:
+            out = tmp_path / f"{setting}-{value}"
+            run_experiment(parse_config(write_config(
+                tmp_path, algorithm=algorithm, output_dir=str(out),
+                **{setting: value},
+            )))
+            outputs.append([(out / name).read_bytes()
+                            for name in ("metrics.csv", "model.bin", "chain.log")])
+        assert outputs[0] == outputs[1]
 
     def test_algorithm_switch_shares_partition_and_sampling(self, tmp_path):
         # identical seeds: both algorithms must sample the same clients
@@ -292,6 +353,7 @@ class TestCli:
         "synth_spread=nan", "synth_spread=inf", "synth_spread=-inf",
         "synth_spread=-1",
         "mlp_hidden=0", "mlp_hidden=-3", "mlp_hidden=8,0",
+        "seed=-1", f"seed={2**63}", f"seed={10**40}",
     ])
     def test_bad_hyperparameter_exits_before_training(self, tmp_path, capsys, setting):
         key, value = setting.split("=")
@@ -414,10 +476,9 @@ class TestCli:
         train_path, test_path = tmp_path / "train.bfel", tmp_path / "test.bfel"
         data.save_bfeldata(Dataset(samples, ds.labels, 3), train_path)
         data.save_bfeldata(ds, test_path)
-        plan = data.PartitionPlan(4, data.PartitionMode.IID, seed=5)
         [owner] = [
             cid for cid, part in enumerate(data.partition(
-                Dataset(samples, ds.labels, 3), plan))
+                Dataset(samples, ds.labels, 3), 4, "iid", 2, seed=5))
             if (part.samples == marker).any()
         ]
         stacked = models.stacked_loss_and_grad
