@@ -87,14 +87,17 @@ class HyperParams:
     client_fraction: float = 1.0
     lr_decay: bool = False
 
+    # setting -> its lower bound; every one must also be finite (NaN fails)
+    BOUNDS = {"lam": ">= 0", "eta_local": ">= 0", "eta_global": ">= 0",
+              "epsilon": "> 0", "local_epochs": ">= 1", "batch_size": ">= 1"}
+
     def __post_init__(self):
-        for name, low in (("lam", 0), ("eta_local", 0), ("eta_global", 0),
-                          ("local_epochs", 1), ("batch_size", 1)):
+        for name, bound in self.BOUNDS.items():
             value = getattr(self, name)
-            if not low <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and >= {low}, got {value!r}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+            op, low = bound.split()
+            above = value > float(low) if op == ">" else value >= float(low)
+            if not (above and value < math.inf):  # NaN fails too
+                raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
         if not 0 < self.client_fraction <= 1:
             raise ValueError("client_fraction must be in (0, 1]")
 

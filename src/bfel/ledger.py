@@ -84,7 +84,6 @@ class KeyPair:
     public: bytes
     # `secret` parsed once, so that signing does not parse it again
     private_key: Ed25519PrivateKey = field(compare=False, repr=False)
-    scheme: str = "ed25519"
 
 
 def keygen(seed: int) -> KeyPair:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -383,84 +384,83 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
     return a, caches
 
 
-def _layer_deltas(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits):
-    """Backpropagate per-sample output gradients through the cached layers.
-
-    Yields (kind, layer, inputs, delta) from the last layer to the first,
-    where each sample's weight gradient is inputs[k, n]^T delta[k, n] for
-    "fc" (inputs (K, N, fan_in), delta (K, N, fan_out)) and
-    delta[k, n] @ inputs[k, n]^T for "conv" (inputs the im2col columns
-    (K, N, C*k*k, 4*L), delta (K, N, OC, 4*L)). The gradient with respect to
-    the model input is never computed. Every delta below the logits is an
-    array made here, which the ReLU masks overwrite; dlogits is only read.
-    """
-    da = dlogits
-    for i in range(len(caches) - 1, -1, -1):
-        cache = caches[i]
-        name = cache[1]
-        wgt = layout.stacked(thetas, name, "weight")  # for the input gradient
-        if cache[0] == "fc":
-            _, _, a_in, relu_mask = cache
-            if relu_mask is not None:
-                # da is w.r.t. this layer's post-ReLU output; undo the ReLU.
-                # The logits have no mask, so da is the product made below
-                da *= relu_mask
-            yield "fc", name, a_in, da
-            if i:
-                da = da @ wgt.transpose(0, 2, 1)
-        else:
-            _, _, cols, relu_mask, pool_idx, in_shape = cache
-            dpooled = da.reshape(relu_mask.shape)
-            dpooled *= relu_mask
-            dz = _maxpool2_backward(dpooled, pool_idx)
-            dflat = dz.reshape(cols.shape[:2] + (wgt.shape[1], -1))
-            yield "conv", name, cols, dflat
-            if i:
-                wmat = wgt.reshape(wgt.shape[0], 1, wgt.shape[1], -1)
-                dcols = (wmat.transpose(0, 1, 3, 2) @ dflat).reshape(
-                    (-1,) + cols.shape[2:]
-                )
-                da = _col2im(dcols, in_shape, spec.kernel)
-                del dcols  # not held while the caller uses the next layer
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
 
-def _pick(labels: np.ndarray) -> tuple:
-    """Index of each (client, sample)'s labelled logit in (K, N, classes)."""
-    kk, n = labels.shape
-    return np.arange(kk)[:, None], np.arange(n), labels
-
-
 def _grad_sums(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits, p):
-    """Sum over the samples of each per-sample gradient to the power p, (K, P).
+    """The one backward pass: the sum over the samples of each per-sample
+    gradient to the power p, (K, P); p = 1 gives the summed gradient, p = 2
+    the Fisher sum.
 
-    p = 1 gives the summed gradient, p = 2 the Fisher sum. Dense per-sample
-    gradients are never stacked whole: each is the outer product a[n] x
-    delta[n], so the sum contracts to (a^p)^T @ (delta^p). A conv layer's is
-    delta[n] @ cols[n]^T, an (OC, C*k*k) matrix per sample.
+    From the last cached layer to the first, each layer undoes its ReLU mask
+    (a conv also its pool), adds its weight and bias sums, then computes da
+    for the layer below; the model input's gradient is never computed. Every
+    da below the logits is an array made here, which the masks overwrite;
+    dlogits is only read. Dense per-sample gradients are never stacked
+    whole: each is the outer product a[n] x delta[n], so the sum contracts
+    to (a^p)^T @ (delta^p). A conv layer's is delta[n] @ cols[n]^T, an
+    (OC, C*k*k) matrix per sample.
     """
     def power(a):
         return a if p == 1 else a**p
 
     out = np.zeros(thetas.shape)
-    for kind, name, a, delta in _layer_deltas(spec, layout, thetas, caches, dlogits):
+    da = dlogits
+    for i in range(len(caches) - 1, -1, -1):
+        kind, name, a, relu_mask, *conv = caches[i]
+        wgt = layout.stacked(thetas, name, "weight")  # for the input gradient
         ow = layout.stacked(out, name, "weight")
         if kind == "fc":
-            delta = power(delta)  # once, for the weights and the bias
+            if relu_mask is not None:
+                # da is w.r.t. this layer's post-ReLU output; undo the ReLU.
+                # The logits have no mask, so da is the product made below
+                da *= relu_mask
+            delta = power(da)  # once, for the weights and the bias
             # straight into the output rows: no (K, fan_in, fan_out) temporary
             np.matmul(power(a).transpose(0, 2, 1), delta, out=ow)
             bias = delta.sum(axis=1)
+            if i:
+                da = da @ wgt.transpose(0, 2, 1)
         else:
-            ow += power(delta @ a.transpose(0, 1, 3, 2)).sum(axis=1).reshape(ow.shape)
-            bias = power(delta.sum(axis=3)).sum(axis=1)
+            pool_idx, in_shape = conv
+            dpooled = da.reshape(relu_mask.shape)
+            dpooled *= relu_mask
+            dz = _maxpool2_backward(dpooled, pool_idx)
+            dflat = dz.reshape(a.shape[:2] + (wgt.shape[1], -1))
+            ow += power(dflat @ a.transpose(0, 1, 3, 2)).sum(axis=1).reshape(ow.shape)
+            bias = power(dflat.sum(axis=3)).sum(axis=1)
+            if i:
+                wmat = wgt.reshape(wgt.shape[0], 1, wgt.shape[1], -1)
+                dcols = (wmat.transpose(0, 1, 3, 2) @ dflat).reshape(
+                    (-1,) + a.shape[2:]
+                )
+                da = _col2im(dcols, in_shape, spec.kernel)
+                del dcols  # not held while the next layer is summed
         if spec.bias:
             layout.stacked(out, name, "bias")[...] += bias
     return out
+
+
+def _output_grads(spec: ModelSpec, layout: ParamLayout, thetas, x, labels):
+    """The one prologue of both gradient calls: check the inputs and run the
+    cached forward pass.
+
+    Returns each sample's log-likelihood (K, N), the caches, and the
+    unscaled per-sample output gradients (K, N, classes), softmax minus
+    one-hot.
+    """
+    _check_inputs(spec, layout, thetas, x, labels)
+    logits, caches = _forward_cached(spec, layout, thetas, x)
+    kk, n = labels.shape
+    pick = np.arange(kk)[:, None], np.arange(n), labels  # each labelled logit
+    logp = _log_softmax(logits)
+    loglik = logp[pick]
+    dlogits = np.exp(logp, out=logp)
+    dlogits[pick] -= 1.0
+    return loglik, caches, dlogits
 
 
 def stacked_loss_and_grad(
@@ -473,16 +473,9 @@ def stacked_loss_and_grad(
     gradients (K, P). Non-finite results are returned, not raised, so that
     the caller can name the rows they came from.
     """
-    _check_inputs(spec, layout, thetas, inputs, labels)
-    logits, caches = _forward_cached(spec, layout, thetas, inputs)
-    n = labels.shape[1]
-    pick = _pick(labels)
-    logp = _log_softmax(logits)
-    losses = -logp[pick].mean(axis=1)
-    dlogits = np.exp(logp, out=logp)
-    dlogits[pick] -= 1.0
-    dlogits /= n
-    return losses, _grad_sums(spec, layout, thetas, caches, dlogits, 1)
+    loglik, caches, dlogits = _output_grads(spec, layout, thetas, inputs, labels)
+    dlogits /= labels.shape[1]
+    return -loglik.mean(axis=1), _grad_sums(spec, layout, thetas, caches, dlogits, 1)
 
 
 def forward(
@@ -529,12 +522,7 @@ def sum_squared_loglik_grads(
 ) -> np.ndarray:
     """Sum over the samples x of squared per-sample log-likelihood gradients."""
     layout, thetas = params.layout, params.values[None]
-    x, labels = x[None], labels[None]
-    _check_inputs(spec, layout, thetas, x, labels)
-    logits, caches = _forward_cached(spec, layout, thetas, x)
-    logp = _log_softmax(logits)
-    dlogits = np.exp(logp, out=logp)
-    dlogits[_pick(labels)] -= 1.0  # per-sample, unscaled
+    _, caches, dlogits = _output_grads(spec, layout, thetas, x[None], labels[None])
     out = _grad_sums(spec, layout, thetas, caches, dlogits, 2)
     if not np.all(np.isfinite(out)):
         raise NumericalError("squared log-likelihood gradients not finite")
@@ -553,7 +541,9 @@ def lr_schedule(initial_lr: float, epoch: int) -> float:
     """Step decay: divide by 3 after every 5 epochs."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return initial_lr / 3 ** (epoch // 5)
+    k = epoch // 5
+    # from k = 647 on, 3**k converts to no float: divide it exactly instead
+    return initial_lr / 3**k if k < 647 else float(Fraction(initial_lr) / 3**k)
 
 
 def accuracy(

@@ -8,7 +8,6 @@ clock defaults to a simulated one.
 
 from __future__ import annotations
 
-import math
 import struct
 import time
 from dataclasses import dataclass
@@ -36,10 +35,10 @@ class ConfigError(ValueError):
 class ExperimentConfig(fedcurv.HyperParams):
     """A run's settings; it is the HyperParams every round is given."""
 
-    algorithm: str = "fedcurv"  # fedcurv | fedavg | base
-    model: str = "mlp"  # mlp | cnn
+    algorithm: str = "fedcurv"
+    model: str = "mlp"
     mlp_hidden: tuple[int, ...] = (64,)
-    dataset: str = "synth"  # synth | idx | bfeldata
+    dataset: str = "synth"
     idx_images: str = ""
     idx_labels: str = ""
     idx_test_images: str = ""
@@ -52,13 +51,21 @@ class ExperimentConfig(fedcurv.HyperParams):
     synth_spread: float = 0.15
     test_fraction: float = 0.2
     clients: int = 5
-    partition: str = "iid"  # iid | noniid_shards
+    partition: str = "iid"
     shards_per_client: int = 2
     rounds: int = 20
     ledger_enabled: bool = True
-    clock: str = "simulated"  # simulated | wall
+    clock: str = "simulated"
     seed: int = 0
     output_dir: str = "out"
+
+    BOUNDS = {**fedcurv.HyperParams.BOUNDS, "rounds": ">= 1", "clients": ">= 1",
+              "shards_per_client": ">= 1", "synth_classes": ">= 1",
+              "synth_per_class": ">= 1", "synth_dim": ">= 1",
+              "synth_spread": ">= 0", "test_fraction": "> 0", "seed": ">= 0"}
+    CHOICES = {"algorithm": ("fedcurv", "fedavg", "base"), "model": ("mlp", "cnn"),
+               "dataset": ("synth", "idx", "bfeldata"),
+               "partition": ("iid", "noniid_shards"), "clock": ("simulated", "wall")}
 
     def __post_init__(self):
         try:
@@ -66,30 +73,14 @@ class ExperimentConfig(fedcurv.HyperParams):
         except ValueError as e:
             raise ConfigError(str(e)) from None
         # the seeds derived from it must fit numpy's and the ledger's
-        if not 0 <= self.seed < 2**63:
+        if self.seed >= 2**63:
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if self.algorithm not in ("fedcurv", "fedavg", "base"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.model not in ("mlp", "cnn"):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.dataset not in ("synth", "idx", "bfeldata"):
-            raise ConfigError(f"unknown dataset source {self.dataset!r}")
-        if self.partition not in ("iid", "noniid_shards"):
-            raise ConfigError(f"unknown partition mode {self.partition!r}")
-        if self.clock not in ("simulated", "wall"):
-            raise ConfigError(f"unknown clock {self.clock!r}")
+        for key, choices in self.CHOICES.items():
+            value = getattr(self, key)
+            if value not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
         if any(width < 1 for width in self.mlp_hidden):
             raise ConfigError(f"mlp_hidden widths must be >= 1, got {self.mlp_hidden!r}")
-        if not (math.isfinite(self.test_fraction) and self.test_fraction > 0):
-            raise ConfigError(
-                f"test_fraction must be finite and > 0, got {self.test_fraction!r}"
-            )
-        if not (math.isfinite(self.synth_spread) and self.synth_spread >= 0):
-            raise ConfigError(
-                f"synth_spread must be finite and >= 0, got {self.synth_spread!r}"
-            )
         for key in ("idx_images", "idx_labels", "idx_test_images",
                     "idx_test_labels", "bfeldata_train", "bfeldata_test"):
             path = getattr(self, key)

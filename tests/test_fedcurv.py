@@ -212,6 +212,15 @@ class TestLocalTrain:
         plain = plain_sgd(self.spec, self.theta_g, self.ds, hp, 42)
         assert np.array_equal(curv.values, plain.values)
 
+    def test_decay_far_into_a_run_finishes(self):
+        # round 3235 starts the schedule at epoch 3235, past 3**647 > float max;
+        # a rate of about 2e-311 moves no weight by more than 1e-300
+        hp = make_hp(eta_local=0.01, batch_size=4, lr_decay=True)
+        [out] = fedcurv.local_train(
+            self.spec, self.theta_g, [self.fisher], [self.ds], hp, [0], round_no=3235
+        )
+        assert np.allclose(out.values, self.theta_g.values, rtol=0, atol=1e-300)
+
     def test_single_full_batch_step_closed_form(self):
         hp = make_hp(lam=0.5, eta_local=0.1, local_epochs=1, batch_size=len(self.ds))
         out = self.train(hp, 0)

@@ -321,6 +321,13 @@ class TestSgdAndSchedule:
         assert models.lr_schedule(1e-4, 4) == 1e-4
         assert models.lr_schedule(0.9, 10) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("lr", [0.01, 1e300])
+    def test_lr_schedule_past_the_float_range_of_the_divisor(self, lr):
+        # epoch 3235 is the first whose 3**(epoch // 5) converts to no float
+        assert models.lr_schedule(lr, 3234) == lr / 3**646
+        rate = models.lr_schedule(lr, 3235)
+        assert 0 < rate == pytest.approx(lr / 3**646 / 3, rel=1e-9)
+
 
 class TestLayout:
     def test_flatten_round_trip_is_bit_exact(self):

@@ -77,6 +77,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(rounds=0)
 
+    def test_shards_per_client_is_checked_under_iid_too(self):
+        with pytest.raises(ConfigError, match="shards_per_client must be finite and >= 1"):
+            ExperimentConfig(partition="iid", shards_per_client=0)
+
     def test_training_settings_are_checked_when_parsed(self, tmp_path):
         with pytest.raises(ConfigError, match="eta_local must be finite and >= 0"):
             parse_config(write_config(tmp_path, eta_local=-0.1))
@@ -354,6 +358,10 @@ class TestCli:
         "synth_spread=-1",
         "mlp_hidden=0", "mlp_hidden=-3", "mlp_hidden=8,0",
         "seed=-1", f"seed={2**63}", f"seed={10**40}",
+        "rounds=0", "clients=0", "shards_per_client=0", "synth_classes=0",
+        "synth_per_class=0", "synth_dim=0",
+        "algorithm=sgd", "model=rnn", "dataset=mnist", "partition=dirichlet",
+        "clock=cpu",
     ])
     def test_bad_hyperparameter_exits_before_training(self, tmp_path, capsys, setting):
         key, value = setting.split("=")
