@@ -87,17 +87,18 @@ class HyperParams:
     client_fraction: float = 1.0
     lr_decay: bool = False
 
-    # setting -> its lower bound; every one must also be finite (NaN fails)
-    BOUNDS = {"lam": ">= 0", "eta_local": ">= 0", "eta_global": ">= 0",
-              "epsilon": "> 0", "local_epochs": ">= 1", "batch_size": ">= 1"}
+    # setting -> (its lower bound, whether the bound itself is excluded);
+    # every one must also be finite (NaN fails)
+    BOUNDS = {"lam": (0, False), "eta_local": (0, False), "eta_global": (0, False),
+              "epsilon": (0, True), "local_epochs": (1, False),
+              "batch_size": (1, False)}
 
     def __post_init__(self):
-        for name, bound in self.BOUNDS.items():
+        for name, (low, strict) in self.BOUNDS.items():
             value = getattr(self, name)
-            op, low = bound.split()
-            above = value > float(low) if op == ">" else value >= float(low)
-            if not (above and value < math.inf):  # NaN fails too
-                raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+            if not ((value > low if strict else value >= low) and value < math.inf):
+                op = ">" if strict else ">="
+                raise ValueError(f"{name} must be finite and {op} {low}, got {value!r}")
         if not 0 < self.client_fraction <= 1:
             raise ValueError("client_fraction must be in (0, 1]")
 

@@ -422,6 +422,7 @@ def _grad_sums(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits, p)
             # straight into the output rows: no (K, fan_in, fan_out) temporary
             np.matmul(power(a).transpose(0, 2, 1), delta, out=ow)
             bias = delta.sum(axis=1)
+            del delta  # not held while the layers below are summed
             if i:
                 da = da @ wgt.transpose(0, 2, 1)
         else:
@@ -541,9 +542,8 @@ def lr_schedule(initial_lr: float, epoch: int) -> float:
     """Step decay: divide by 3 after every 5 epochs."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    k = epoch // 5
-    # from k = 647 on, 3**k converts to no float: divide it exactly instead
-    return initial_lr / 3**k if k < 647 else float(Fraction(initial_lr) / 3**k)
+    # exact, then rounded once: 3**k converts to no float from k = 647 on
+    return float(Fraction(initial_lr) / 3 ** (epoch // 5))
 
 
 def accuracy(

@@ -59,10 +59,11 @@ class ExperimentConfig(fedcurv.HyperParams):
     seed: int = 0
     output_dir: str = "out"
 
-    BOUNDS = {**fedcurv.HyperParams.BOUNDS, "rounds": ">= 1", "clients": ">= 1",
-              "shards_per_client": ">= 1", "synth_classes": ">= 1",
-              "synth_per_class": ">= 1", "synth_dim": ">= 1",
-              "synth_spread": ">= 0", "test_fraction": "> 0", "seed": ">= 0"}
+    BOUNDS = {**fedcurv.HyperParams.BOUNDS, "rounds": (1, False),
+              "clients": (1, False), "shards_per_client": (1, False),
+              "synth_classes": (1, False), "synth_per_class": (1, False),
+              "synth_dim": (1, False), "synth_spread": (0, False),
+              "test_fraction": (0, True), "seed": (0, False)}
     CHOICES = {"algorithm": ("fedcurv", "fedavg", "base"), "model": ("mlp", "cnn"),
                "dataset": ("synth", "idx", "bfeldata"),
                "partition": ("iid", "noniid_shards"), "clock": ("simulated", "wall")}

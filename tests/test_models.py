@@ -321,10 +321,17 @@ class TestSgdAndSchedule:
         assert models.lr_schedule(1e-4, 4) == 1e-4
         assert models.lr_schedule(0.9, 10) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("lr", [0.01, 0.9, 1e-4, 1e300])
+    def test_lr_schedule_is_float_division_while_3_to_the_k_is_exact(self, lr):
+        # 3**33 < 2**53, so up to epoch 169 the divisor is an exact float and
+        # one correctly rounded division gives the same bits as the exact quotient
+        for epoch in range(170):
+            assert models.lr_schedule(lr, epoch) == lr / 3 ** (epoch // 5)
+
     @pytest.mark.parametrize("lr", [0.01, 1e300])
     def test_lr_schedule_past_the_float_range_of_the_divisor(self, lr):
         # epoch 3235 is the first whose 3**(epoch // 5) converts to no float
-        assert models.lr_schedule(lr, 3234) == lr / 3**646
+        assert models.lr_schedule(lr, 3234) == pytest.approx(lr / 3**646, rel=1e-15)
         rate = models.lr_schedule(lr, 3235)
         assert 0 < rate == pytest.approx(lr / 3**646 / 3, rel=1e-9)
 

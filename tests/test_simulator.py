@@ -77,9 +77,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(rounds=0)
 
-    def test_shards_per_client_is_checked_under_iid_too(self):
-        with pytest.raises(ConfigError, match="shards_per_client must be finite and >= 1"):
-            ExperimentConfig(partition="iid", shards_per_client=0)
+    @pytest.mark.parametrize("settings", [
+        dict(partition="iid", shards_per_client=0),
+        dict(algorithm="base", clients=0),
+        dict(dataset="idx", synth_classes=0),
+        dict(dataset="bfeldata", synth_per_class=0),
+        dict(dataset="bfeldata", synth_dim=-1),
+    ])
+    def test_counts_are_checked_where_they_have_no_effect_too(self, settings):
+        key = list(settings)[-1]
+        with pytest.raises(ConfigError, match=f"{key} must be finite and >= 1"):
+            ExperimentConfig(**settings)
 
     def test_training_settings_are_checked_when_parsed(self, tmp_path):
         with pytest.raises(ConfigError, match="eta_local must be finite and >= 0"):
@@ -359,15 +367,16 @@ class TestCli:
         "mlp_hidden=0", "mlp_hidden=-3", "mlp_hidden=8,0",
         "seed=-1", f"seed={2**63}", f"seed={10**40}",
         "rounds=0", "clients=0", "shards_per_client=0", "synth_classes=0",
-        "synth_per_class=0", "synth_dim=0",
+        "synth_per_class=0", "synth_dim=0", "algorithm=base;clients=0",
         "algorithm=sgd", "model=rnn", "dataset=mnist", "partition=dirichlet",
         "clock=cpu",
     ])
     def test_bad_hyperparameter_exits_before_training(self, tmp_path, capsys, setting):
-        key, value = setting.split("=")
-        path = write_config(tmp_path, **{key: value})
+        # the last key=value is the bad one; any before it set the context
+        settings = dict(pair.split("=") for pair in setting.split(";"))
+        path = write_config(tmp_path, **settings)
         assert cli.main(["run", "--config", str(path)]) == 2
-        assert key in capsys.readouterr().err
+        assert list(settings)[-1] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["run --config", "bfeldata_train",
