@@ -17,6 +17,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -332,8 +333,9 @@ def server_step(
 def sample_clients(
     client_count: int, fraction: float, rng: np.random.Generator
 ) -> list[int]:
-    """ceil(fraction * N) distinct client ids, ascending."""
-    m = max(1, math.ceil(fraction * client_count))
+    """ceil(fraction * N) distinct client ids, ascending; the product is
+    exact on the fraction's decimal (0.07 * 100 is 7, in floats 8)."""
+    m = max(1, math.ceil(Fraction(str(fraction)) * client_count))
     return sorted(int(i) for i in rng.choice(client_count, size=m, replace=False))
 
 

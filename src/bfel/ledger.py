@@ -80,9 +80,7 @@ class _Reader:
 
 @dataclass(frozen=True)
 class KeyPair:
-    secret: bytes = field(repr=False)
     public: bytes
-    # `secret` parsed once, so that signing does not parse it again
     private_key: Ed25519PrivateKey = field(compare=False, repr=False)
 
 
@@ -95,7 +93,7 @@ def keygen(seed: int) -> KeyPair:
     pk = sk.public_key().public_bytes(
         serialization.Encoding.Raw, serialization.PublicFormat.Raw
     )
-    return KeyPair(secret=sk_bytes, public=pk, private_key=sk)
+    return KeyPair(public=pk, private_key=sk)
 
 
 def sign(key: KeyPair, message: bytes) -> bytes:
@@ -116,7 +114,6 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
 class TxKind(IntEnum):
     CLIENT_UPDATE = 1
     GLOBAL_MODEL = 2
-    POLICY = 3
 
 
 def _tx_body(kind: TxKind, timestamp: int, payload_digest: bytes) -> bytes:

@@ -294,11 +294,9 @@ def _maxpool2(z: np.ndarray, index: bool = True):
 
 
 def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Route (..., L) dout to each window's first maximum, as (..., 4, L)."""
-    dz = np.empty(idx.shape[:-1] + (4,) + idx.shape[-1:])
-    for pos in range(4):
-        np.multiply(dout, idx == pos, out=dz[..., pos, :])
-    return dz
+    """Route (..., L) dout to each window's first maximum, as (..., 4, L):
+    one product with the index's four member masks."""
+    return dout[..., None, :] * (idx[..., None, :] == np.arange(4)[:, None])
 
 
 def _check_inputs(spec: ModelSpec, layout: ParamLayout, thetas, x, labels) -> None:
@@ -337,7 +335,7 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
     thetas is (K, P) in `layout`; x is (K, N, *input_shape), client k's N
     samples seen by model k. Every weight op is one matmul batched over
     the client axis; im2col and the pools run on the K*N samples.
-    A conv's outputs are pool-window-major, (K*N, OC, 4, L) for L pool
+    A conv's outputs are pool-window-major, (K, N, OC, 4, L) for L pool
     windows, and its pooled map is NCHW again.
     Each cache entry holds a layer's input (dense activations (K, N, fan_in),
     or im2col columns (K, N, C*k*k, 4*L) for a conv, a view of that stage's
@@ -362,11 +360,11 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
             cols = _im2col(a, k, i)
             cols = cols.reshape((kk, n) + cols.shape[1:])
             z = wgt.reshape(kk, 1, oc, -1) @ cols
+            # bias and ReLU on the pooled map, a quarter of the elements:
+            # max(z) + b is max(z + b) bit for bit, as rounding is monotone
+            pooled, pool_idx = _maxpool2(z.reshape(kk, n, oc, 4, -1), keep)
             if spec.bias:
-                z += layout.stacked(thetas, name, "bias")[:, None, :, None]
-            # ReLU after the pool: the same values and gradients, as ReLU
-            # is monotone, on a quarter of the elements
-            pooled, pool_idx = _maxpool2(z.reshape(kk * n, oc, 4, -1), keep)
+                pooled += layout.stacked(thetas, name, "bias")[:, None, :, None]
             if keep:
                 caches.append(("conv", name, cols, pooled > 0, pool_idx, a.shape))
             pooled_shape = (kk * n, oc, (a.shape[2] - k + 1) // 2, -1)

@@ -554,6 +554,28 @@ class TestRunRound:
         assert np.array_equal(out.values, theta.values)
 
 
+class TestSampleClients:
+    # the 891 pairs of a two-decimal fraction and 100, 200, ..., 900 clients
+    # hold 51 of the 141 pairs (up to 1,000 clients) whose float product
+    # rounds up past an integer, such as 0.07 * 100 = 7.000000000000001
+    @pytest.mark.parametrize("clients", range(100, 1000, 100))
+    def test_count_is_the_ceiling_of_the_exact_product(self, clients):
+        rng = np.random.default_rng(clients)
+        for percent in range(1, 100):
+            sampled = fedcurv.sample_clients(clients, percent / 100, rng)
+            assert len(sampled) == max(1, -(-percent * clients // 100)), percent
+            assert sampled == sorted(set(sampled))
+            assert 0 <= sampled[0] and sampled[-1] < clients
+
+    @pytest.mark.parametrize("fraction, clients, count", [
+        (0.07, 100, 7), (0.14, 50, 7), (0.28, 25, 7), (0.55, 100, 55),
+        (0.5, 4, 2), (0.67, 3, 3), (0.01, 7, 1), (1.0, 10, 10),
+    ])
+    def test_count_examples(self, fraction, clients, count):
+        rng = np.random.default_rng(0)
+        assert len(fedcurv.sample_clients(clients, fraction, rng)) == count
+
+
 LOCKSTEP_SPECS = {
     "mlp": ModelSpec(kind="mlp", input_shape=(3,), classes=3, hidden=(5,)),
     "cnn": ModelSpec(

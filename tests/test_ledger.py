@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bfel import ledger
+from bfel import cli, ledger
 from bfel.fedcurv import ClientUpdate
 from bfel.ledger import (
     ChainFormatError,
@@ -44,8 +44,7 @@ class TestKeys:
         kp = ledger.keygen(1)
         shown = repr(kp)
         assert repr(kp.public) in shown
-        assert repr(kp.secret) not in shown
-        assert kp.secret.hex() not in shown
+        assert kp.private_key.private_bytes_raw().hex() not in shown
 
     def test_sign_verify_round_trip(self):
         kp = ledger.keygen(1)
@@ -76,13 +75,32 @@ class TestChain:
 
     def test_invalid_transaction_rejected_at_append(self):
         kp = ledger.keygen(0)
-        good = ledger.make_transaction(TxKind.POLICY, digest(b"p"), kp, 1)
+        good = ledger.make_transaction(TxKind.CLIENT_UPDATE, digest(b"p"), kp, 1)
         bad = ledger.SignedTransaction(
-            TxKind.POLICY, digest(b"other"), good.sender_public, good.signature, 1
+            TxKind.CLIENT_UPDATE, digest(b"other"), good.sender_public,
+            good.signature, 1,
         )
         chain = ledger.new_chain()
         with pytest.raises(InvalidTransactionError, match="transaction 1"):
             ledger.append_block(chain, [good, bad], kp, timestamp=1)
+
+    def test_signed_transaction_of_an_unknown_kind_is_invalid(self, tmp_path, capsys):
+        # kinds 1 and 2 are the only ones; a properly signed kind-3
+        # transaction in an otherwise valid block fails at that block
+        chain, proposer = build_chain(3)
+        sender = ledger.keygen(50)
+        body = ledger._tx_body(3, 7, digest(b"kind 3"))
+        tx = ledger.SignedTransaction(
+            3, digest(b"kind 3"), sender.public, ledger.sign(sender, body), 7
+        )
+        chain = ledger.append_block(chain, [tx], proposer, timestamp=3000)
+        chain = ledger.append_block(chain, [], proposer, timestamp=4000)
+        blob = ledger.export_chain(chain)
+        assert ledger.validate_chain_bytes(blob) == (False, 4)
+        path = tmp_path / "chain.log"
+        path.write_bytes(blob)
+        assert cli.main(["validate-chain", "--chain", str(path)]) == 1
+        assert capsys.readouterr().out == "invalid first_invalid_index=4\n"
 
     def test_identical_transactions_different_block_hashes(self):
         kp = ledger.keygen(0)

@@ -694,6 +694,26 @@ class TestMaxPool:
         assert np.array_equal(idx, windows.argmax(axis=-1))
         assert np.array_equal(out, windows.max(axis=-1))
 
+    def test_bias_after_the_pool_and_one_product_backward(self):
+        # (K, N, OC, 4, L) conv outputs, as the forward pass pools them
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((2, 4, 3, 4, 10))
+        z[0, 0] = 0.0  # all-zero patches: four-way ties
+        z[0, 1, :, 2] = z[0, 1, :, 0]  # two-way ties
+        z[1, 0] = np.round(z[1, 0], 1)  # ties of every kind
+        b = rng.standard_normal((2, 1, 3, 1))  # one bias per model and channel
+        out, idx = models._maxpool2(z)
+        out_b, idx_b = models._maxpool2(z + b[..., None, :])
+        assert same_bits(out + b, out_b)
+        assert same_bits(idx, idx_b)
+        assert (idx[0, 0] == 0).all()
+        dout = signed_zero_deltas(rng, idx.shape)
+        # the four-pass formula that the one product replaced
+        want = np.empty(idx.shape[:-1] + (4,) + idx.shape[-1:])
+        for pos in range(4):
+            np.multiply(dout, idx == pos, out=want[..., pos, :])
+        assert same_bits(models._maxpool2_backward(dout, idx), want)
+
 
 def signed_zero_deltas(rng, shape):
     """Normal values rounded to make ties, a tenth of them +0.0 or -0.0."""
