@@ -168,8 +168,9 @@ def local_train(
     data for the length of the call.
     With hp.lr_decay, round round_no starts the schedule at epoch
     round_no * hp.local_epochs. With fishers None or hp.lam == 0 this is
-    plain SGD. A non-finite loss or gradient raises NumericalError naming
-    the clients' positions in `datasets`.
+    plain SGD. A non-finite loss or gradient, or a non-finite returned
+    model (a last step that overflows), raises NumericalError naming the
+    clients' positions in `datasets`.
     """
     if any(len(ds) == 0 for ds in datasets):
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -229,6 +230,9 @@ def local_train(
                 per_call = max_samples // size
                 for lo in range(0, len(ks), per_call):
                     step(ks[lo : lo + per_call], slice(start, start + size), lr)
+    finite = np.isfinite(thetas).all(axis=1)
+    if not finite.all():
+        raise NumericalError("local model not finite", positions=np.flatnonzero(~finite))
     return [theta_global.with_values(row) for row in thetas]
 
 

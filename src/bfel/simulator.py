@@ -201,28 +201,23 @@ def _load_datasets(config: ExperimentConfig):
     return train.subset(np.sort(order[n_test:])), train.subset(np.sort(order[:n_test]))
 
 
-def _build_spec(config: ExperimentConfig, train) -> models.ModelSpec:
-    return models.ModelSpec(
-        kind=config.model,
-        input_shape=train.samples.shape[1:],
+def rounds(config: ExperimentConfig):
+    """Set up a run, raising any config or data error, and return an
+    iterator that makes the model, RNG streams, keys and chain on its first
+    step, then yields each finished round as (round index from 0, theta,
+    updates, metrics, elapsed_ms, chain); chain, None with the ledger off,
+    ends in that round's signed block."""
+    train, test = _load_datasets(config)
+    spec = models.ModelSpec(
+        kind=config.model, input_shape=train.samples.shape[1:],
         classes=train.class_count,
         hidden=config.mlp_hidden if config.model == "mlp" else (),
     )
-
-
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Run the configured algorithm; write metrics CSV, model, chain log.
-
-    Config and data errors are raised before output_dir is created.
-    """
-    train, test = _load_datasets(config)
-    spec = _build_spec(config, train)
     if test.samples.shape[1:] != spec.input_shape or test.labels.max() >= spec.classes:
         raise ConfigError(
             f"the test set does not fit the model's input {spec.input_shape} "
             f"and {spec.classes} classes"
         )
-    algo = fedcurv if config.algorithm == "fedcurv" else fedavg  # base: FedAvg
     if config.algorithm == "base":
         clients = [train]  # so client_fraction samples it every round
     else:
@@ -230,12 +225,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
             train, config.clients, config.partition, config.shards_per_client,
             config.seed,
         )
-    # only partition reads the whole set: let it go before the rounds, whose
-    # local SGD makes one more copy of the sampled clients' data
-    del train
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # only partition reads the whole set: it goes with this frame, before
+    # the rounds, whose local SGD makes one more copy of the clients' data
+    return _round_stream(config, spec, clients, test)
 
+
+def _round_stream(config: ExperimentConfig, spec, clients, test):
+    algo = fedcurv if config.algorithm == "fedcurv" else fedavg  # base: FedAvg
     theta = models.init_params(spec, config.seed)
     rng = np.random.default_rng([config.seed, 0x1A])
     clock_rng = np.random.default_rng([config.seed, 0x2B])
@@ -247,7 +243,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
     chain = ledger.new_chain() if config.ledger_enabled else None
 
-    rows = [CSV_HEADER]  # metrics.csv, one line per round
     sim_clock_ms = 0.0
     wall_start = time.monotonic()
     for round_idx in range(config.rounds):
@@ -262,48 +257,49 @@ def run_experiment(config: ExperimentConfig) -> dict:
             sim_clock_ms += 100.0 * len(updates) + 10.0 * float(clock_rng.random())
             elapsed = sim_clock_ms
 
+        if chain is not None:
+            ts = (round_idx + 1) * 1000
+            txs = [
+                ledger.make_transaction(
+                    ledger.TxKind.CLIENT_UPDATE, ledger.digest_update(u),
+                    client_keys[u.client_id], ts,
+                )
+                for u in updates
+            ]
+            txs.append(ledger.make_transaction(
+                ledger.TxKind.GLOBAL_MODEL,
+                ledger.digest_global_model(theta.values, round_idx + 1), server_key, ts,
+            ))
+            chain = ledger.append_block(chain, txs, server_key, timestamp=ts)
+        yield round_idx, theta, updates, metrics, elapsed, chain
+
+
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run the configured algorithm; write metrics CSV, model, chain log.
+
+    Config and data errors are raised before output_dir is created.
+    """
+    stream = rounds(config)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [CSV_HEADER]  # metrics.csv, one line per round
+    for round_idx, theta, _, metrics, elapsed, chain in stream:
         accs = metrics["client_accuracy"]
         row = (CSV_SCHEMA_VERSION, round_idx + 1, metrics["global_accuracy"],
                float(np.mean(accs)), float(np.min(accs)), float(np.max(accs)),
                metrics["divergence"], elapsed)
         rows.append(",".join(map(repr, row)))
 
-        if chain is not None:
-            ts = (round_idx + 1) * 1000
-            txs = [
-                ledger.make_transaction(
-                    ledger.TxKind.CLIENT_UPDATE,
-                    ledger.digest_update(u),
-                    client_keys[u.client_id],
-                    ts,
-                )
-                for u in updates
-            ]
-            txs.append(
-                ledger.make_transaction(
-                    ledger.TxKind.GLOBAL_MODEL,
-                    ledger.digest_global_model(theta.values, round_idx + 1),
-                    server_key,
-                    ts,
-                )
-            )
-            chain = ledger.append_block(chain, txs, server_key, timestamp=ts)
-
     metrics_path = out_dir / "metrics.csv"
     metrics_path.write_text("\n".join(rows) + "\n")
-    model_path = out_dir / "model.bin"
-    save_model(theta, model_path)
-    result = {
-        "metrics_csv": str(metrics_path),
-        "model_file": str(model_path),
-        "final_global_acc": metrics["global_accuracy"],
-        "rounds": config.rounds,
-    }
+    save_model(theta, out_dir / "model.bin")
     if chain is not None:
-        chain_path = out_dir / "chain.log"
-        chain_path.write_bytes(ledger.export_chain(chain))
-        result["chain_log"] = str(chain_path)
+        (out_dir / "chain.log").write_bytes(ledger.export_chain(chain))
         ok, bad = ledger.validate_chain(chain)
         if not ok:
             raise RuntimeError(f"chain failed self-validation at block {bad}")
-    return result
+    return {
+        "metrics_csv": str(metrics_path),
+        "final_global_acc": metrics["global_accuracy"],
+        "rounds": config.rounds,
+    }
