@@ -1,7 +1,8 @@
 """Seeded fuzz: flipped bits and truncations in each file the program reads.
 
-BFELDATA training files go through `bfel run`, model files through
-`load_model_values` and chain logs through `bfel validate-chain`. Every
+BFELDATA training files and IDX image/label pairs go through `bfel run`,
+model files through `load_model_values` and chain logs through
+`bfel validate-chain`. Every
 case must end in a documented exit code or a typed error; an uncaught
 exception fails the test.
 """
@@ -14,6 +15,7 @@ import pytest
 from bfel import cli, data, models, simulator
 
 BFELDATA_HEADER = 8 + 16 + 8 + 4  # magic, version/count/ndim, one dim, classes
+IDX_HEADERS = {"images": 16, "labels": 8}  # magic and count, then rows, cols
 
 
 def flipped(blob: bytes, bit: int) -> bytes:
@@ -27,13 +29,12 @@ def cut_lengths(blob: bytes, count: int, seed: int) -> list[int]:
     return sorted(set(int(n) for n in rng.integers(0, len(blob), count)))
 
 
-def write_run_config(tmp_path, name: str, train_path) -> tuple:
+def write_run_config(tmp_path, name: str, **data_keys) -> tuple:
     out_dir = tmp_path / f"out-{name}"
     config = tmp_path / f"{name}.cfg"
     config.write_text(
-        "dataset = bfeldata\n"
-        f"bfeldata_train = {train_path}\n"
-        "clients = 2\npartition = iid\nrounds = 1\nmlp_hidden = 4\n"
+        "".join(f"{key} = {value}\n" for key, value in data_keys.items())
+        + "clients = 2\npartition = iid\nrounds = 1\nmlp_hidden = 4\n"
         "batch_size = 4\nepsilon = 1e-3\n"
         f"output_dir = {out_dir}\n"
     )
@@ -50,7 +51,9 @@ class TestBfeldataThroughRun:
     def check_run(self, tmp_path, capsys, name, blob):
         train = tmp_path / f"{name}.bfel"
         train.write_bytes(blob)
-        config, out_dir = write_run_config(tmp_path, name, train)
+        config, out_dir = write_run_config(
+            tmp_path, name, dataset="bfeldata", bfeldata_train=train
+        )
         code = cli.main(["run", "--config", str(config)])
         err = capsys.readouterr().err
         if code == 0:
@@ -85,6 +88,51 @@ class TestBfeldataThroughRun:
             bit = 8 * (BFELDATA_HEADER + 8 * int(i)) + 62
             code = self.check_run(tmp_path, capsys, f"exp{i}", flipped(blob, bit))
             assert code == 2
+
+
+class TestIdxThroughRun:
+    @pytest.fixture(scope="class")
+    def blobs(self, tmp_path_factory):
+        rng = np.random.default_rng(17)
+        dataset = data.Dataset(rng.random((40, 6, 6)), np.arange(40) % 2, 2)
+        folder = tmp_path_factory.mktemp("idx")
+        paths = {"images": folder / "images.idx", "labels": folder / "labels.idx"}
+        data.save_idx(dataset, paths["images"], paths["labels"])
+        return {part: path.read_bytes() for part, path in paths.items()}
+
+    def run(self, tmp_path, capsys, name, blobs) -> int:
+        paths = {}
+        for part, blob in blobs.items():
+            paths[part] = tmp_path / f"{name}-{part}.idx"
+            paths[part].write_bytes(blob)
+        config, out_dir = write_run_config(
+            tmp_path, name, dataset="idx", idx_images=paths["images"],
+            idx_labels=paths["labels"],
+        )
+        code = cli.main(["run", "--config", str(config)])
+        err = capsys.readouterr().err
+        if code != 0:
+            assert code == 2, err
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert not out_dir.exists()
+        return code
+
+    def test_intact_pair_runs(self, tmp_path, capsys, blobs):
+        assert self.run(tmp_path, capsys, "intact", blobs) == 0
+
+    @pytest.mark.parametrize("part", sorted(IDX_HEADERS))
+    def test_every_header_bit_flip_exits_2(self, tmp_path, capsys, blobs, part):
+        # every flip breaks the magic, or a count or side that the payload
+        # length or the other file's count must match
+        for bit in range(8 * IDX_HEADERS[part]):
+            bad = dict(blobs, **{part: flipped(blobs[part], bit)})
+            assert self.run(tmp_path, capsys, f"{part}{bit}", bad) == 2
+
+    @pytest.mark.parametrize("part, seed", [("images", 18), ("labels", 19)])
+    def test_seeded_truncations_exit_2(self, tmp_path, capsys, blobs, part, seed):
+        for n in cut_lengths(blobs[part], 200, seed):
+            bad = dict(blobs, **{part: blobs[part][:n]})
+            assert self.run(tmp_path, capsys, f"{part}-cut{n}", bad) == 2
 
 
 class TestModelFile:

@@ -188,7 +188,7 @@ class TestRunExperiment:
     def test_ledger_off(self, tmp_path):
         config = parse_config(write_config(tmp_path, ledger="false"))
         result = run_experiment(config)
-        assert "chain_log" not in result
+        assert set(result) == {"metrics_csv", "final_global_acc", "rounds"}
         assert not (tmp_path / "out" / "chain.log").exists()
 
     def test_base_equals_single_client_fedavg(self, tmp_path):
@@ -290,6 +290,63 @@ def stiffness_warnings(err: str) -> list[tuple[int, float]]:
         head, value = line.split(" = ", 1)
         found.append((int(head.split()[2].rstrip(":")), float(value.split()[0])))
     return found
+
+
+class TestRounds:
+    """`rounds(config)` yields the rounds that run_experiment writes."""
+
+    @pytest.mark.parametrize("name", ["fedcurv", "cnn-fedavg"])
+    def test_records_give_the_written_files_byte_for_byte(self, tmp_path, name):
+        # golden configs, whose digests skip on other builds: this check
+        # holds on every numpy build
+        from test_golden import CONFIGS, write_images
+
+        out = tmp_path / "out"
+        settings = dict(CONFIGS[name], output_dir=str(out))
+        if settings.get("dataset") == "bfeldata":
+            settings["bfeldata_train"] = str(write_images(tmp_path / "train.bfel"))
+        config = ExperimentConfig(**settings)
+        records = list(simulator.rounds(config))
+        assert not out.exists()  # the stream writes nothing
+        run_experiment(config)
+
+        assert len(records) == config.rounds
+        rows = [simulator.CSV_HEADER]
+        for i, (round_idx, theta, updates, metrics, elapsed, chain) in enumerate(records):
+            assert round_idx == i
+            assert len(chain) == i + 2  # genesis, then one block per round
+            assert len(chain[-1].transactions) == len(updates) + 1
+            accs = metrics["client_accuracy"]
+            rows.append(",".join(map(repr, (
+                simulator.CSV_SCHEMA_VERSION, i + 1, metrics["global_accuracy"],
+                float(np.mean(accs)), float(np.min(accs)), float(np.max(accs)),
+                metrics["divergence"], elapsed,
+            ))))
+        assert (out / "metrics.csv").read_text() == "\n".join(rows) + "\n"
+        *_, theta, _, _, _, chain = records[-1]
+        simulator.save_model(theta, tmp_path / "model.bin")
+        assert (tmp_path / "model.bin").read_bytes() == (out / "model.bin").read_bytes()
+        assert ledger.export_chain(chain) == (out / "chain.log").read_bytes()
+        assert chain[:2] == records[0][5]  # a later round left round 1's as it was
+
+    @pytest.mark.parametrize("case", ["no idx files", "no training left", "unfit test set"])
+    def test_set_up_errors_raise_from_the_call_before_output_dir(self, tmp_path, case):
+        out = tmp_path / "out"
+        if case == "no idx files":
+            settings, message = dict(dataset="idx"), "needs idx_images"
+        elif case == "no training left":
+            settings, message = dict(test_fraction=1.0), "none of 200 samples"
+        else:
+            train, test = tmp_path / "train.bfel", tmp_path / "test.bfel"
+            data.save_bfeldata(data.synth_blobs(2, 10, 3, 0.2, seed=1), train)
+            data.save_bfeldata(data.synth_blobs(2, 10, 4, 0.2, seed=1), test)
+            settings = dict(dataset="bfeldata", bfeldata_train=str(train),
+                            bfeldata_test=str(test))
+            message = "does not fit"
+        config = ExperimentConfig(output_dir=str(out), **settings)
+        with pytest.raises(ConfigError, match=message):
+            simulator.rounds(config)  # raised by the call, not by a step
+        assert not out.exists()
 
 
 class TestStiffnessWarning:
@@ -519,6 +576,23 @@ class TestCli:
         assert f"round 1, local SGD, client(s) [{owner}]:" in err
         assert "not finite" in err and "Traceback" not in err
         assert sizes[-1] > 1  # the failing call stacked several clients
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedcurv"])
+    def test_blow_up_in_the_last_sgd_step_is_charged_to_local_sgd(
+        self, tmp_path, capsys, algorithm
+    ):
+        # one full-batch step of 1e308 times a finite gradient overflows
+        # every client's model, which only the returned models show
+        path = tmp_path / "config.txt"
+        path.write_text(
+            f"algorithm = {algorithm}\neta_local = 1e308\nbatch_size = 1000000\n"
+            f"synth_spread = 1e100\nrounds = 1\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["run", "--config", str(path)]) == 3
+        assert (
+            "error: numerical blow-up in round 1, local SGD, client(s) "
+            "[0, 1, 2, 3, 4]: local model not finite"
+        ) in capsys.readouterr().err
 
     def test_blow_up_prints_the_error_and_no_numpy_warning(self, tmp_path):
         # default step sizes (eta_global 1, epsilon 1e-8): a client's local
