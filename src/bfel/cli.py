@@ -61,11 +61,9 @@ def _cmd_bench_latency(args) -> int:
     )
     out = Path(args.output) if args.output else None
     lines = ["request_id,T,trd_ms,vtr_ms,tct_ms,end_to_end_ms"]
-    for r in report.requests:
-        lines.append(
-            f"{r.request_id},{r.concurrency},{r.trd_ms},{r.vtr_ms},"
-            f"{r.tct_ms},{r.end_to_end_ms}"
-        )
+    rows = zip(report.phases_ms.tolist(), report.end_to_end_ms.tolist())
+    for i, ((_, trd, vtr, tct), end_to_end) in enumerate(rows):
+        lines.append(f"{i},{args.concurrency},{trd},{vtr},{tct},{end_to_end}")
     if out:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text("\n".join(lines) + "\n")
@@ -120,6 +118,9 @@ def main(argv=None) -> int:
     except RoundNumericalError as e:
         print(f"error: numerical blow-up in {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # numpy's _ArrayMemoryError is one
+        print(f"error: out of memory: {e or type(e).__name__}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -122,7 +122,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         labels = np.frombuffer(_read_exact(f, label_count, labels_path), dtype=np.uint8)
     if label_count != count:
         raise DataFormatError(
-            f"count mismatch: {count} images vs {label_count} labels"
+            f"count mismatch: {count} images in {images_path}, "
+            f"{label_count} labels in {labels_path}"
         )
     classes = int(labels.max()) + 1 if count else 1
     return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), classes)

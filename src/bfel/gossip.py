@@ -99,24 +99,14 @@ def sequential_broadcast(net: GossipNetwork, origin: int) -> tuple[int, np.ndarr
 
 
 @dataclass(frozen=True)
-class RequestLatency:
-    request_id: int
-    concurrency: int
-    init_ms: float
-    trd_ms: float
-    vtr_ms: float
-    tct_ms: float
-    end_to_end_ms: float
-
-
-@dataclass(frozen=True)
 class LatencyReport:
-    requests: tuple[RequestLatency, ...]
+    phases_ms: np.ndarray  # (concurrency, 4): each request's init, TRD, VTR, TCT
+    end_to_end_ms: np.ndarray  # (concurrency,)
     broadcast_ms: float  # propagation of the confirmations to all nodes
     total_elapsed_ms: float
 
     def median_end_to_end(self) -> float:
-        return float(np.median([r.end_to_end_ms for r in self.requests]))
+        return float(np.median(self.end_to_end_ms))
 
 
 def measure_latencies(
@@ -128,41 +118,21 @@ def measure_latencies(
     """Simulate `concurrency` simultaneous transaction requests.
 
     end_to_end = request init + TRD + manager response + TCT, where the
-    manager validates one request at a time (queueing).
+    manager validates one request at a time, so a request's response waits
+    for the VTR of every request before it (queueing).
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     rng = np.random.default_rng([seed, concurrency])
-
-    def jitter(base):
-        return base * (0.9 + 0.2 * float(rng.random()))
-
-    requests = []
-    manager_busy_ms = 0.0
-    for i in range(concurrency):
-        init = jitter(1.0)
-        trd = jitter(BASE_TRD_MS)
-        vtr = jitter(BASE_VTR_MS)
-        tct = jitter(BASE_TCT_MS)
-        # queue wait accrues while earlier validations run
-        manager_response = manager_busy_ms + vtr
-        manager_busy_ms += vtr
-        end_to_end = init + trd + manager_response + tct
-        requests.append(
-            RequestLatency(i, concurrency, init, trd, vtr, tct, end_to_end)
-        )
-
-    last_done = max(r.end_to_end_ms for r in requests)
-    if net is None:
-        broadcast_ms = 0.0
-    elif use_gossip:
-        _, times = gossip_broadcast(net, origin=0)
-        broadcast_ms = float(times.max())
-    else:
-        _, times = sequential_broadcast(net, origin=0)
-        broadcast_ms = float(times.max())
+    # each request's init, TRD, VTR and TCT times, drawn in that order
+    base_ms = np.array([1.0, BASE_TRD_MS, BASE_VTR_MS, BASE_TCT_MS])
+    phases = base_ms * (0.9 + 0.2 * rng.random((concurrency, 4)))
+    init, trd, vtr, tct = phases.T
+    end_to_end = init + trd + np.cumsum(vtr) + tct
+    broadcast_ms = 0.0
+    if net is not None:
+        broadcast = gossip_broadcast if use_gossip else sequential_broadcast
+        broadcast_ms = float(broadcast(net, origin=0)[1].max())
     return LatencyReport(
-        requests=tuple(requests),
-        broadcast_ms=broadcast_ms,
-        total_elapsed_ms=last_done + broadcast_ms,
+        phases, end_to_end, broadcast_ms, float(end_to_end.max()) + broadcast_ms
     )

@@ -64,7 +64,7 @@ class ExperimentConfig(fedcurv.HyperParams):
               "synth_classes": (1, False), "synth_per_class": (1, False),
               "synth_dim": (1, False), "synth_spread": (0, False),
               "test_fraction": (0, True), "seed": (0, False)}
-    CHOICES = {"algorithm": ("fedcurv", "fedavg", "base"), "model": ("mlp", "cnn"),
+    CHOICES = {"algorithm": ("fedcurv", "fedavg"), "model": ("mlp", "cnn"),
                "dataset": ("synth", "idx", "bfeldata"),
                "partition": ("iid", "noniid_shards"), "clock": ("simulated", "wall")}
 
@@ -82,6 +82,8 @@ class ExperimentConfig(fedcurv.HyperParams):
                 raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
         if any(width < 1 for width in self.mlp_hidden):
             raise ConfigError(f"mlp_hidden widths must be >= 1, got {self.mlp_hidden!r}")
+        if "\0" in self.output_dir:  # no file system takes it
+            raise ConfigError(f"output_dir holds a NUL byte: {self.output_dir!r}")
         for key in ("idx_images", "idx_labels", "idx_test_images",
                     "idx_test_labels", "bfeldata_train", "bfeldata_test"):
             path = getattr(self, key)
@@ -102,7 +104,15 @@ def parse_config(path) -> ExperimentConfig:
     be given once, under either of its spellings."""
     kwargs, set_on = {}, {}
     fields = ExperimentConfig.__dataclass_fields__
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode()
+    except UnicodeDecodeError as e:  # the bad byte's line as splitlines counts
+        lineno = len((blob[: e.start].decode() + "x").splitlines())
+        raise ConfigError(
+            f"{path}:{lineno}: byte 0x{blob[e.start]:02x} is not UTF-8 text"
+        ) from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -218,20 +228,16 @@ def rounds(config: ExperimentConfig):
             f"the test set does not fit the model's input {spec.input_shape} "
             f"and {spec.classes} classes"
         )
-    if config.algorithm == "base":
-        clients = [train]  # so client_fraction samples it every round
-    else:
-        clients = data_mod.partition(
-            train, config.clients, config.partition, config.shards_per_client,
-            config.seed,
-        )
+    clients = data_mod.partition(
+        train, config.clients, config.partition, config.shards_per_client, config.seed
+    )
     # only partition reads the whole set: it goes with this frame, before
     # the rounds, whose local SGD makes one more copy of the clients' data
     return _round_stream(config, spec, clients, test)
 
 
 def _round_stream(config: ExperimentConfig, spec, clients, test):
-    algo = fedcurv if config.algorithm == "fedcurv" else fedavg  # base: FedAvg
+    algo = fedcurv if config.algorithm == "fedcurv" else fedavg
     theta = models.init_params(spec, config.seed)
     rng = np.random.default_rng([config.seed, 0x1A])
     clock_rng = np.random.default_rng([config.seed, 0x2B])

@@ -3,12 +3,12 @@
 No program path calls these: `fedcurv.local_train` takes the one-model
 steps below for a whole cohort at once, reading its batches from one
 shuffled copy of each client's data per epoch, `bfel.gossip` runs each
-hop and the sequential baseline as array operations, `bfel.models` orders
-each conv stage's outputs pool-window-major, builds no output that a pool
-window misses, and gathers its columns and scatters their gradients
-through one index per shape, and `bfel.ledger` hashes array buffers in
-place. The CNN below keeps the
-row-major conv layout and builds every per-sample gradient whole.
+hop, the sequential baseline and the latency model as array operations,
+`bfel.models` orders each conv stage's outputs pool-window-major, builds
+no output that a pool window misses, and gathers its columns and
+scatters their gradients through one index per shape, and `bfel.ledger`
+hashes array buffers in place. The CNN below keeps the row-major conv
+layout and builds every per-sample gradient whole.
 """
 
 import hashlib
@@ -19,6 +19,9 @@ import numpy as np
 
 from bfel import models
 from bfel.gossip import (
+    BASE_TCT_MS,
+    BASE_TRD_MS,
+    BASE_VTR_MS,
     HOP_JITTER_MS,
     HOP_LATENCY_MS,
     GossipCoverageError,
@@ -128,6 +131,35 @@ def sequential_broadcast(net: GossipNetwork, origin: int) -> tuple[int, np.ndarr
         clock += HOP_LATENCY_MS + HOP_JITTER_MS * float(rng.random())
         times[node] = clock
     return max(0, net.node_count - 1), times
+
+
+def measure_latencies(concurrency: int, net, use_gossip: bool, seed: int):
+    """The latency model one request at a time: four scalar draws each.
+
+    Returns each request's (init, trd, vtr, tct, end_to_end) in ms, the
+    broadcast time (0 without a network) and the total elapsed time.
+    """
+    rng = np.random.default_rng([seed, concurrency])
+
+    def jitter(base):
+        return base * (0.9 + 0.2 * float(rng.random()))
+
+    requests = []
+    manager_busy_ms = 0.0
+    for _ in range(concurrency):
+        init = jitter(1.0)
+        trd = jitter(BASE_TRD_MS)
+        vtr = jitter(BASE_VTR_MS)
+        tct = jitter(BASE_TCT_MS)
+        # queue wait accrues while earlier validations run
+        manager_response = manager_busy_ms + vtr
+        manager_busy_ms += vtr
+        requests.append((init, trd, vtr, tct, init + trd + manager_response + tct))
+    broadcast_ms = 0.0
+    if net is not None:
+        broadcast = gossip_broadcast if use_gossip else sequential_broadcast
+        broadcast_ms = float(broadcast(net, origin=0)[1].max())
+    return requests, broadcast_ms, max(r[4] for r in requests) + broadcast_ms
 
 
 def im2col(x: np.ndarray, k: int) -> np.ndarray:

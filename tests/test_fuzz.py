@@ -1,13 +1,14 @@
 """Seeded fuzz: flipped bits and truncations in each file the program reads.
 
-BFELDATA training files and IDX image/label pairs go through `bfel run`,
-model files through `load_model_values` and chain logs through
-`bfel validate-chain`. Every
-case must end in a documented exit code or a typed error; an uncaught
-exception fails the test.
+Config files, BFELDATA training files and IDX image/label pairs go
+through `bfel run`, model files through `load_model_values` and chain
+logs through `bfel validate-chain`. Every case must end in a documented
+exit code or a typed error; an uncaught exception fails the test.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ from bfel import cli, data, models, simulator
 
 BFELDATA_HEADER = 8 + 16 + 8 + 4  # magic, version/count/ndim, one dim, classes
 IDX_HEADERS = {"images": 16, "labels": 8}  # magic and count, then rows, cols
+# No single flip of "run" or of the space before it starts a path outside
+# the working directory: "o" would, since "o" ^ 0x40 is "/".
+RUN_CONFIG = (
+    b"algorithm = fedavg\nrounds = 1\nclients = 2\nsynth_per_class = 10\n"
+    b"mlp_hidden = 4\noutput_dir = run\n"
+)
 
 
 def flipped(blob: bytes, bit: int) -> bytes:
@@ -39,6 +46,48 @@ def write_run_config(tmp_path, name: str, **data_keys) -> tuple:
         f"output_dir = {out_dir}\n"
     )
     return config, out_dir
+
+
+class TestConfigThroughRun:
+    def run(self, tmp_path, capsys, monkeypatch, name, blob) -> tuple:
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)  # where a relative output_dir lands
+        (work / "run.cfg").write_bytes(blob)
+        code = cli.main(["run", "--config", "run.cfg"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert os.listdir(work) == ["run.cfg"]  # no output_dir
+        return code, err
+
+    def test_intact_config_runs(self, tmp_path, capsys, monkeypatch):
+        assert len(RUN_CONFIG) == 95
+        assert self.run(tmp_path, capsys, monkeypatch, "intact", RUN_CONFIG)[0] == 0
+        assert (tmp_path / "intact" / "run" / "metrics.csv").exists()
+
+    def test_every_bit_flip(self, tmp_path, capsys, monkeypatch):
+        nul_in_output_dir = 8 * (RUN_CONFIG.index(b"= run") + 1) + 5
+        codes = []
+        for bit in range(8 * len(RUN_CONFIG)):
+            blob = flipped(RUN_CONFIG, bit)
+            code, err = self.run(tmp_path, capsys, monkeypatch, f"bit{bit}", blob)
+            codes.append(code)
+            at = bit // 8
+            if bit % 8 == 7:  # a byte above 0x7f among ASCII is never UTF-8
+                line = RUN_CONFIG[:at].count(b"\n") + 1
+                assert err == (
+                    f"error: run.cfg:{line}: byte 0x{blob[at]:02x} is not UTF-8 text\n"
+                )
+            if bit == nul_in_output_dir:
+                assert err == "error: output_dir holds a NUL byte: '\\x00run'\n"
+        assert 0 < codes.count(0) < codes.count(2)
+
+    def test_every_truncation(self, tmp_path, capsys, monkeypatch):
+        for n in range(len(RUN_CONFIG)):
+            self.run(tmp_path, capsys, monkeypatch, f"cut{n}", RUN_CONFIG[:n])
 
 
 class TestBfeldataThroughRun:
@@ -100,7 +149,7 @@ class TestIdxThroughRun:
         data.save_idx(dataset, paths["images"], paths["labels"])
         return {part: path.read_bytes() for part, path in paths.items()}
 
-    def run(self, tmp_path, capsys, name, blobs) -> int:
+    def run(self, tmp_path, capsys, name, blobs) -> tuple:
         paths = {}
         for part, blob in blobs.items():
             paths[part] = tmp_path / f"{name}-{part}.idx"
@@ -115,10 +164,21 @@ class TestIdxThroughRun:
             assert code == 2, err
             assert len(err.splitlines()) == 1 and err.startswith("error: "), err
             assert not out_dir.exists()
-        return code
+        return code, err
 
     def test_intact_pair_runs(self, tmp_path, capsys, blobs):
-        assert self.run(tmp_path, capsys, "intact", blobs) == 0
+        assert self.run(tmp_path, capsys, "intact", blobs)[0] == 0
+
+    def test_count_mismatch_names_both_files(self, tmp_path, capsys, blobs):
+        labels = bytearray(blobs["labels"])
+        labels[4:8] = (int.from_bytes(labels[4:8], "big") + 1).to_bytes(4, "big")
+        bad = dict(blobs, labels=bytes(labels) + b"\x01")  # one label more
+        code, err = self.run(tmp_path, capsys, "mismatch", bad)
+        images, labels = (tmp_path / f"mismatch-{p}.idx" for p in ("images", "labels"))
+        assert code == 2
+        assert err == (
+            f"error: count mismatch: 40 images in {images}, 41 labels in {labels}\n"
+        )
 
     @pytest.mark.parametrize("part", sorted(IDX_HEADERS))
     def test_every_header_bit_flip_exits_2(self, tmp_path, capsys, blobs, part):
@@ -126,13 +186,13 @@ class TestIdxThroughRun:
         # length or the other file's count must match
         for bit in range(8 * IDX_HEADERS[part]):
             bad = dict(blobs, **{part: flipped(blobs[part], bit)})
-            assert self.run(tmp_path, capsys, f"{part}{bit}", bad) == 2
+            assert self.run(tmp_path, capsys, f"{part}{bit}", bad)[0] == 2
 
     @pytest.mark.parametrize("part, seed", [("images", 18), ("labels", 19)])
     def test_seeded_truncations_exit_2(self, tmp_path, capsys, blobs, part, seed):
         for n in cut_lengths(blobs[part], 200, seed):
             bad = dict(blobs, **{part: blobs[part][:n]})
-            assert self.run(tmp_path, capsys, f"{part}-cut{n}", bad) == 2
+            assert self.run(tmp_path, capsys, f"{part}-cut{n}", bad)[0] == 2
 
 
 class TestModelFile:

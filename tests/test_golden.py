@@ -42,7 +42,7 @@ CNN = dict(
 CONFIGS = {
     "fedcurv": dict(MLP, algorithm="fedcurv"),
     "fedavg": dict(MLP, algorithm="fedavg"),
-    "base": dict(MLP, algorithm="base"),
+    "base": dict(MLP, algorithm="fedavg", clients=1),
     "fedcurv-fraction-decay": dict(
         MLP, algorithm="fedcurv", client_fraction=0.5, lr_decay=True, local_epochs=2
     ),

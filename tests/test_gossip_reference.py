@@ -31,3 +31,23 @@ def test_sequential_broadcast_is_byte_identical_to_the_loop(node_count, origin):
         want_hops, want_times = reference.sequential_broadcast(net, origin)
         assert hops == want_hops
         assert times.tobytes() == want_times.tobytes()
+
+
+@pytest.mark.parametrize("concurrency", [1, 7, 100])
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("broadcast", [None, "gossip", "sequential"])
+def test_latency_arrays_are_bit_identical_to_the_request_loop(
+    concurrency, seed, broadcast
+):
+    net = None if broadcast is None else GossipNetwork(50, 2, seed=seed)
+    use_gossip = broadcast == "gossip"
+    report = gossip.measure_latencies(concurrency, net, use_gossip, seed)
+    requests, broadcast_ms, total_ms = reference.measure_latencies(
+        concurrency, net, use_gossip, seed
+    )
+    want = np.array(requests)
+    assert report.phases_ms.tobytes() == want[:, :4].tobytes()
+    assert report.end_to_end_ms.tobytes() == want[:, 4].tobytes()
+    assert (report.broadcast_ms, report.total_elapsed_ms) == (broadcast_ms, total_ms)
+    if broadcast is not None:
+        assert broadcast_ms > 0

@@ -79,7 +79,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("settings", [
         dict(partition="iid", shards_per_client=0),
-        dict(algorithm="base", clients=0),
+        dict(dataset="idx", synth_per_class=0),
         dict(dataset="idx", synth_classes=0),
         dict(dataset="bfeldata", synth_per_class=0),
         dict(dataset="bfeldata", synth_dim=-1),
@@ -191,39 +191,22 @@ class TestRunExperiment:
         assert set(result) == {"metrics_csv", "final_global_acc", "rounds"}
         assert not (tmp_path / "out" / "chain.log").exists()
 
-    def test_base_equals_single_client_fedavg(self, tmp_path):
-        base_cfg = parse_config(
-            write_config(
-                tmp_path, algorithm="base", output_dir=str(tmp_path / "base")
-            )
-        )
-        fedavg_cfg = parse_config(
-            write_config(
-                tmp_path, algorithm="fedavg", clients=1, partition="iid",
-                client_fraction=1.0, output_dir=str(tmp_path / "favg"),
-            )
-        )
-        r_base = run_experiment(base_cfg)
-        r_favg = run_experiment(fedavg_cfg)
-        assert r_base["final_global_acc"] == r_favg["final_global_acc"]
-        base_csv = (tmp_path / "base" / "metrics.csv").read_bytes()
-        favg_csv = (tmp_path / "favg" / "metrics.csv").read_bytes()
-        assert base_csv == favg_csv
-
-    @pytest.mark.parametrize("algorithm, setting, values", [
-        ("base", "client_fraction", (1.0, 0.5)),
-        ("fedavg", "lam", (0.0, 0.7)),
+    @pytest.mark.parametrize("algorithm, clients, setting, values", [
+        # "base": the one-client baseline, run as FedAvg with clients = 1
+        pytest.param("fedavg", 1, "client_fraction", (1.0, 0.5),
+                     id="base-client_fraction"),
+        ("fedavg", 3, "lam", (0.0, 0.7)),
     ])
     def test_setting_without_effect_leaves_every_output_byte(
-        self, tmp_path, algorithm, setting, values
+        self, tmp_path, algorithm, clients, setting, values
     ):
-        # base's one client is sampled at any fraction; FedAvg has no anchor
+        # one client is sampled at any fraction; FedAvg has no anchor
         outputs = []
         for value in values:
             out = tmp_path / f"{setting}-{value}"
             run_experiment(parse_config(write_config(
-                tmp_path, algorithm=algorithm, output_dir=str(out),
-                **{setting: value},
+                tmp_path, algorithm=algorithm, clients=clients,
+                output_dir=str(out), **{setting: value},
             )))
             outputs.append([(out / name).read_bytes()
                             for name in ("metrics.csv", "model.bin", "chain.log")])
@@ -424,7 +407,7 @@ class TestCli:
         "mlp_hidden=0", "mlp_hidden=-3", "mlp_hidden=8,0",
         "seed=-1", f"seed={2**63}", f"seed={10**40}",
         "rounds=0", "clients=0", "shards_per_client=0", "synth_classes=0",
-        "synth_per_class=0", "synth_dim=0", "algorithm=base;clients=0",
+        "synth_per_class=0", "synth_dim=0", "algorithm=base",
         "algorithm=sgd", "model=rnn", "dataset=mnist", "partition=dirichlet",
         "clock=cpu",
     ])
@@ -616,6 +599,28 @@ class TestCli:
         assert "round 2, local SGD, client(s) [5]:" in done.stderr
         assert "RuntimeWarning" not in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("kind", ["numpy", "python"])
+    @pytest.mark.parametrize("where", ["set-up", "round"])
+    def test_out_of_memory_exits_4_with_one_error_line(
+        self, tmp_path, capsys, monkeypatch, where, kind
+    ):
+        def exhausted(*args, **kwargs):
+            if kind == "numpy":
+                np.empty(2**57)  # 1 EiB: fails at once, allocating nothing
+            raise MemoryError
+
+        if where == "set-up":
+            monkeypatch.setattr(data, "synth_blobs", exhausted)
+        else:
+            monkeypatch.setattr(fedcurv, "run_round", exhausted)
+        assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        if kind == "numpy":
+            assert "Unable to allocate" in err
+        if where == "set-up":
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_gossip_sim_without_seeds_exits_2(self, seeds, capsys):
