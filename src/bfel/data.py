@@ -190,9 +190,10 @@ def load_bfeldata(path) -> Dataset:
 def partition(
     dataset: Dataset, client_count: int, mode: str, shards_per_client: int, seed: int
 ) -> list[Dataset]:
-    """Split a dataset into disjoint, exhaustive per-client datasets: a
-    seeded iid split (mode "iid"), or label-sorted shards dealt out
-    shards_per_client to each client (mode "noniid_shards")."""
+    """Split a dataset into disjoint, exhaustive, non-empty per-client
+    datasets: a seeded iid split (mode "iid"), or label-sorted shards dealt
+    out shards_per_client to each client (mode "noniid_shards"). Too few
+    samples for the clients or shards raise before any split is built."""
     if client_count < 1:
         raise PartitionError("client_count must be >= 1")
     if mode not in ("iid", "noniid_shards"):
@@ -200,6 +201,8 @@ def partition(
     n = len(dataset)
     rng = np.random.default_rng(seed)
     if mode == "iid":
+        if n < client_count:
+            raise PartitionError(f"{client_count} clients requested from {n} samples")
         order = rng.permutation(n)
         splits = np.array_split(order, client_count)
     else:
@@ -222,10 +225,7 @@ def partition(
             )
             for c in range(client_count)
         ]
-    parts = [dataset.subset(np.sort(idx)) for idx in splits]
-    if any(len(p) == 0 for p in parts):
-        raise PartitionError("partition left a client with no samples")
-    return parts
+    return [dataset.subset(np.sort(idx)) for idx in splits]
 
 
 def synth_blobs(

@@ -126,24 +126,6 @@ class ClientUpdate:
             raise ValueError("fisher and gradient must be given together")
 
 
-def compute_fisher_diagonal(
-    spec: ModelSpec, theta_global: ParameterVector, local_dataset: Dataset
-) -> ParameterVector:
-    """Diagonal empirical Fisher at theta_global over the local dataset: the
-    mean squared per-sample log-likelihood gradient, in theta's layout.
-
-    The squares are summed in batched chunks of samples, for the MLP and the
-    CNN alike.
-    """
-    n = len(local_dataset)
-    if n == 0:
-        raise EmptyDatasetError("cannot estimate Fisher on an empty dataset")
-    acc = np.zeros(theta_global.layout.size)
-    for x, labels in models._chunks(local_dataset.samples, local_dataset.labels):
-        acc += models.sum_squared_loglik_grads(spec, theta_global, x, labels)
-    return theta_global.with_values(acc / n)
-
-
 def local_train(
     spec: ModelSpec,
     theta_global: ParameterVector,
@@ -236,22 +218,6 @@ def local_train(
     return [theta_global.with_values(row) for row in thetas]
 
 
-def server_gradient(
-    spec: ModelSpec, theta_local: ParameterVector, local_dataset: Dataset
-) -> ParameterVector:
-    """Unregularized full-dataset gradient at theta_local (g_k): the mean
-    gradients of chunks of samples, each weighted by its share of them."""
-    n = len(local_dataset)
-    if n == 0:
-        raise EmptyDatasetError("cannot take a gradient on an empty dataset")
-    total = None
-    for x, labels in models._chunks(local_dataset.samples, local_dataset.labels):
-        _, grad = models.loss_and_grad(spec, theta_local, x, labels)
-        part = (len(labels) / n) * grad.values
-        total = part if total is None else total + part
-    return theta_local.with_values(total)
-
-
 def client_sum(
     theta: ParameterVector, updates: list[ClientUpdate], field: str, weights=None
 ) -> np.ndarray:
@@ -292,7 +258,10 @@ def client_round(
     fishers = []
     for cid, ds in zip(client_ids, datasets):
         with _phase("Fisher", round_no, [cid]):
-            fishers.append(compute_fisher_diagonal(spec, theta_global, ds))
+            sums = models.sum_squared_loglik_grads(
+                spec, theta_global, ds.samples, ds.labels
+            )
+            fishers.append(theta_global.with_values(sums / len(ds)))
     # a penalty coordinate shrinks by 1 - eta_local * lam * F per step, so
     # from 2 on, the steps overshoot the anchor by more each time
     stiffness = hp.eta_local * hp.lam * max(float(f.values.max()) for f in fishers)
@@ -309,7 +278,7 @@ def client_round(
     updates = []
     for cid, ds, fisher, theta_local in zip(client_ids, datasets, fishers, thetas):
         with _phase("server gradient", round_no, [cid]):
-            g_k = server_gradient(spec, theta_local, ds)
+            _, g_k = models.loss_and_grad(spec, theta_local, ds.samples, ds.labels)
         updates.append(
             ClientUpdate(
                 client_id=cid,

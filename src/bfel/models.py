@@ -492,14 +492,19 @@ def forward(
 def loss_and_grad(
     spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> tuple[float, ParameterVector]:
-    """Mean cross-entropy over the samples x and its exact gradient."""
-    losses, grads = stacked_loss_and_grad(
-        spec, params.layout, params.values[None], x[None], labels[None]
-    )
-    loss = float(losses[0])
-    if not math.isfinite(loss) or not np.all(np.isfinite(grads)):
-        raise NumericalError("loss/gradient not finite")
-    return loss, params.with_values(grads[0])
+    """Mean cross-entropy over the samples x and its exact gradient: each
+    chunk's mean times its share of the samples, summed from the first."""
+    loss = grad = None
+    for xc, lc in _chunks(x, labels):
+        losses, grads = stacked_loss_and_grad(
+            spec, params.layout, params.values[None], xc[None], lc[None]
+        )
+        if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
+            raise NumericalError("loss/gradient not finite")
+        share = len(lc) / len(labels)
+        part, gpart = share * float(losses[0]), share * grads[0]
+        loss, grad = (part, gpart) if grad is None else (loss + part, grad + gpart)
+    return loss, params.with_values(grad)
 
 
 def per_sample_loglik_grad(
@@ -519,13 +524,16 @@ def per_sample_loglik_grad(
 def sum_squared_loglik_grads(
     spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Sum over the samples x of squared per-sample log-likelihood gradients."""
+    """Sum over the samples x of squared per-sample log-likelihood gradients,
+    added up chunk by chunk from zeros."""
     layout, thetas = params.layout, params.values[None]
-    _, caches, dlogits = _output_grads(spec, layout, thetas, x[None], labels[None])
-    out = _grad_sums(spec, layout, thetas, caches, dlogits, 2)
+    out = np.zeros(layout.size)
+    for xc, lc in _chunks(x, labels):
+        _, caches, dlogits = _output_grads(spec, layout, thetas, xc[None], lc[None])
+        out += _grad_sums(spec, layout, thetas, caches, dlogits, 2)[0]
     if not np.all(np.isfinite(out)):
         raise NumericalError("squared log-likelihood gradients not finite")
-    return out[0]
+    return out
 
 
 def _chunks(x: np.ndarray, labels: np.ndarray):

@@ -47,6 +47,13 @@ def sgd_step(
     return params.with_values(params.values - lr * grad.values)
 
 
+def fisher_diagonal(spec: ModelSpec, theta: ParameterVector, ds) -> ParameterVector:
+    """F_k as `fedcurv.client_round` takes it: the mean over ds of the
+    squared per-sample log-likelihood gradients at theta."""
+    sums = models.sum_squared_loglik_grads(spec, theta, ds.samples, ds.labels)
+    return theta.with_values(sums / len(ds))
+
+
 def regularized_loss(
     spec: ModelSpec,
     theta: ParameterVector,

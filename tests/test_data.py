@@ -227,6 +227,20 @@ class TestPartition:
         with pytest.raises(PartitionError):
             data.partition(ds, 4, "noniid_shards", shards_per_client=2, seed=0)
 
+    @pytest.mark.parametrize("mode, match", [
+        ("iid", "1000000 clients requested from 10 samples"),
+        ("noniid_shards", "2000000 shards requested from 10 samples"),
+    ])
+    def test_fewer_samples_than_clients_raises_before_any_split(
+        self, monkeypatch, mode, match
+    ):
+        ds = data.synth_blobs(2, 5, 2, 0.1, seed=0)
+        subsets = []
+        monkeypatch.setattr(data.Dataset, "subset", lambda *a: subsets.append(a))
+        with pytest.raises(PartitionError, match=match):
+            data.partition(ds, 10**6, mode, shards_per_client=2, seed=0)
+        assert subsets == []
+
     @pytest.mark.parametrize(
         "clients, mode, shards, match",
         [

@@ -6,6 +6,7 @@ import pytest
 from bfel import data, fedavg, fedcurv, models
 from bfel.fedcurv import AggregationError, ClientUpdate, HyperParams
 from bfel.models import ModelSpec, ParameterVector, build_layout
+from reference import fisher_diagonal
 
 
 def tiny_spec():
@@ -45,7 +46,7 @@ class TestLocalTrainPlain:
 
     def test_matches_fedcurv_lambda_zero(self):
         hp = HyperParams(lam=0.5, eta_local=0.1, local_epochs=3, batch_size=5)
-        fisher = fedcurv.compute_fisher_diagonal(self.spec, self.theta, self.ds)
+        fisher = fisher_diagonal(self.spec, self.theta, self.ds)
         plain = self.train(hp, 77)
         [curv] = fedcurv.local_train(
             self.spec, self.theta, [fisher], [self.ds], replace(hp, lam=0.0), [77]

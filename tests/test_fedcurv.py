@@ -6,16 +6,17 @@ from bfel.data import Dataset
 from bfel.fedcurv import (
     AggregationError,
     ClientUpdate,
-    EmptyDatasetError,
     HyperParams,
 )
 from bfel.models import (
     LayoutMismatchError,
     ModelSpec,
     ParameterVector,
+    ShapeMismatchError,
     build_layout,
 )
 from reference import (
+    fisher_diagonal,
     regularized_gradient,
     regularized_loss,
     sgd_step,
@@ -69,7 +70,7 @@ class TestComputeFisher:
         pv = params.with_values(params.values.copy())
         pv.segment("fc0", "bias")[...] = [1000.0, -1000.0]
         ds = Dataset(np.ones((4, 1)), np.zeros(4, dtype=int), 2)
-        f = fedcurv.compute_fisher_diagonal(spec, pv, ds)
+        f = fisher_diagonal(spec, pv, ds)
         assert np.array_equal(f.values, np.zeros(layout.size))
 
     def test_logistic_brute_force_oracle(self):
@@ -81,7 +82,7 @@ class TestComputeFisher:
         expected = np.mean(
             [logistic_loglik_grad(w, x, y) ** 2 for x, y in zip(xs, ys)], axis=0
         )
-        f = fedcurv.compute_fisher_diagonal(logistic_spec(), logistic_params(w), ds)
+        f = fisher_diagonal(logistic_spec(), logistic_params(w), ds)
         assert np.allclose(f.values, expected, atol=1e-15)
 
     def test_duplicated_dataset_mean_invariance(self):
@@ -93,8 +94,8 @@ class TestComputeFisher:
             np.concatenate([ds.labels, ds.labels]),
             ds.class_count,
         )
-        f1 = fedcurv.compute_fisher_diagonal(spec, params, ds)
-        f2 = fedcurv.compute_fisher_diagonal(spec, params, doubled)
+        f1 = fisher_diagonal(spec, params, ds)
+        f2 = fisher_diagonal(spec, params, doubled)
         assert np.allclose(f1.values, f2.values, atol=1e-15)
 
     def test_nonnegative_on_random_inputs(self):
@@ -102,14 +103,15 @@ class TestComputeFisher:
         for seed in range(5):
             params = models.init_params(spec, seed)
             ds = small_dataset(seed=seed)
-            f = fedcurv.compute_fisher_diagonal(spec, params, ds)
+            f = fisher_diagonal(spec, params, ds)
             assert np.all(f.values >= 0)
 
     def test_empty_dataset(self):
+        # the model call's input check rejects it before any division by n
         spec = logistic_spec()
         ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), 2)
-        with pytest.raises(EmptyDatasetError):
-            fedcurv.compute_fisher_diagonal(spec, logistic_params([0, 0]), ds)
+        with pytest.raises(ShapeMismatchError, match="at least one sample"):
+            fisher_diagonal(spec, logistic_params([0, 0]), ds)
 
 
 class TestRegularizedLoss:
@@ -118,7 +120,7 @@ class TestRegularizedLoss:
         self.theta_g = models.init_params(self.spec, 0)
         self.ds = small_dataset(seed=2, n=8, classes=2)
         self.x, self.y = self.ds.samples, self.ds.labels
-        self.fisher = fedcurv.compute_fisher_diagonal(self.spec, self.theta_g, self.ds)
+        self.fisher = fisher_diagonal(self.spec, self.theta_g, self.ds)
 
     def test_anchor_point_penalty_is_zero(self):
         plain, _ = models.loss_and_grad(self.spec, self.theta_g, self.x, self.y)
@@ -193,7 +195,7 @@ class TestLocalTrain:
         self.spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))
         self.theta_g = models.init_params(self.spec, 4)
         self.ds = small_dataset(seed=5, n=10, classes=2)
-        self.fisher = fedcurv.compute_fisher_diagonal(self.spec, self.theta_g, self.ds)
+        self.fisher = fisher_diagonal(self.spec, self.theta_g, self.ds)
 
     def train(self, hp, seed):
         [out] = fedcurv.local_train(
@@ -234,12 +236,20 @@ class TestLocalTrain:
 
 class TestServerGradient:
     def test_definitional_equality(self):
+        # a client's g_k is the plain full-set gradient at its trained model,
+        # and its F_k the mean squared log-likelihood gradient at the anchor
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(3,))
         params = models.init_params(spec, 6)
         ds = small_dataset(seed=7)
-        _, expected = models.loss_and_grad(spec, params, ds.samples, ds.labels)
-        got = fedcurv.server_gradient(spec, params, ds)
-        assert np.array_equal(got.values, expected.values)
+        [update] = fedcurv.client_round(
+            spec, params, [ds], make_hp(batch_size=5), [3], 0, [8]
+        )
+        _, expected = models.loss_and_grad(
+            spec, update.theta_local, ds.samples, ds.labels
+        )
+        assert np.array_equal(update.gradient.values, expected.values)
+        fisher = fisher_diagonal(spec, params, ds)
+        assert np.array_equal(update.fisher.values, fisher.values)
 
     def test_logistic_closed_form(self):
         w = [0.2, -0.5]
@@ -248,7 +258,9 @@ class TestServerGradient:
         expected = -np.mean(
             [logistic_loglik_grad(w, x, y) for x, y in zip(xs, ys)], axis=0
         )
-        got = fedcurv.server_gradient(logistic_spec(), logistic_params(w), ds)
+        _, got = models.loss_and_grad(
+            logistic_spec(), logistic_params(w), ds.samples, ds.labels
+        )
         assert np.allclose(got.values, expected, atol=1e-15)
 
 
@@ -616,9 +628,7 @@ class TestLocalTrainInputs:
         spec = LOCKSTEP_SPECS[kind]
         theta_g = models.init_params(spec, 5)
         clients = ragged_clients(spec, [10, 7, 10, 9], seed=6)
-        fishers = [
-            fedcurv.compute_fisher_diagonal(spec, theta_g, ds) for ds in clients
-        ]
+        fishers = [fisher_diagonal(spec, theta_g, ds) for ds in clients]
         hp = make_hp(lam=0.3, eta_local=0.05, local_epochs=2, batch_size=4)
         writable = fedcurv.local_train(
             spec, theta_g, fishers, clients, hp, [11, 12, 13, 14]
@@ -657,7 +667,7 @@ class TestLockstep:
     def assert_alone(self, spec, theta_g, clients, hp, pairs):
         for cid, seed, theta in pairs:
             ds = clients[cid]
-            fisher = fedcurv.compute_fisher_diagonal(spec, theta_g, ds)
+            fisher = fisher_diagonal(spec, theta_g, ds)
             alone = train_alone(
                 spec, theta_g, fisher, ds, hp, seed, self.ROUND * hp.local_epochs
             )
@@ -694,9 +704,7 @@ class TestLockstep:
         theta_g = models.init_params(spec, 5)
         clients = ragged_clients(spec, [10, 7, 10, 9], seed=6)
         hp = make_hp(**self.HP)
-        fishers = [
-            fedcurv.compute_fisher_diagonal(spec, theta_g, ds) for ds in clients
-        ]
+        fishers = [fisher_diagonal(spec, theta_g, ds) for ds in clients]
         seeds = [11, 12, 13, 14]
         widths = self.spy_widths(monkeypatch)
         thetas = fedcurv.local_train(

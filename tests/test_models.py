@@ -485,15 +485,14 @@ class TestColumnBuffers:
         assert columns == 1_700_352
         assert first - second >= columns
 
-    @pytest.mark.parametrize("call", ["accuracy", "server_gradient"])
+    @pytest.mark.parametrize(
+        "call", ["accuracy", "loss_and_grad", "sum_squared_loglik_grads"]
+    )
     def test_full_set_pass_holds_at_most_512_samples_of_columns(self, empty, call):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
         params = models.init_params(spec, 0)
         x, y = random_batch(spec, 600, 7)
-        if call == "accuracy":
-            models.accuracy(spec, params, x, y)
-        else:
-            fedcurv.server_gradient(spec, params, data.Dataset(x, y, spec.classes))
+        getattr(models, call)(spec, params, x, y)
         # columns per sample: 1*9*4*5*5 in stage 1; 8*9*4*1*1 in stage 2,
         # whose 3x3 output has one pool window
         assert 0 < models._COLUMNS[0].size <= 512 * 900
@@ -503,7 +502,7 @@ class TestColumnBuffers:
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
         params = models.init_params(spec, 0)
         x, y = random_batch(spec, 600, 7)
-        fedcurv.server_gradient(spec, params, data.Dataset(x, y, spec.classes))
+        models.loss_and_grad(spec, params, x, y)
         # each stage gathers its columns through its index: one sample's
         # 1 x 12 x 12 input as 9 columns of the 4 members of its 5*5 pool
         # windows, and its 8 x 5 x 5 input as 8*9 columns of the 4 members
@@ -531,11 +530,11 @@ class TestColumnBuffers:
         x16, y16 = random_batch(spec, 16, 3)
         x20, y20 = random_batch(spec, 20, 4)
         xs, ys = random_batch(spec, 3 * 16, 5)
-        big = data.Dataset(*random_batch(spec, 520, 6), spec.classes)
+        xb, yb = random_batch(spec, 520, 6)
         calls = [
             lambda: models.loss_and_grad(spec, params, x16, y16),
             lambda: models.loss_and_grad(spec, params, x20, y20),
-            lambda: fedcurv.compute_fisher_diagonal(spec, params, big),
+            lambda: models.sum_squared_loglik_grads(spec, params, xb, yb),
             lambda: models.loss_and_grad(spec, params, x16, y16),
             lambda: models.stacked_loss_and_grad(
                 spec, layout, thetas, xs.reshape((3, 16) + xs.shape[1:]),
@@ -638,6 +637,7 @@ class TestSquaredGradients:
         x, y = random_batch(spec, 6, 5)
         client = data.Dataset(x, y, spec.classes)
         want = squared_grad_loop(spec, params, x, y) / len(y)
+        hp = fedcurv.HyperParams(batch_size=3)
         batched = models.sum_squared_loglik_grads
         calls = []
 
@@ -650,9 +650,42 @@ class TestSquaredGradients:
 
         monkeypatch.setattr(models, "sum_squared_loglik_grads", counted)
         monkeypatch.setattr(models, "per_sample_loglik_grad", forbidden)
-        fisher = fedcurv.compute_fisher_diagonal(spec, params, client)
-        assert len(calls) == 1  # one chunk for the whole client
-        assert max_rel_err(fisher.values, want, floor=1e-12) <= 1e-10
+        [update] = fedcurv.client_round(spec, params, [client], hp, [0], 0, [1])
+        assert len(calls) == 1  # one call for the whole client
+        assert max_rel_err(update.fisher.values, want, floor=1e-12) <= 1e-10
+
+
+class TestChunkedFullSetPasses:
+    """The full-set passes over more than one 512-sample chunk."""
+
+    SPEC = ModelSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(5,))
+
+    def setup_method(self):
+        self.params = models.init_params(self.SPEC, 3)
+        self.x, self.y = random_batch(self.SPEC, 1100, 9)  # chunks 512, 512, 76
+
+    def test_fisher_sums_match_the_per_sample_loop(self):
+        got = models.sum_squared_loglik_grads(self.SPEC, self.params, self.x, self.y)
+        want = squared_grad_loop(self.SPEC, self.params, self.x, self.y)
+        assert max_rel_err(got, want, floor=1e-12) <= 1e-10
+
+    def test_gradient_is_the_share_weighted_sum_of_chunk_means(self):
+        loss, grad = models.loss_and_grad(self.SPEC, self.params, self.x, self.y)
+        layout, thetas = self.params.layout, self.params.values[None]
+        want_loss = want = None
+        for start in (0, 512, 1024):
+            xc, yc = self.x[start : start + 512], self.y[start : start + 512]
+            losses, grads = models.stacked_loss_and_grad(
+                self.SPEC, layout, thetas, xc[None], yc[None]
+            )
+            share = len(yc) / 1100
+            part, lpart = share * grads[0], share * float(losses[0])
+            if want is None:
+                want, want_loss = part, lpart
+            else:
+                want, want_loss = want + part, want_loss + lpart
+        assert same_bits(grad.values, want)
+        assert loss == want_loss
 
 
 class TestMaxPool:

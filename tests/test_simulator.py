@@ -622,6 +622,18 @@ class TestCli:
         if where == "set-up":
             assert not (tmp_path / "out").exists()
 
+    def test_fewer_samples_than_clients_names_both_counts(self, tmp_path, capsys):
+        # 2 samples, 1 held out for testing: 1 left for 2 clients
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "algorithm = fedavg\nclients = 2\nsynth_per_class = 1\nrounds = 1\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 2 clients requested from 1 samples\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_gossip_sim_without_seeds_exits_2(self, seeds, capsys):
         code = cli.main(["gossip-sim", "--nodes", "16", "--fanout", "2",
