@@ -32,10 +32,6 @@ from .models import (
 )
 
 
-class EmptyDatasetError(ValueError):
-    pass
-
-
 class AggregationError(ValueError):
     pass
 
@@ -70,8 +66,6 @@ def _phase(phase: str, round_no: int, client_ids=()):
         # overflow and invalid-value warnings would only repeat the error
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             yield
-    except RoundNumericalError:
-        raise
     except NumericalError as e:
         ids = [client_ids[i] for i in e.positions] if e.positions else client_ids
         raise RoundNumericalError(round_no, phase, ids, str(e)) from e
@@ -152,10 +146,9 @@ def local_train(
     round_no * hp.local_epochs. With fishers None or hp.lam == 0 this is
     plain SGD. A non-finite loss or gradient, or a non-finite returned
     model (a last step that overflows), raises NumericalError naming the
-    clients' positions in `datasets`.
+    clients' positions in `datasets`. An empty dataset takes no step, so
+    its client gets theta_global back.
     """
-    if any(len(ds) == 0 for ds in datasets):
-        raise EmptyDatasetError("cannot train on an empty dataset")
     layout, anchor = theta_global.layout, theta_global.values
     thetas = np.tile(anchor, (len(datasets), 1))
     lam_f = None
@@ -365,10 +358,7 @@ def run_round(
         new_theta = server_step(theta, updates, hp)
         if not np.all(np.isfinite(new_theta.values)):
             raise NumericalError("global model not finite")
-    metrics = {
-        "sampled_clients": sampled,
-        "divergence": divergence(theta, updates),
-    }
+    metrics = {"divergence": divergence(theta, updates)}
     if test_set is not None:
         x, labels = test_set.samples, test_set.labels
         with _phase("evaluation", round_no):

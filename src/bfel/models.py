@@ -36,12 +36,15 @@ class NumericalError(ArithmeticError):
         self.positions = tuple(positions)
 
 
+KERNEL = 3  # the side of every CNN convolution's square kernel
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description for the two supported model families.
 
     kind="mlp": dense layers input -> hidden... -> classes, ReLU between.
-    kind="cnn": two conv(kernel x kernel, valid, stride 1) + 2x2 max-pool
+    kind="cnn": two conv(KERNEL x KERNEL, valid, stride 1) + 2x2 max-pool
     stages, then two fully connected layers.
     """
 
@@ -50,7 +53,6 @@ class ModelSpec:
     classes: int
     hidden: tuple[int, ...] = ()
     conv_channels: tuple[int, int] = (8, 16)
-    kernel: int = 3
     fc_hidden: int = 64
     bias: bool = True
 
@@ -76,10 +78,6 @@ class ModelSpec:
         raise ShapeMismatchError(
             f"cnn input_shape must be (H, W) or (C, H, W), got {self.input_shape}"
         )
-
-    @property
-    def input_size(self) -> int:
-        return math.prod(self.input_shape)
 
 
 @dataclass(frozen=True)
@@ -135,12 +133,12 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
             offset += math.prod(part)
 
     if spec.kind == "mlp":
-        dims = [spec.input_size, *spec.hidden, spec.classes]
+        dims = [math.prod(spec.input_shape), *spec.hidden, spec.classes]
         for i in range(len(dims) - 1):
             add(f"fc{i}", (dims[i], dims[i + 1]), dims[i + 1])
     else:
         c, h, w = spec._chw()
-        k = spec.kernel
+        k = KERNEL
         in_c = c
         for i, out_c in enumerate(spec.conv_channels):
             add(f"conv{i}", (out_c, in_c, k, k), out_c)
@@ -217,27 +215,23 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
 _COLUMNS = [np.empty(0), np.empty(0)]
 
 
-# (C, H, W, k) -> for each of one sample's (C*k*k, 4*L) columns, the flat
-# (C, H, W) pixel it holds: `_im2col` gathers through it and `_col2im`
-# scatters back; built once per shape
-_SCATTER_INDEX: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _scatter_index(c: int, h: int, w: int, k: int) -> np.ndarray:
-    """The columns are pool-window-major: the row of input channel c and
+    """For each of one sample's (C*k*k, 4*L) columns, the flat (C, H, W)
+    pixel it holds: `_im2col` gathers through it and `_col2im` scatters
+    back; built once per shape.
+
+    The columns are pool-window-major: the row of input channel c and
     kernel offset (i, j) holds four blocks, one per 2x2 pool window member
     in `_maxpool2`'s order, each over the L = (Ho//2)*(Wo//2) windows in
     row-major order. An odd last conv output row or column, which no window
     covers, has no column."""
-    key = (c, h, w, k)
-    if key not in _SCATTER_INDEX:
-        pixels = np.arange(c * h * w).reshape(c, h, w)
-        sc, sh, sw = pixels.strides
-        shape = (c, k, k, 2, 2, (h - k + 1) // 2, (w - k + 1) // 2)
-        strides = (sc, sh, sw, sh, sw, 2 * sh, 2 * sw)
-        patches = np.lib.stride_tricks.as_strided(pixels, shape, strides)
-        _SCATTER_INDEX[key] = patches.ravel()
-    return _SCATTER_INDEX[key]
+    pixels = np.arange(c * h * w).reshape(c, h, w)
+    sc, sh, sw = pixels.strides
+    shape = (c, k, k, 2, 2, (h - k + 1) // 2, (w - k + 1) // 2)
+    strides = (sc, sh, sw, sh, sw, 2 * sh, 2 * sw)
+    patches = np.lib.stride_tricks.as_strided(pixels, shape, strides)
+    return patches.ravel()
 
 
 def _im2col(x: np.ndarray, k: int, stage: int) -> np.ndarray:
@@ -352,7 +346,7 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
     else:
         a = x.reshape((kk * n,) + spec._chw())
         dense = 2
-        k = spec.kernel
+        k = KERNEL
         for i in range(2):
             name = f"conv{i}"
             wgt = layout.stacked(thetas, name, "weight")
@@ -436,7 +430,7 @@ def _grad_sums(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits, p)
                 dcols = (wmat.transpose(0, 1, 3, 2) @ dflat).reshape(
                     (-1,) + a.shape[2:]
                 )
-                da = _col2im(dcols, in_shape, spec.kernel)
+                da = _col2im(dcols, in_shape, KERNEL)
                 del dcols  # not held while the next layer is summed
         if spec.bias:
             layout.stacked(out, name, "bias")[...] += bias

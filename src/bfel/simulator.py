@@ -242,12 +242,12 @@ def _round_stream(config: ExperimentConfig, spec, clients, test):
     rng = np.random.default_rng([config.seed, 0x1A])
     clock_rng = np.random.default_rng([config.seed, 0x2B])
 
-    server_key = ledger.keygen(config.seed * 100003)
-    client_keys = {
-        cid: ledger.keygen(config.seed * 100003 + cid + 1)
-        for cid in range(len(clients))
-    }
-    chain = ledger.new_chain() if config.ledger_enabled else None
+    chain = None
+    if config.ledger_enabled:
+        base = config.seed * 100003  # the server's key; client k's is base + k + 1
+        keys = [ledger.keygen(base + i) for i in range(len(clients) + 1)]
+        server_key, client_keys = keys[0], keys[1:]
+        chain = ledger.new_chain()
 
     sim_clock_ms = 0.0
     wall_start = time.monotonic()
@@ -283,11 +283,15 @@ def _round_stream(config: ExperimentConfig, spec, clients, test):
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured algorithm; write metrics CSV, model, chain log.
 
-    Config and data errors are raised before output_dir is created.
+    Config and data errors are raised before output_dir is touched; then
+    an earlier run's three files there are removed, so a run that fails in
+    a round leaves none of them, and one with the ledger off no chain.log.
     """
     stream = rounds(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("metrics.csv", "model.bin", "chain.log"):
+        (out_dir / name).unlink(missing_ok=True)
     rows = [CSV_HEADER]  # metrics.csv, one line per round
     for round_idx, theta, _, metrics, elapsed, chain in stream:
         accs = metrics["client_accuracy"]
@@ -300,8 +304,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     metrics_path.write_text("\n".join(rows) + "\n")
     save_model(theta, out_dir / "model.bin")
     if chain is not None:
-        (out_dir / "chain.log").write_bytes(ledger.export_chain(chain))
-        ok, bad = ledger.validate_chain(chain)
+        blob = ledger.export_chain(chain)
+        (out_dir / "chain.log").write_bytes(blob)
+        ok, bad = ledger.validate_chain_bytes(blob)  # as validate-chain reads it
         if not ok:
             raise RuntimeError(f"chain failed self-validation at block {bad}")
     return {

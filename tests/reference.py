@@ -233,7 +233,7 @@ def cnn_per_sample(spec: ModelSpec, layout, thetas, x, labels):
     whole (Ho, Wo) map; every per-sample gradient is built whole.
     """
     kk, n = labels.shape
-    k = spec.kernel
+    k = models.KERNEL
     a = x.reshape((kk * n,) + spec._chw())
     layers = []  # (name, input, mask of the output, conv pooling state)
     for name in ("conv0", "conv1"):

@@ -429,6 +429,6 @@ def test_c10_cnn_experiment_determinism(tmp_path):
     for _ in range(2):
         simulator.run_experiment(config)
         runs.append([(tmp_path / "a" / name).read_bytes() for name in names])
-    assert models._SCATTER_INDEX and models._COLUMNS[1].size
+    assert models._scatter_index.cache_info().currsize and models._COLUMNS[1].size
     assert runs[0] == runs[1]
     ok("C10 determinism: CNN rerun produced byte-identical outputs")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bfel import data, fedcurv, models
+from bfel import data, fedavg, fedcurv, models
 from bfel.data import Dataset
 from bfel.fedcurv import (
     AggregationError,
@@ -232,6 +232,42 @@ class TestLocalTrain:
         )
         expected = self.theta_g.values - 0.1 * grad.values
         assert np.allclose(out.values, expected, atol=1e-14)
+
+    def test_empty_client_takes_no_step(self):
+        # local_train has no empty check of its own: a round's Fisher pass
+        # or its ClientUpdate rejects an empty client (TestEmptyClient)
+        hp = make_hp(lam=0.5, eta_local=0.1, local_epochs=2, batch_size=4)
+        empty = self.ds.subset(np.arange(0))
+        trained, anchor = fedcurv.local_train(
+            self.spec, self.theta_g, [self.fisher, self.fisher], [self.ds, empty],
+            hp, [3, 4],
+        )
+        assert anchor.values.tobytes() == self.theta_g.values.tobytes()
+        assert trained.values.tobytes() == self.train(hp, 3).values.tobytes()
+
+
+class TestEmptyClient:
+    """A round with an empty client raises, under either algorithm."""
+
+    def setup_method(self):
+        self.spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))
+        self.theta = models.init_params(self.spec, 4)
+        self.ds = small_dataset(seed=5, n=10, classes=2)
+        self.hp = make_hp(eta_local=0.1, batch_size=4)
+
+    def client_round(self, algo):
+        empty = self.ds.subset(np.arange(0))
+        return algo.client_round(
+            self.spec, self.theta, [self.ds, empty], self.hp, [0, 1], 0, [3, 4]
+        )
+
+    def test_fedcurv_fisher_pass_rejects_it(self):
+        with pytest.raises(ShapeMismatchError, match="at least one sample"):
+            self.client_round(fedcurv)
+
+    def test_fedavg_update_rejects_it(self):
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            self.client_round(fedavg)
 
 
 class TestServerGradient:
@@ -509,10 +545,10 @@ class TestRunRound:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            theta, _, metrics = fedcurv.run_round(
+            theta, updates, _ = fedcurv.run_round(
                 self.spec, self.theta, 0, clients, hp, rng
             )
-            runs.append((theta.values, metrics["sampled_clients"]))
+            runs.append((theta.values, [u.client_id for u in updates]))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 

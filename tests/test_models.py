@@ -467,7 +467,7 @@ class TestColumnBuffers:
 
         def reset():
             monkeypatch.setattr(models, "_COLUMNS", [np.empty(0), np.empty(0)])
-            monkeypatch.setattr(models, "_SCATTER_INDEX", {})
+            models._scatter_index.cache_clear()
 
         reset()
         return reset
@@ -507,10 +507,14 @@ class TestColumnBuffers:
         # 1 x 12 x 12 input as 9 columns of the 4 members of its 5*5 pool
         # windows, and its 8 x 5 x 5 input as 8*9 columns of the 4 members
         # of its one pool window
-        sizes = {key: a.size for key, a in models._SCATTER_INDEX.items()}
-        assert sizes == {(1, 12, 12, 3): 9 * 4 * 5 * 5, (8, 5, 5, 3): 8 * 9 * 4}
+        index = models._scatter_index
+        assert index.cache_info().currsize == 2
+        assert index(1, 12, 12, 3).size == 9 * 4 * 5 * 5
+        assert index(8, 5, 5, 3).size == 8 * 9 * 4
+        misses = index.cache_info().misses
         models.accuracy(spec, params, x, y)  # the same shapes: no new index
-        assert models._SCATTER_INDEX.keys() == sizes.keys()
+        assert index.cache_info().misses == misses
+        assert index.cache_info().currsize == 2
 
     @pytest.mark.parametrize("x_shape", [(3, 2, 7, 6), (2, 3, 12, 11)])
     def test_columns_are_the_reference_columns_window_major(self, empty, x_shape):
@@ -769,8 +773,8 @@ class TestSpatialBackward:
     bit for bit."""
 
     @pytest.mark.parametrize("x_shape", SCATTER_SHAPES)
-    def test_col2im_matches_shifted_adds(self, x_shape, monkeypatch):
-        monkeypatch.setattr(models, "_SCATTER_INDEX", {})
+    def test_col2im_matches_shifted_adds(self, x_shape):
+        models._scatter_index.cache_clear()
         n, c, h, w = x_shape
         k = 3
         ho, wo = h - k + 1, w - k + 1

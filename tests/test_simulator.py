@@ -191,6 +191,34 @@ class TestRunExperiment:
         assert set(result) == {"metrics_csv", "final_global_acc", "rounds"}
         assert not (tmp_path / "out" / "chain.log").exists()
 
+    @pytest.mark.parametrize("ledger_on", [False, True])
+    def test_keys_are_derived_only_for_a_chain(self, tmp_path, monkeypatch, ledger_on):
+        keygen, seeds = ledger.keygen, []
+
+        def counting(seed):
+            seeds.append(seed)
+            return keygen(seed)
+
+        monkeypatch.setattr(ledger, "keygen", counting)
+        config = parse_config(write_config(tmp_path, ledger=str(ledger_on).lower()))
+        run_experiment(config)
+        assert len(seeds) == (config.clients + 1 if ledger_on else 0)
+
+    def test_self_check_reads_the_written_bytes(self, tmp_path, monkeypatch):
+        # a signature bit flipped on the way to bytes: the in-memory chain
+        # is sound, the written one fails at the flip's block
+        export = ledger.export_chain
+
+        def flipping(chain):
+            blob = bytearray(export(chain))
+            blob[blob.find(chain[2].transactions[0].signature)] ^= 1
+            return bytes(blob)
+
+        monkeypatch.setattr(ledger, "export_chain", flipping)
+        config = parse_config(write_config(tmp_path, rounds=3, ledger="true"))
+        with pytest.raises(RuntimeError, match="self-validation at block 2$"):
+            run_experiment(config)
+
     @pytest.mark.parametrize("algorithm, clients, setting, values", [
         # "base": the one-client baseline, run as FedAvg with clients = 1
         pytest.param("fedavg", 1, "client_fraction", (1.0, 0.5),
@@ -263,6 +291,48 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         assert result["rounds"] == 2
+
+
+class TestEarlierOutputs:
+    """A run removes an earlier run's three files from output_dir before its
+    first round; a set-up error leaves them as they were."""
+
+    NAMES = ("metrics.csv", "model.bin", "chain.log")
+
+    def earlier_run(self, tmp_path):
+        run_experiment(parse_config(write_config(tmp_path, algorithm="fedavg")))
+        return {name: (tmp_path / "out" / name).read_bytes() for name in self.NAMES}
+
+    def test_ledger_off_rerun_leaves_no_chain_log(self, tmp_path, capsys):
+        self.earlier_run(tmp_path)
+        path = write_config(tmp_path, algorithm="fedavg", ledger="false")
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "metrics.csv", "model.bin"
+        ]
+
+    def test_round_blow_up_leaves_none_of_them(self, tmp_path, capsys):
+        self.earlier_run(tmp_path)
+        # one full-batch step of 1e308 overflows every client's model
+        path = write_config(tmp_path, algorithm="fedavg", eta_local=1e308,
+                            batch_size=1000000, synth_spread=1e100, rounds=1)
+        assert cli.main(["run", "--config", str(path)]) == 3
+        assert "numerical blow-up in round 1" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(batch_size=0), "batch_size must be"),
+        (dict(test_fraction=1.0), "none of 120 samples"),
+    ])
+    def test_set_up_error_leaves_them_byte_for_byte(
+        self, tmp_path, capsys, setting, message
+    ):
+        before = self.earlier_run(tmp_path)
+        path = write_config(tmp_path, algorithm="fedavg", **setting)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert after == before
 
 
 def stiffness_warnings(err: str) -> list[tuple[int, float]]:
