@@ -2,13 +2,13 @@
 
 Client side: diagonal Fisher estimation at the broadcast global model,
 then local SGD on a loss anchored to that model by a Fisher-weighted
-quadratic penalty. Server side: unweighted aggregation of client Fisher
-diagonals and gradients, followed by an inverse-curvature-scaled step on
-the global model. `run_round` drives one round of any algorithm given its
-client and server steps; the FedCurv steps are the defaults. A client
-step receives all of a round's sampled clients, and their local SGD runs
-in lockstep: one stacked step for every client at once. A server step
-maps theta and the round's updates to the next theta over `client_sum`.
+quadratic penalty. Server side: a move towards the client models' merge,
+each coordinate weighted by each client's Fisher plus epsilon. `run_round`
+drives one round of any algorithm given its client and server steps; the
+FedCurv steps are the defaults. A client step receives all of a round's
+sampled clients, and their local SGD runs in lockstep: one stacked step
+for every client at once. A server step maps theta and the round's
+updates to the next theta over `client_sum`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class RoundNumericalError(NumericalError):
 
     `round` counts from 0 like `ClientUpdate.round`; the message counts
     from 1, as metrics.csv does. `phase` is one of "Fisher", "local SGD",
-    "server gradient", "global step" or "evaluation"; `client_ids` is
-    empty for the server's phases.
+    "global step" or "evaluation"; `client_ids` is empty for the server's
+    phases.
     """
 
     def __init__(self, round_no: int, phase: str, client_ids, detail: str):
@@ -100,10 +100,10 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One client's round output; FedAvg updates carry no fisher or gradient.
+    """One client's round output; FedAvg updates carry no fisher.
 
-    fisher (F_k) and gradient (g_k) are in theta_local's layout; `client_sum`
-    checks that when it adds them up.
+    fisher (F_k) is in theta_local's layout; `client_sum` checks that when
+    it adds them up.
     """
 
     client_id: int
@@ -111,13 +111,10 @@ class ClientUpdate:
     theta_local: ParameterVector
     sample_count: int
     fisher: ParameterVector | None = None
-    gradient: ParameterVector | None = None
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if (self.fisher is None) != (self.gradient is None):
-            raise ValueError("fisher and gradient must be given together")
 
 
 def local_train(
@@ -214,9 +211,10 @@ def local_train(
 def client_sum(
     theta: ParameterVector, updates: list[ClientUpdate], field: str, weights=None
 ) -> np.ndarray:
-    """Sum of weight * `field` ("fisher", "gradient" or "theta_local") over
-    updates of one round in theta's layout, in client-id order, from zero;
-    `weights` lines up with `updates` and defaults to 1.0 each."""
+    """Sum of weight * `field` ("fisher" or "theta_local") over updates of
+    one round in theta's layout, in client-id order, from zero; `weights`
+    lines up with `updates`, each a scalar or a per-coordinate array, and
+    defaults to 1.0 each."""
     if not updates:
         raise AggregationError("no client updates to aggregate")
     if len({u.round for u in updates}) > 1:
@@ -244,9 +242,9 @@ def client_round(
     """FedCurv client step for a round's sampled clients.
 
     Each client's Fisher at the anchor, then anchored SGD for all of them
-    in lockstep, then each client's g_k. The Fisher and g_k passes stay
-    per client, so that no full-dataset pass is stacked. A stderr warning
-    names the round when eta_local * lam * max F_k reaches 2.
+    in lockstep. The Fisher pass stays per client, so that no full-dataset
+    pass is stacked. A stderr warning names the round when
+    eta_local * lam * max F_k reaches 2.
     """
     fishers = []
     for cid, ds in zip(client_ids, datasets):
@@ -268,32 +266,32 @@ def client_round(
         thetas = local_train(
             spec, theta_global, fishers, datasets, hp, seeds, round_no
         )
-    updates = []
-    for cid, ds, fisher, theta_local in zip(client_ids, datasets, fishers, thetas):
-        with _phase("server gradient", round_no, [cid]):
-            _, g_k = models.loss_and_grad(spec, theta_local, ds.samples, ds.labels)
-        updates.append(
-            ClientUpdate(
-                client_id=cid,
-                round=round_no,
-                fisher=fisher,
-                gradient=g_k,
-                theta_local=theta_local,
-                sample_count=len(ds),
-            )
+    return [
+        ClientUpdate(
+            client_id=cid,
+            round=round_no,
+            fisher=fisher,
+            theta_local=theta_local,
+            sample_count=len(ds),
         )
-    return updates
+        for cid, ds, fisher, theta_local in zip(client_ids, datasets, fishers, thetas)
+    ]
 
 
 def server_step(
     theta: ParameterVector, updates: list[ClientUpdate], hp: HyperParams
 ) -> ParameterVector:
-    """FedCurv server step: theta - eta_global * g / (F + epsilon), with F and
-    g the clients' mean Fisher and gradient; epsilon guards zero curvature."""
-    f_mean = client_sum(theta, updates, "fisher") / len(updates)
-    g_mean = client_sum(theta, updates, "gradient") / len(updates)
-    step = hp.eta_global * (1.0 / (f_mean + hp.epsilon)) * g_mean
-    return theta.with_values(theta.values - step)
+    """FedCurv server step: theta + eta_global * (merged - theta), where
+    merged = (sum_k F_k theta_k + epsilon sum_k theta_k) / (sum_k F_k + K
+    epsilon) minimises sum_k (theta - theta_k)^T diag(F_k + epsilon)
+    (theta - theta_k): per coordinate a convex combination of the client
+    models, their plain mean where every F_k is zero."""
+    precision = client_sum(theta, updates, "fisher") + len(updates) * hp.epsilon
+    fishers = [u.fisher.values for u in updates]  # layouts checked just above
+    merged = client_sum(theta, updates, "theta_local", fishers)
+    merged += hp.epsilon * client_sum(theta, updates, "theta_local")
+    merged /= precision
+    return theta.with_values(theta.values + hp.eta_global * (merged - theta.values))
 
 
 def sample_clients(

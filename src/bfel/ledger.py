@@ -334,15 +334,15 @@ def _digest(tag: bytes, header: bytes, *arrays) -> bytes:
 def digest_update(update) -> bytes:
     """Canonical digest of a client update.
 
-    FedCurv updates hash (F_k, g_k, theta_local); FedAvg updates, which
-    carry no Fisher, hash theta_local alone under their own tag.
+    FedCurv updates hash (F_k, theta_local); FedAvg updates, which carry
+    no Fisher, hash theta_local alone under their own tag.
     """
     header = struct.pack("<QQQ", update.client_id, update.round, update.sample_count)
     if update.fisher is None:
         return _digest(b"bfel-plain-update-v1", header, update.theta_local.values)
     return _digest(
-        b"bfel-client-update-v1", header, update.fisher.values,
-        update.gradient.values, update.theta_local.values,
+        b"bfel-client-update-v2", header, update.fisher.values,
+        update.theta_local.values,
     )
 
 

@@ -118,7 +118,9 @@ def test_c02_fisher_oracle():
 
 
 def test_c03_algebraic_identities():
-    """Criterion 3: lambda-zero equivalence, zero penalty, fixed point, 1/eps."""
+    """Criterion 3: lambda-zero equivalence, zero penalty, and the server
+    step's identities: fixed point, plain mean at zero curvature, convex
+    combination, eta_global as the scale of the move."""
     spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))
     theta_g = models.init_params(spec, 0)
     ds = data.synth_blobs(2, 8, 2, 0.3, seed=1)
@@ -141,23 +143,42 @@ def test_c03_algebraic_identities():
     ) == plain_loss
 
     theta = ParameterVector(np.array([0.2, -0.2]), build_layout(logistic_spec()))
-    hp = HyperParams(eta_global=1.0, epsilon=1e-8)
 
-    def step(theta, fisher_vals, grad_vals):
-        update = fedcurv.ClientUpdate(
-            0, 0, theta, 1,
-            fisher=theta.with_values(np.array(fisher_vals)),
-            gradient=theta.with_values(np.array(grad_vals)),
-        )
-        return fedcurv.server_step(theta, [update], hp)
+    def step(fishers, thetas, eta_global=1.0):
+        updates = [
+            fedcurv.ClientUpdate(
+                k, 0, theta.with_values(np.array(t, dtype=float)), 1,
+                fisher=theta.with_values(np.array(f, dtype=float)),
+            )
+            for k, (f, t) in enumerate(zip(fishers, thetas))
+        ]
+        hp = HyperParams(eta_global=eta_global, epsilon=1e-8)
+        return fedcurv.server_step(theta, updates, hp).values
 
-    out = step(theta, [1.0, 2.0], [0.0, 0.0])
-    assert np.array_equal(out.values, theta.values)
+    # identical client models at theta: theta again, up to rounding
+    out = step([[1.0, 2.0], [0.0, 5.0]], [theta.values] * 2)
+    assert np.allclose(out, theta.values, rtol=1e-15, atol=0)
 
-    # from theta = 0 with g = 1 and eta = 1 the step is -1/(F + eps)
-    inv = -step(theta.with_values(np.zeros(2)), [0.0, 3.0], [1.0, 1.0]).values
-    assert inv[0] == 1.0 / 1e-8
-    ok("C3 algebraic identities: lambda-0 bitwise, zero penalty, fixed point, 1/eps")
+    # a coordinate where every F_k is 0 gets the clients' plain mean
+    out = step([[0.0, 3.0], [0.0, 1.0], [0.0, 2.0]], [[1.0, 0], [2.0, 0], [6.0, 0]])
+    assert out[0] == pytest.approx(3.0, rel=1e-15)
+
+    # every coordinate lies within the client models' min and max
+    rng = np.random.default_rng(3)
+    fishers = rng.random((4, 2)) * 10.0 ** rng.integers(-9, 3, size=(4, 2))
+    thetas = rng.standard_normal((4, 2))
+    out = step(fishers, thetas)
+    slack = 4 * np.finfo(float).eps * np.abs(thetas).max(axis=0)
+    assert np.all(thetas.min(axis=0) - slack <= out)
+    assert np.all(out <= thetas.max(axis=0) + slack)
+
+    # eta_global scales the move away from theta
+    full = out - theta.values
+    for eta in [0.25, 0.5, 3.0]:
+        assert np.allclose(step(fishers, thetas, eta) - theta.values, eta * full,
+                           rtol=1e-14)
+    ok("C3 algebraic identities: lambda-0 bitwise, zero penalty, fixed point, "
+       "plain mean at F = 0, convex combination, eta_global scale")
 
 
 def test_c04_one_round_end_to_end_oracle():
@@ -182,20 +203,20 @@ def test_c04_one_round_end_to_end_oracle():
         spec, ParameterVector(w0, layout), 0, datasets, hp, rng
     )
 
-    # straight-line: fisher at anchor, one full-batch step, server gradient,
-    # unweighted means, damped inverse, scaled global step
-    fishers, grads = [], []
+    # straight-line: fisher at anchor, one full-batch step (the penalty
+    # gradient is zero at the anchor), the Fisher-weighted merge of the
+    # local models, and a move of eta_global towards it
+    fishers, thetas = [], []
     for xs, ys in client_data:
         f_k = np.mean(
             [logistic_loglik_grad(w0, x, y) ** 2 for x, y in zip(xs, ys)], axis=0
         )
-        theta_local = w0 - hp.eta_local * logistic_loss_grad(w0, xs, ys)
-        g_k = logistic_loss_grad(theta_local, xs, ys)
         fishers.append(f_k)
-        grads.append(g_k)
-    f_global = np.mean(fishers, axis=0)
-    g_global = np.mean(grads, axis=0)
-    theta_new = w0 - hp.eta_global * (1.0 / (f_global + hp.epsilon)) * g_global
+        thetas.append(w0 - hp.eta_local * logistic_loss_grad(w0, xs, ys))
+    merged = sum((f + hp.epsilon) * t for f, t in zip(fishers, thetas)) / sum(
+        f + hp.epsilon for f in fishers
+    )
+    theta_new = w0 + hp.eta_global * (merged - w0)
 
     err = float(np.abs(theta.values - theta_new).max())
     assert err < 1e-10

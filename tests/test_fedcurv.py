@@ -245,6 +245,19 @@ class TestLocalTrain:
         assert anchor.values.tobytes() == self.theta_g.values.tobytes()
         assert trained.values.tobytes() == self.train(hp, 3).values.tobytes()
 
+    def test_logistic_gradient_closed_form(self):
+        # the plain gradient local SGD steps on, against its closed form
+        w = [0.2, -0.5]
+        xs, ys = [1.0, 2.0], [0, 1]
+        ds = Dataset(np.array(xs).reshape(-1, 1), np.array(ys), 2)
+        expected = -np.mean(
+            [logistic_loglik_grad(w, x, y) for x, y in zip(xs, ys)], axis=0
+        )
+        _, got = models.loss_and_grad(
+            logistic_spec(), logistic_params(w), ds.samples, ds.labels
+        )
+        assert np.allclose(got.values, expected, atol=1e-15)
+
 
 class TestEmptyClient:
     """A round with an empty client raises, under either algorithm."""
@@ -270,56 +283,37 @@ class TestEmptyClient:
             self.client_round(fedavg)
 
 
-class TestServerGradient:
-    def test_definitional_equality(self):
-        # a client's g_k is the plain full-set gradient at its trained model,
-        # and its F_k the mean squared log-likelihood gradient at the anchor
+class TestClientRound:
+    def test_fisher_is_the_mean_squared_gradient_at_the_anchor(self):
+        # a client's F_k is the mean squared log-likelihood gradient at the
+        # anchor, not at its trained model
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(3,))
         params = models.init_params(spec, 6)
         ds = small_dataset(seed=7)
         [update] = fedcurv.client_round(
             spec, params, [ds], make_hp(batch_size=5), [3], 0, [8]
         )
-        _, expected = models.loss_and_grad(
-            spec, update.theta_local, ds.samples, ds.labels
-        )
-        assert np.array_equal(update.gradient.values, expected.values)
+        assert not np.array_equal(update.theta_local.values, params.values)
         fisher = fisher_diagonal(spec, params, ds)
         assert np.array_equal(update.fisher.values, fisher.values)
 
-    def test_logistic_closed_form(self):
-        w = [0.2, -0.5]
-        xs, ys = [1.0, 2.0], [0, 1]
-        ds = Dataset(np.array(xs).reshape(-1, 1), np.array(ys), 2)
-        expected = -np.mean(
-            [logistic_loglik_grad(w, x, y) for x, y in zip(xs, ys)], axis=0
-        )
-        _, got = models.loss_and_grad(
-            logistic_spec(), logistic_params(w), ds.samples, ds.labels
-        )
-        assert np.allclose(got.values, expected, atol=1e-15)
 
-
-def make_update(client_id, fisher_vals, grad_vals, layout, round_no=0):
+def make_update(client_id, fisher_vals, theta_vals, layout, round_no=0):
     return ClientUpdate(
         client_id=client_id,
         round=round_no,
-        theta_local=ParameterVector(np.zeros(layout.size), layout),
+        theta_local=ParameterVector(np.asarray(theta_vals, dtype=float), layout),
         sample_count=1,
         fisher=ParameterVector(np.asarray(fisher_vals, dtype=float), layout),
-        gradient=ParameterVector(np.asarray(grad_vals, dtype=float), layout),
     )
 
 
-def aggregate(updates, layout):
-    """The clients' mean Fisher and gradient, from `client_sum`."""
+def means(updates, layout):
+    """The clients' mean Fisher and mean model, from `client_sum`."""
     theta = ParameterVector(np.zeros(layout.size), layout)
     f_sum = fedcurv.client_sum(theta, updates, "fisher")
-    g_sum = fedcurv.client_sum(theta, updates, "gradient")
-    return (
-        theta.with_values(f_sum / len(updates)),
-        theta.with_values(g_sum / len(updates)),
-    )
+    theta_sum = fedcurv.client_sum(theta, updates, "theta_local")
+    return f_sum / len(updates), theta_sum / len(updates)
 
 
 class TestAggregation:
@@ -328,28 +322,42 @@ class TestAggregation:
 
     def test_single_update_identity(self):
         u = make_update(0, [2.0, 0.0], [1.0, -1.0], self.layout)
-        f, g = aggregate([u], self.layout)
-        assert np.array_equal(f.values, [2.0, 0.0])
-        assert np.array_equal(g.values, [1.0, -1.0])
+        f, theta = means([u], self.layout)
+        assert np.array_equal(f, [2.0, 0.0])
+        assert np.array_equal(theta, [1.0, -1.0])
 
     def test_elementwise_means(self):
         u1 = make_update(0, [2.0, 0.0], [1.0, -1.0], self.layout)
         u2 = make_update(1, [0.0, 2.0], [-1.0, 1.0], self.layout)
-        f, g = aggregate([u1, u2], self.layout)
-        assert np.array_equal(f.values, [1.0, 1.0])
-        assert np.array_equal(g.values, [0.0, 0.0])
+        f, theta = means([u1, u2], self.layout)
+        assert np.array_equal(f, [1.0, 1.0])
+        assert np.array_equal(theta, [0.0, 0.0])
 
     def test_identical_updates_idempotent(self):
         us = [make_update(i, [3.0, 1.0], [0.5, 0.5], self.layout) for i in range(4)]
-        assert np.allclose(aggregate(us, self.layout)[0].values, [3.0, 1.0])
+        f, theta = means(us, self.layout)
+        assert np.allclose(f, [3.0, 1.0])
+        assert np.allclose(theta, [0.5, 0.5])
 
-    def test_three_gradients_by_hand(self):
+    def test_three_models_by_hand(self):
         us = [
             make_update(0, [0, 0], [3.0, 0.0], self.layout),
             make_update(1, [0, 0], [0.0, 3.0], self.layout),
             make_update(2, [0, 0], [3.0, 3.0], self.layout),
         ]
-        assert np.array_equal(aggregate(us, self.layout)[1].values, [2.0, 2.0])
+        assert np.array_equal(means(us, self.layout)[1], [2.0, 2.0])
+
+    def test_per_coordinate_weights(self):
+        # each weight multiplies its own update's vector, coordinate by
+        # coordinate, and follows that update into client-id order
+        us = [
+            make_update(1, [0, 0], [1.0, 2.0], self.layout),
+            make_update(0, [0, 0], [4.0, 8.0], self.layout),
+        ]
+        theta = ParameterVector(np.zeros(2), self.layout)
+        weights = [np.array([1.0, 0.0]), np.array([0.5, 0.25])]
+        total = fedcurv.client_sum(theta, us, "theta_local", weights)
+        assert np.array_equal(total, [3.0, 2.0])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
@@ -357,25 +365,18 @@ class TestAggregation:
             make_update(i, rng.random(2), rng.standard_normal(2), self.layout)
             for i in range(5)
         ]
-        fwd = aggregate(us, self.layout)
-        rev = aggregate(us[::-1], self.layout)
-        assert np.array_equal(fwd[0].values, rev[0].values)
-        assert np.array_equal(fwd[1].values, rev[1].values)
+        fwd = means(us, self.layout)
+        rev = means(us[::-1], self.layout)
+        assert np.array_equal(fwd[0], rev[0])
+        assert np.array_equal(fwd[1], rev[1])
 
     def test_empty_and_mixed_round_errors(self):
         with pytest.raises(AggregationError):
-            aggregate([], self.layout)
+            means([], self.layout)
         u1 = make_update(0, [0, 0], [0, 0], self.layout, round_no=0)
         u2 = make_update(1, [0, 0], [0, 0], self.layout, round_no=1)
         with pytest.raises(AggregationError):
-            aggregate([u1, u2], self.layout)
-
-
-    def test_update_takes_fisher_and_gradient_together(self):
-        theta = ParameterVector(np.zeros(2), self.layout)
-        fisher = ParameterVector(np.ones(2), self.layout)
-        with pytest.raises(ValueError, match="together"):
-            ClientUpdate(0, 0, theta, 1, fisher=fisher)
+            means([u1, u2], self.layout)
 
 
 def layout_check_cases():
@@ -399,7 +400,7 @@ def layout_check_cases():
             np.stack([labels, labels]),
         ),
         "client-sum": lambda: fedcurv.client_sum(
-            theta, [ClientUpdate(0, 0, theta, 2, fisher=other, gradient=theta)],
+            theta, [ClientUpdate(0, 0, theta, 2, fisher=other)],
             "fisher",
         ),
         "local-train": lambda: fedcurv.local_train(
@@ -433,62 +434,74 @@ def round_with_updates(theta, updates, hp):
     return new_theta
 
 
-def server_step(theta, fisher_vals, grad_vals, eta_global, epsilon):
-    """The FedCurv server step for one client update of these F and g."""
-    u = make_update(0, fisher_vals, grad_vals, theta.layout)
+def merge(theta, fishers, thetas, eta_global=1.0, epsilon=1e-8):
+    """The FedCurv server step from theta over one update per (F_k, theta_k)
+    pair, client k having id k."""
+    updates = [
+        make_update(k, f, t, theta.layout)
+        for k, (f, t) in enumerate(zip(fishers, thetas))
+    ]
     return round_with_updates(
-        theta, [u], make_hp(eta_global=eta_global, epsilon=epsilon)
-    )
+        theta, updates, make_hp(eta_global=eta_global, epsilon=epsilon)
+    ).values
 
 
-class TestInvertFisher:
-    """1/(F + epsilon), read off a step from theta = 0 with g = 1, eta = 1."""
+class TestMerge:
+    """theta + eta_global * (merged - theta), merged the Fisher-weighted
+    mean of the client models."""
 
     def setup_method(self):
-        self.theta = ParameterVector(np.zeros(2), build_layout(logistic_spec()))
+        self.theta = logistic_params([1.0, -1.0])
 
-    def invert(self, fisher_vals, epsilon):
-        return -server_step(self.theta, fisher_vals, [1.0, 1.0], 1.0, epsilon).values
+    def test_two_clients_by_hand(self):
+        # coordinate 0: (3 * 1 + 1 * 5 + eps * (1 + 5)) / (3 + 1 + 2 eps);
+        # coordinate 1: (0 * 2 + 2 * 4 + eps * (2 + 4)) / (0 + 2 + 2 eps)
+        eps = 1e-3
+        out = merge(self.theta, [[3.0, 0.0], [1.0, 2.0]], [[1.0, 2.0], [5.0, 4.0]],
+                    epsilon=eps)
+        want = [(8 + 6 * eps) / (4 + 2 * eps), (8 + 6 * eps) / (2 + 2 * eps)]
+        assert np.allclose(out, want, rtol=1e-15)
 
-    def test_zero_entry_gives_one_over_epsilon(self):
-        inv = self.invert([0.0, 1.0], 1e-8)
-        assert inv[0] == 1e8
+    def test_high_fisher_client_pulls_its_coordinate_towards_its_model(self):
+        # client 0 is sure of coordinate 0 and client 1 of coordinate 1
+        out = merge(self.theta, [[100.0, 0.01], [0.01, 100.0]],
+                    [[1.0, 1.0], [-1.0, -1.0]])
+        assert out[0] > 0.999 and out[1] < -0.999
 
-    def test_one_minus_epsilon(self):
-        eps = 1e-6
-        inv = self.invert([1.0 - eps, 0.5], eps)
-        assert inv[0] == 1.0
+    def test_equal_fishers_give_the_plain_mean(self):
+        out = merge(self.theta, [[0.5, 7.0]] * 3, [[1.0, 2.0], [2.0, 4.0], [6.0, 0.0]])
+        assert np.allclose(out, [3.0, 2.0], rtol=1e-15)
 
-    def test_monotone_decreasing(self):
+    def test_zero_fisher_coordinate_gets_the_plain_mean(self):
+        # epsilon alone weighs coordinate 1, equally for every client
+        out = merge(self.theta, [[1.0, 0.0], [9.0, 0.0]], [[0.0, 1.0], [1.0, 4.0]])
+        assert out[1] == pytest.approx(2.5, rel=1e-15)
+        assert out[0] == pytest.approx(0.9, rel=1e-8)  # (9 + eps) / (10 + 2 eps)
+
+    def test_identical_client_models_are_a_fixed_point(self):
+        out = merge(self.theta, [[0.2, 3.0], [1e-9, 0.0]], [self.theta.values] * 2)
+        assert np.allclose(out, self.theta.values, rtol=1e-15, atol=0)
+
+    def test_stays_within_the_client_models(self):
         rng = np.random.default_rng(9)
-        a = rng.random(2) + 1.0
-        b = a - 0.5
-        inv_a = self.invert(a, 1e-8)
-        inv_b = self.invert(b, 1e-8)
-        assert np.all(inv_a < inv_b)
-        assert np.all(np.isfinite(inv_a)) and np.all(inv_a > 0)
+        for _ in range(50):
+            k = int(rng.integers(1, 6))
+            fishers = rng.random((k, 2)) * 10.0 ** rng.integers(-12, 4, size=(k, 2))
+            thetas = rng.standard_normal((k, 2))
+            out = merge(self.theta, fishers, thetas)
+            # a few roundings of the largest magnitude, |theta| = 1 included
+            slack = 4 * np.finfo(float).eps * np.maximum(np.abs(thetas).max(axis=0), 1)
+            assert np.all(out >= thetas.min(axis=0) - slack)
+            assert np.all(out <= thetas.max(axis=0) + slack)
 
-
-class TestGlobalUpdate:
-    def setup_method(self):
-        layout = build_layout(logistic_spec())
-        self.theta = ParameterVector(np.array([1.0, -1.0]), layout)
-
-    def test_zero_gradient_fixed_point(self):
-        out = server_step(self.theta, [0.2, 0.2], [0.0, 0.0], 1.0, 1e-8)
-        assert np.array_equal(out.values, self.theta.values)
-
-    def test_constant_fisher_is_scaled_sgd(self):
-        c, eps, eta = 4.0, 1e-8, 0.5
-        g = np.array([1.0, -2.0])
-        out = server_step(self.theta, [c, c], g, eta, eps)
-        expected = self.theta.values - (eta / (c + eps)) * g
-        assert np.allclose(out.values, expected, rtol=1e-15)
-
-    def test_high_curvature_moves_less(self):
-        out = server_step(self.theta, [10.0, 0.1], [1.0, 1.0], 0.1, 1e-8)
-        moves = np.abs(out.values - self.theta.values)
-        assert moves[0] < moves[1]
+    def test_client_order_gives_the_same_bits(self):
+        rng = np.random.default_rng(10)
+        us = [make_update(i, rng.random(2), rng.standard_normal(2), self.theta.layout)
+              for i in range(5)]
+        hp = make_hp(eta_global=0.7, epsilon=1e-3)
+        fwd = fedcurv.server_step(self.theta, us, hp)
+        rev = fedcurv.server_step(self.theta, us[::-1], hp)
+        assert fwd.values.tobytes() == rev.values.tobytes()
 
 
 class TestDivergence:
@@ -529,14 +542,13 @@ class TestRunRound:
         # per-client seeds differ, so use one full-batch epoch to make the
         # two identical-data trajectories comparable
         hp = make_hp(lam=0.1, eta_local=0.05, local_epochs=1, batch_size=len(self.ds))
-        _, updates, _ = fedcurv.run_round(
+        theta, updates, _ = fedcurv.run_round(
             self.spec, self.theta, 0, [self.ds, self.ds], hp, rng
         )
         assert len(updates) == 2
         assert np.allclose(updates[0].theta_local.values, updates[1].theta_local.values)
         assert np.allclose(updates[0].fisher.values, updates[1].fisher.values)
-        _, agg = aggregate(updates, self.theta.layout)
-        assert np.allclose(agg.values, updates[0].gradient.values)
+        assert np.allclose(theta.values, updates[0].theta_local.values, rtol=1e-14)
 
     def test_deterministic_under_fixed_seed(self):
         hp = make_hp(lam=0.1, eta_local=0.05, local_epochs=2, batch_size=4,
@@ -552,7 +564,7 @@ class TestRunRound:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
-    def test_single_client_zero_lr_pure_scaled_step(self):
+    def test_single_client_zero_lr_is_a_fixed_point(self):
         hp = make_hp(lam=0.1, eta_local=0.0, local_epochs=1, batch_size=4,
                      client_fraction=0.5, eta_global=0.3, epsilon=1e-8)
         rng = np.random.default_rng(13)
@@ -560,12 +572,9 @@ class TestRunRound:
             self.spec, self.theta, 0, [self.ds, self.ds], hp, rng
         )
         assert len(updates) == 1
-        u = updates[0]
-        # theta_local == theta_global, so g_k is evaluated at the anchor
-        assert np.array_equal(u.theta_local.values, self.theta.values)
-        f_inv = 1.0 / (u.fisher.values + hp.epsilon)
-        expected = self.theta.values - 0.3 * f_inv * u.gradient.values
-        assert np.allclose(theta.values, expected, atol=1e-15)
+        assert np.array_equal(updates[0].theta_local.values, self.theta.values)
+        # merging one client's model gives that model: the anchor
+        assert np.allclose(theta.values, self.theta.values, rtol=1e-15, atol=0)
 
     def test_infinite_weight_is_an_evaluation_error(self):
         def infinite_clients(spec, theta_global, datasets, hp, client_ids,
@@ -592,14 +601,6 @@ class TestRunRound:
         assert info.value.phase == "evaluation"
         assert info.value.client_ids == ()
         assert "logits not finite" in str(info.value)
-
-    def test_anchor_fixed_point_when_all_gradients_zero(self):
-        layout = build_layout(logistic_spec())
-        theta = ParameterVector(np.array([0.5, -0.5]), layout)
-        us = [make_update(i, [1.0, 2.0], [0.0, 0.0], layout) for i in range(3)]
-        hp = make_hp(eta_global=1.0, epsilon=1e-8)
-        out = round_with_updates(theta, us, hp)
-        assert np.array_equal(out.values, theta.values)
 
 
 class TestSampleClients:

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -223,12 +224,17 @@ class TestUpdateDigest:
         )
         self.theta = ParameterVector(np.array([0.5, -1.25]), layout)
         self.fisher = ParameterVector(np.array([0.25, 2.0]), layout)
-        self.gradient = ParameterVector(np.array([-0.125, 3.0]), layout)
+        self.header = struct.pack("<QQQ", 3, 7, 11)  # client, round, samples
 
     def test_fedcurv_update_bytes(self):
-        update = ClientUpdate(3, 7, self.theta, 11, self.fisher, self.gradient)
-        assert ledger.digest_update(update).hex() == (
-            "21d7024a807e7a49da4c6219050e89c1b6a770f992323f40cf1ebed4585080b0"
+        update = ClientUpdate(3, 7, self.theta, 11, self.fisher)
+        want = reference_digest(
+            b"bfel-client-update-v2", self.header, self.fisher.values,
+            self.theta.values,
+        )
+        assert ledger.digest_update(update) == want
+        assert want.hex() == (
+            "0109889ad645d743c004dd70ea8989ad21567951977fce862d1dd3238426862a"
         )
 
     @pytest.mark.parametrize("form", ["contiguous", "strided", "big-endian"])
@@ -245,6 +251,8 @@ class TestUpdateDigest:
 
     def test_fedavg_update_bytes(self):
         update = ClientUpdate(3, 7, self.theta, 11)
-        assert ledger.digest_update(update).hex() == (
+        want = reference_digest(b"bfel-plain-update-v1", self.header, self.theta.values)
+        assert ledger.digest_update(update) == want
+        assert want.hex() == (
             "bc4383ecf22c247ef7c32325c812aadb4cd9f2ff0161690bab41a3084c95d72f"
         )
