@@ -50,6 +50,8 @@ class Dataset:
             raise DataFormatError(
                 f"{samples.shape[0]} samples but {labels.shape[0]} labels"
             )
+        if 0 in samples.shape[1:]:
+            raise DataFormatError(f"sample shape {samples.shape[1:]} holds no values")
         if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
             raise DataFormatError("label out of range")
         # min and max make no temporary, and NaN fails either comparison
@@ -126,22 +128,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{label_count} labels in {labels_path}"
         )
     classes = int(labels.max()) + 1 if count else 1
-    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), classes)
-
-
-def save_idx(dataset: Dataset, images_path, labels_path) -> None:
-    """Write a dataset of 2-D samples back out as an IDX pair (test fixture aid)."""
-    samples = dataset.samples
-    if samples.ndim != 3:
-        raise DataFormatError("IDX export requires (N, rows, cols) samples")
-    n, rows, cols = samples.shape
-    pixels = np.clip(np.rint(samples * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
+    return _dataset(images_path, images.astype(np.float64) / 255.0, labels, classes)
 
 
 def save_bfeldata(dataset: Dataset, path) -> None:
@@ -181,8 +168,13 @@ def load_bfeldata(path) -> Dataset:
             _read_exact(f, count * per * 8, path), dtype="<f8"
         ).reshape((count,) + shape)
         labels = np.frombuffer(_read_exact(f, count * 2, path), dtype="<u2")
+    return _dataset(path, samples, labels, class_count)
+
+
+def _dataset(path, samples, labels, class_count) -> Dataset:
+    """The Dataset a loader read from `path`; a rejection names the file."""
     try:
-        return Dataset(samples, labels.astype(np.int64), class_count)
+        return Dataset(samples, labels, class_count)
     except DataFormatError as e:
         raise DataFormatError(f"{path}: {e}") from None
 

@@ -483,24 +483,6 @@ def forward(
     return logits[0]
 
 
-def loss_and_grad(
-    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
-) -> tuple[float, ParameterVector]:
-    """Mean cross-entropy over the samples x and its exact gradient: each
-    chunk's mean times its share of the samples, summed from the first."""
-    loss = grad = None
-    for xc, lc in _chunks(x, labels):
-        losses, grads = stacked_loss_and_grad(
-            spec, params.layout, params.values[None], xc[None], lc[None]
-        )
-        if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
-            raise NumericalError("loss/gradient not finite")
-        share = len(lc) / len(labels)
-        part, gpart = share * float(losses[0]), share * grads[0]
-        loss, grad = (part, gpart) if grad is None else (loss + part, grad + gpart)
-    return loss, params.with_values(grad)
-
-
 def per_sample_loglik_grad(
     spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> ParameterVector:
@@ -511,8 +493,12 @@ def per_sample_loglik_grad(
     """
     if labels.shape[:1] != (1,):
         raise ShapeMismatchError("per-sample gradient requires one sample")
-    _, grad = loss_and_grad(spec, params, x, labels)
-    return grad.with_values(-grad.values)
+    losses, grads = stacked_loss_and_grad(
+        spec, params.layout, params.values[None], x[None], labels[None]
+    )
+    if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
+        raise NumericalError("loss/gradient not finite")
+    return params.with_values(-grads[0])
 
 
 def sum_squared_loglik_grads(

@@ -1,14 +1,22 @@
 """Plain reference implementations that the tests compare against.
 
-No program path calls these: `fedcurv.local_train` takes the one-model
-steps below for a whole cohort at once, reading its batches from one
-shuffled copy of each client's data per epoch, `bfel.gossip` runs each
-hop, the sequential baseline and the latency model as array operations,
-`bfel.models` orders each conv stage's outputs pool-window-major, builds
-no output that a pool window misses, and gathers its columns and
-scatters their gradients through one index per shape, and `bfel.ledger`
-hashes array buffers in place. The CNN below keeps the row-major conv
-layout and builds every per-sample gradient whole.
+No program path calls these:
+- every gradient the program takes is one `models.stacked_loss_and_grad`
+  call for a whole cohort; `loss_and_grad` below is its one-model case
+  over a whole sample set, in one call with no 512-sample chunks;
+- `fedcurv.local_train` takes the one-model steps below for a whole
+  cohort at once, reading its batches from one shuffled copy of each
+  client's data per epoch;
+- `bfel.gossip` runs each hop, the sequential baseline and the latency
+  model as array operations;
+- `bfel.models` orders each conv stage's outputs pool-window-major,
+  builds no output that a pool window misses, and gathers its columns and
+  scatters their gradients through one index per shape; the CNN below
+  keeps the row-major conv layout and builds every per-sample gradient
+  whole;
+- `bfel.ledger` hashes array buffers in place;
+- the program reads IDX files and never writes them: `save_idx` makes
+  them for the tests.
 """
 
 import hashlib
@@ -18,6 +26,7 @@ import struct
 import numpy as np
 
 from bfel import models
+from bfel.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from bfel.gossip import (
     BASE_TCT_MS,
     BASE_TRD_MS,
@@ -47,6 +56,20 @@ def sgd_step(
     return params.with_values(params.values - lr * grad.values)
 
 
+def loss_and_grad(
+    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
+) -> tuple[float, ParameterVector]:
+    """Mean cross-entropy over all of x and its gradient, in one K=1
+    `stacked_loss_and_grad` call, with no chunking; a non-finite loss or
+    gradient raises."""
+    losses, grads = models.stacked_loss_and_grad(
+        spec, params.layout, params.values[None], x[None], labels[None]
+    )
+    if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
+        raise models.NumericalError("loss/gradient not finite")
+    return float(losses[0]), params.with_values(grads[0])
+
+
 def fisher_diagonal(spec: ModelSpec, theta: ParameterVector, ds) -> ParameterVector:
     """F_k as `fedcurv.client_round` takes it: the mean over ds of the
     squared per-sample log-likelihood gradients at theta."""
@@ -65,7 +88,7 @@ def regularized_loss(
 ) -> float:
     """Cross-entropy plus (lam/2) * sum_i F[i] * (theta - theta_global)[i]^2."""
     require_same_layout(theta, theta_global)
-    loss, _ = models.loss_and_grad(spec, theta, x, labels)
+    loss, _ = loss_and_grad(spec, theta, x, labels)
     if lam == 0.0:
         return loss
     diff = theta.values - theta_global.values
@@ -83,7 +106,7 @@ def regularized_gradient(
 ) -> ParameterVector:
     """Gradient of regularized_loss: dL + lam * F * (theta - theta_global)."""
     require_same_layout(theta, theta_global)
-    _, grad = models.loss_and_grad(spec, theta, x, labels)
+    _, grad = loss_and_grad(spec, theta, x, labels)
     if lam == 0.0:
         return grad
     penalty = lam * fisher.values * (theta.values - theta_global.values)
@@ -291,6 +314,22 @@ def cnn_stacked_loss_and_grad(spec: ModelSpec, layout, thetas, x, labels):
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     losses = -logp[np.arange(kk)[:, None], np.arange(n), labels].mean(axis=1)
     return losses, grads.mean(axis=1)
+
+
+def save_idx(dataset, images_path, labels_path) -> None:
+    """Write a dataset of 2-D samples in [0, 1] out as an IDX pair, each
+    value rounded to the nearest of 256 levels, for `data.load_idx` to read."""
+    samples = dataset.samples
+    if samples.ndim != 3:
+        raise ValueError("IDX export requires (N, rows, cols) samples")
+    n, rows, cols = samples.shape
+    pixels = np.clip(np.rint(samples * 255.0), 0, 255).astype(np.uint8)
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
+        f.write(pixels.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
+        f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
 def digest(tag: bytes, header: bytes, *arrays) -> bytes:

@@ -19,8 +19,10 @@ from bfel.fedcurv import HyperParams
 from bfel.models import ModelSpec, ParameterVector, build_layout
 from reference import (
     fisher_diagonal,
+    loss_and_grad,
     regularized_gradient,
     regularized_loss,
+    save_idx,
     shuffled_batches,
 )
 
@@ -131,13 +133,13 @@ def test_c03_algebraic_identities():
     plain, rng = theta_g, np.random.default_rng(7)
     for _ in range(hp.local_epochs):
         for idx in shuffled_batches(len(ds), hp.batch_size, rng):
-            _, grad = models.loss_and_grad(
+            _, grad = loss_and_grad(
                 spec, plain, ds.samples[idx], ds.labels[idx]
             )
             plain = plain.with_values(plain.values - hp.eta_local * grad.values)
     assert np.array_equal(curv.values, plain.values)
 
-    plain_loss, _ = models.loss_and_grad(spec, theta_g, ds.samples, ds.labels)
+    plain_loss, _ = loss_and_grad(spec, theta_g, ds.samples, ds.labels)
     assert regularized_loss(
         spec, theta_g, theta_g, fisher, ds.samples, ds.labels, lam=5.0
     ) == plain_loss
@@ -262,7 +264,7 @@ def _digits_as_idx(tmp_path):
     digits = sklearn_datasets.load_digits()
     full = Dataset(digits.images / 16.0, digits.target, 10)
     img, lab = tmp_path / "digits-images.idx", tmp_path / "digits-labels.idx"
-    data.save_idx(full, img, lab)
+    save_idx(full, img, lab)
     return data.load_idx(img, lab)
 
 

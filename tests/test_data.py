@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from bfel import data
 from bfel.data import DataFormatError, Dataset, PartitionError
+from reference import save_idx
 
 
 def forged_bfeldata(path, count, shape=(3, 5), samples=2):
@@ -29,6 +31,16 @@ def rejection_peak_bytes(load, *paths, match="truncated"):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def zero_size_bfeldata(path, count=40, shape=(0,)):
+    """A BFELDATA file of `count` samples of a shape that holds no values,
+    written byte by byte: `Dataset` refuses to make one."""
+    header = struct.pack("<IQI", 1, count, len(shape))
+    dims = b"".join(struct.pack("<Q", d) for d in shape)
+    labels = (np.arange(count) % 2).astype("<u2").tobytes()
+    path.write_bytes(b"BFELDATA" + header + dims + struct.pack("<I", 2) + labels)
+    return path
 
 
 def write_idx_pair(tmp_path, pixels, labels):
@@ -83,6 +95,13 @@ class TestIdx:
         img.write_bytes(bytes(blob))
         assert rejection_peak_bytes(data.load_idx, img, lab) < 2**20
 
+    @pytest.mark.parametrize("rows,cols", [(0, 4), (4, 0), (0, 0)])
+    def test_zero_size_sample_shape_rejected(self, tmp_path, rows, cols):
+        img, lab = write_idx_pair(tmp_path, np.zeros((3, rows, cols)), [0, 1, 0])
+        want = f"{img}: sample shape ({rows}, {cols}) holds no values"
+        with pytest.raises(DataFormatError, match=re.escape(want)):
+            data.load_idx(img, lab)
+
     def test_forged_label_count_rejected(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         lab.write_bytes(struct.pack(">II", 0x801, 2**32 - 1) + b"\x00\x01")
@@ -99,7 +118,7 @@ class TestIdx:
         rng = np.random.default_rng(0)
         ds = Dataset(rng.integers(0, 256, (5, 4, 4)) / 255.0, rng.integers(0, 3, 5), 3)
         img, lab = tmp_path / "i.idx", tmp_path / "l.idx"
-        data.save_idx(ds, img, lab)
+        save_idx(ds, img, lab)
         back = data.load_idx(img, lab)
         assert np.array_equal(back.samples, ds.samples)
         assert np.array_equal(back.labels, ds.labels)
@@ -161,6 +180,13 @@ class TestBfeldata:
         with pytest.raises(DataFormatError, match="NaN/Inf.*index 3"):
             data.load_bfeldata(path)
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5, 2)])
+    def test_zero_size_sample_shape_rejected(self, tmp_path, shape):
+        path = zero_size_bfeldata(tmp_path / "d.bfel", shape=shape)
+        want = f"{path}: sample shape {shape} holds no values"
+        with pytest.raises(DataFormatError, match=re.escape(want)):
+            data.load_bfeldata(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bfel"
         path.write_bytes(b"NOTBFEL!" + b"\x00" * 32)
@@ -169,6 +195,10 @@ class TestBfeldata:
 
 
 class TestDataset:
+    def test_zero_size_sample_shape_rejected(self):
+        with pytest.raises(DataFormatError, match=re.escape("(2, 0) holds no")):
+            Dataset(np.zeros((4, 2, 0)), np.zeros(4, dtype=int), 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):
         samples = np.zeros((5, 2))

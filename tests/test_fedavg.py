@@ -6,7 +6,7 @@ import pytest
 from bfel import data, fedavg, fedcurv, models
 from bfel.fedcurv import AggregationError, ClientUpdate, HyperParams
 from bfel.models import ModelSpec, ParameterVector, build_layout
-from reference import fisher_diagonal
+from reference import fisher_diagonal, loss_and_grad
 
 
 def tiny_spec():
@@ -56,7 +56,7 @@ class TestLocalTrainPlain:
     def test_single_full_batch_step(self):
         hp = HyperParams(eta_local=0.2, local_epochs=1, batch_size=len(self.ds))
         out = self.train(hp, 0)
-        _, grad = models.loss_and_grad(
+        _, grad = loss_and_grad(
             self.spec, self.theta, self.ds.samples, self.ds.labels
         )
         assert np.allclose(out.values, self.theta.values - 0.2 * grad.values)

@@ -17,6 +17,7 @@ from bfel.models import (
 )
 from reference import (
     fisher_diagonal,
+    loss_and_grad,
     regularized_gradient,
     regularized_loss,
     sgd_step,
@@ -57,7 +58,7 @@ def plain_sgd(spec, theta, ds, hp, seed):
     rng = np.random.default_rng(seed)
     for _ in range(hp.local_epochs):
         for idx in shuffled_batches(len(ds), hp.batch_size, rng):
-            _, grad = models.loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
+            _, grad = loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
             theta = theta.with_values(theta.values - hp.eta_local * grad.values)
     return theta
 
@@ -123,7 +124,7 @@ class TestRegularizedLoss:
         self.fisher = fisher_diagonal(self.spec, self.theta_g, self.ds)
 
     def test_anchor_point_penalty_is_zero(self):
-        plain, _ = models.loss_and_grad(self.spec, self.theta_g, self.x, self.y)
+        plain, _ = loss_and_grad(self.spec, self.theta_g, self.x, self.y)
         reg = regularized_loss(
             self.spec, self.theta_g, self.theta_g, self.fisher, self.x, self.y, lam=2.5
         )
@@ -131,7 +132,7 @@ class TestRegularizedLoss:
 
     def test_lambda_zero_is_plain_loss(self):
         theta = self.theta_g.with_values(self.theta_g.values + 0.3)
-        plain, _ = models.loss_and_grad(self.spec, theta, self.x, self.y)
+        plain, _ = loss_and_grad(self.spec, theta, self.x, self.y)
         reg = regularized_loss(
             self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam=0.0
         )
@@ -141,7 +142,7 @@ class TestRegularizedLoss:
         n = self.theta_g.values.size
         ones_fisher = self.theta_g.with_values(np.ones(n))
         theta = self.theta_g.with_values(self.theta_g.values + 1.0)
-        plain, _ = models.loss_and_grad(self.spec, theta, self.x, self.y)
+        plain, _ = loss_and_grad(self.spec, theta, self.x, self.y)
         reg = regularized_loss(
             self.spec, theta, self.theta_g, ones_fisher, self.x, self.y, lam=2.0
         )
@@ -177,13 +178,13 @@ class TestRegularizedLoss:
         assert rel.max() < 1e-5
 
     def test_gradient_trivial_cases_equal_plain(self):
-        _, plain_grad = models.loss_and_grad(self.spec, self.theta_g, self.x, self.y)
+        _, plain_grad = loss_and_grad(self.spec, self.theta_g, self.x, self.y)
         at_anchor = regularized_gradient(
             self.spec, self.theta_g, self.theta_g, self.fisher, self.x, self.y, lam=3.0
         )
         assert np.array_equal(at_anchor.values, plain_grad.values)
         theta = self.theta_g.with_values(self.theta_g.values - 0.2)
-        _, plain_off = models.loss_and_grad(self.spec, theta, self.x, self.y)
+        _, plain_off = loss_and_grad(self.spec, theta, self.x, self.y)
         lam_zero = regularized_gradient(
             self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam=0.0
         )
@@ -227,7 +228,7 @@ class TestLocalTrain:
         hp = make_hp(lam=0.5, eta_local=0.1, local_epochs=1, batch_size=len(self.ds))
         out = self.train(hp, 0)
         # penalty gradient vanishes at the anchor: one plain full-batch step
-        _, grad = models.loss_and_grad(
+        _, grad = loss_and_grad(
             self.spec, self.theta_g, self.ds.samples, self.ds.labels
         )
         expected = self.theta_g.values - 0.1 * grad.values
@@ -253,7 +254,7 @@ class TestLocalTrain:
         expected = -np.mean(
             [logistic_loglik_grad(w, x, y) for x, y in zip(xs, ys)], axis=0
         )
-        _, got = models.loss_and_grad(
+        _, got = loss_and_grad(
             logistic_spec(), logistic_params(w), ds.samples, ds.labels
         )
         assert np.allclose(got.values, expected, atol=1e-15)
@@ -394,7 +395,7 @@ def layout_check_cases():
     x, labels = ds.samples, ds.labels
     return {
         "vector-length": lambda: ParameterVector(np.zeros(3), theta.layout),
-        "model-spec": lambda: models.loss_and_grad(spec, other, x, labels),
+        "model-spec": lambda: models.forward(spec, other, x, labels),
         "wide-thetas": lambda: models.stacked_loss_and_grad(
             spec, theta.layout, np.zeros((2, 2 + 5)), np.stack([x, x]),
             np.stack([labels, labels]),
@@ -653,7 +654,7 @@ def train_alone(spec, theta_g, fisher, ds, hp, seed, epoch_offset):
     for epoch in range(hp.local_epochs):
         lr = models.lr_schedule(hp.eta_local, epoch_offset + epoch)
         for idx in shuffled_batches(len(ds), hp.batch_size, rng):
-            _, grad = models.loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
+            _, grad = loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
             penalty = hp.lam * fisher.values * (theta.values - theta_g.values)
             theta = sgd_step(theta, grad.with_values(grad.values + penalty), lr)
     return theta

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bfel import cli, data, models, simulator
+from reference import save_idx
 
 BFELDATA_HEADER = 8 + 16 + 8 + 4  # magic, version/count/ndim, one dim, classes
 IDX_HEADERS = {"images": 16, "labels": 8}  # magic and count, then rows, cols
@@ -146,7 +147,7 @@ class TestIdxThroughRun:
         dataset = data.Dataset(rng.random((40, 6, 6)), np.arange(40) % 2, 2)
         folder = tmp_path_factory.mktemp("idx")
         paths = {"images": folder / "images.idx", "labels": folder / "labels.idx"}
-        data.save_idx(dataset, paths["images"], paths["labels"])
+        save_idx(dataset, paths["images"], paths["labels"])
         return {part: path.read_bytes() for part, path in paths.items()}
 
     def run(self, tmp_path, capsys, name, blobs) -> tuple:

@@ -1,19 +1,25 @@
-"""Golden outputs: SHA-256 of metrics.csv, model.bin and chain.log.
+"""Golden outputs: SHA-256 of metrics.csv, model.bin and chain.log, and
+the numbers beside them.
 
 Small MLP and CNN runs whose output bytes must not move when the code is
-refactored or sped up. The digests were captured with numpy 2.4.6 on
-scipy-openblas 0.3.31.188.0 (OpenBLAS DYNAMIC_ARCH, x86-64, Python 3.11).
-Another numpy or BLAS build may round matrix products differently, so on
-such a build a mismatch skips with both build names instead of failing; on
-the capturing build every mismatch fails.
+refactored or sped up. Beside each run's digests, GOLDEN_NUMBERS holds its
+metrics.csv text and the L2 norm and largest magnitude of its model.bin.
+Both were captured with numpy 2.4.6 on scipy-openblas 0.3.31.188.0
+(OpenBLAS DYNAMIC_ARCH, x86-64, Python 3.11), and on that build every
+mismatch fails. Another numpy or BLAS build may round matrix products
+differently, so there a mismatch skips, and the skip reason names both
+builds and the largest difference in each metrics.csv column and in each
+norm; no tolerance is set yet.
 
 `PYTHONPATH=src python tests/test_golden.py` prints this build's digests
-as a GOLDEN dict, for a deliberate re-capture.
+and numbers as GOLDEN and GOLDEN_NUMBERS dicts, for a deliberate
+re-capture.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import tempfile
 from pathlib import Path
 
@@ -91,6 +97,77 @@ GOLDEN = {
 }
 
 
+GOLDEN_NUMBERS = {
+    "base": {
+        "metrics.csv": (
+            "schema_version,round,global_acc,client_acc_mean,client_acc_min,client_acc_max,divergence,elapsed_ms\n"
+            "1,1,0.2916666666666667,0.2916666666666667,0.2916666666666667,0.2916666666666667,0.0,101.44823821327117\n"
+            "1,2,0.375,0.375,0.375,0.375,0.0,203.53095438331695\n"
+            "1,3,0.375,0.375,0.375,0.375,0.0,306.2273982110904\n"
+        ),
+        "model_l2": 3.3671424876344127,
+        "model_max_abs": 0.7663623183686552,
+    },
+    "fedavg": {
+        "metrics.csv": (
+            "schema_version,round,global_acc,client_acc_mean,client_acc_min,client_acc_max,divergence,elapsed_ms\n"
+            "1,1,0.25,0.23958333333333331,0.16666666666666666,0.3333333333333333,0.18974064092027884,401.44823821327117\n"
+            "1,2,0.25,0.26041666666666663,0.16666666666666666,0.3333333333333333,0.1818726956044019,803.530954383317\n"
+            "1,3,0.25,0.28125,0.16666666666666666,0.375,0.17659429358653067,1206.2273982110905\n"
+        ),
+        "model_l2": 3.2514134769191507,
+        "model_max_abs": 0.662262948425066,
+    },
+    "fedcurv": {
+        "metrics.csv": (
+            "schema_version,round,global_acc,client_acc_mean,client_acc_min,client_acc_max,divergence,elapsed_ms\n"
+            "1,1,0.20833333333333334,0.23958333333333331,0.16666666666666666,0.3333333333333333,0.18943327675535213,401.44823821327117\n"
+            "1,2,0.20833333333333334,0.32291666666666663,0.16666666666666666,0.375,0.1752278432986925,803.530954383317\n"
+            "1,3,0.20833333333333334,0.3333333333333333,0.16666666666666666,0.4583333333333333,0.1672639579840077,1206.2273982110905\n"
+        ),
+        "model_l2": 3.3103723556962596,
+        "model_max_abs": 0.6735396035925614,
+    },
+    "fedcurv-fraction-decay": {
+        "metrics.csv": (
+            "schema_version,round,global_acc,client_acc_mean,client_acc_min,client_acc_max,divergence,elapsed_ms\n"
+            "1,1,0.125,0.29166666666666663,0.125,0.4583333333333333,0.3119287159834434,201.44823821327117\n"
+            "1,2,0.5,0.3333333333333333,0.20833333333333334,0.4583333333333333,0.2762443083265668,403.53095438331695\n"
+            "1,3,0.5416666666666666,0.5416666666666666,0.4583333333333333,0.625,0.18061225076543447,606.2273982110904\n"
+        ),
+        "model_l2": 3.326591509549057,
+        "model_max_abs": 0.6928462856911702,
+    },
+    "cnn-fedavg": {
+        "metrics.csv": (
+            "schema_version,round,global_acc,client_acc_mean,client_acc_min,client_acc_max,divergence,elapsed_ms\n"
+            "1,1,0.5,0.34375,0.125,0.625,0.14552161362348984,401.44823821327117\n"
+            "1,2,0.625,0.3125,0.125,0.5,0.15363480281374114,803.530954383317\n"
+        ),
+        "model_l2": 6.884989492424708,
+        "model_max_abs": 0.2984722297264789,
+    },
+    "cnn-fedcurv": {
+        "metrics.csv": (
+            "schema_version,round,global_acc,client_acc_mean,client_acc_min,client_acc_max,divergence,elapsed_ms\n"
+            "1,1,0.5,0.34375,0.125,0.625,0.14549268940862922,401.44823821327117\n"
+            "1,2,0.5,0.28125,0.125,0.375,0.15062512517617133,803.530954383317\n"
+        ),
+        "model_l2": 6.879208103680356,
+        "model_max_abs": 0.2970838204704835,
+    },
+    "cnn-fedcurv-fraction": {
+        "metrics.csv": (
+            "schema_version,round,global_acc,client_acc_mean,client_acc_min,client_acc_max,divergence,elapsed_ms\n"
+            "1,1,0.375,0.1875,0.125,0.25,0.13442557695919372,201.44823821327117\n"
+            "1,2,0.25,0.25,0.125,0.375,0.12922503250557188,403.53095438331695\n"
+        ),
+        "model_l2": 6.87941627136295,
+        "model_max_abs": 0.2969532231095535,
+    },
+}
+
+
 def numpy_build() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -109,7 +186,8 @@ def write_images(path, count=40, classes=4, side=12, seed=5):
     return path
 
 
-def output_digests(tmp_path, config: dict) -> dict:
+def golden_outputs(tmp_path, config: dict) -> tuple[dict, dict]:
+    """Run `config`; return its output digests and its numbers."""
     out_dir = tmp_path / "out"
     if config.get("dataset") == "bfeldata":
         train = write_images(tmp_path / "train.bfel")
@@ -117,29 +195,109 @@ def output_digests(tmp_path, config: dict) -> dict:
     simulator.run_experiment(
         simulator.ExperimentConfig(output_dir=str(out_dir), **config)
     )
-    return {
+    digests = {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in ("metrics.csv", "model.bin", "chain.log")
     }
+    theta = simulator.load_model_values(out_dir / "model.bin")
+    numbers = {
+        "metrics.csv": (out_dir / "metrics.csv").read_text(),
+        # fsum: the norm itself rounds the same way on every build
+        "model_l2": math.sqrt(math.fsum(theta * theta)),
+        "model_max_abs": float(np.abs(theta).max()),
+    }
+    return digests, numbers
+
+
+def largest_differences(got: dict, want: dict) -> str:
+    """The largest absolute difference in each metrics.csv column and in
+    each model norm, as "name difference" pairs."""
+    header, *want_rows = want["metrics.csv"].splitlines()
+    got_rows = got["metrics.csv"].splitlines()[1:]
+    if len(got_rows) != len(want_rows):
+        parts = [f"{len(got_rows)} metrics.csv rows, not {len(want_rows)}"]
+    else:
+        diffs = np.abs(
+            np.array([row.split(",") for row in got_rows], dtype=float)
+            - np.array([row.split(",") for row in want_rows], dtype=float)
+        ).max(axis=0)
+        parts = [f"{col} {d:.3g}" for col, d in zip(header.split(","), diffs)]
+    parts += [f"{key} {abs(got[key] - want[key]):.3g}"
+              for key in ("model_l2", "model_max_abs")]
+    return ", ".join(parts)
+
+
+def check_golden(name: str, digests: dict, numbers: dict) -> None:
+    """Fail on any mismatch on the capturing build; elsewhere, skip with
+    the largest differences."""
+    want = GOLDEN[name], GOLDEN_NUMBERS[name]
+    if (digests, numbers) != want and numpy_build() != CAPTURED_ON:
+        pytest.skip(
+            f"{name}: captured on {CAPTURED_ON}; this is {numpy_build()}; "
+            f"largest differences: {largest_differences(numbers, want[1])}"
+        )
+    assert digests == want[0]
+    assert numbers == want[1]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests(tmp_path, name):
-    digests = output_digests(tmp_path, CONFIGS[name])
-    if digests != GOLDEN[name] and numpy_build() != CAPTURED_ON:
-        pytest.skip(f"digests captured on {CAPTURED_ON}; this is {numpy_build()}")
-    assert digests == GOLDEN[name]
+    check_golden(name, *golden_outputs(tmp_path, CONFIGS[name]))
+
+
+def moved_numbers(name: str) -> dict:
+    """The golden numbers of `name` with global_acc 0.25 higher in the last
+    row and the L2 norm 0.5 higher."""
+    numbers = dict(GOLDEN_NUMBERS[name])
+    header, *rows = numbers["metrics.csv"].splitlines()
+    last = rows[-1].split(",")
+    column = header.split(",").index("global_acc")
+    last[column] = repr(float(last[column]) + 0.25)
+    rows[-1] = ",".join(last)
+    numbers["metrics.csv"] = "\n".join([header, *rows]) + "\n"
+    numbers["model_l2"] += 0.5
+    return numbers
+
+
+def test_another_build_skips_naming_the_largest_differences(monkeypatch):
+    monkeypatch.setitem(globals(), "numpy_build", lambda: "numpy 0.0, x")
+    with pytest.raises(pytest.skip.Exception) as skipped:
+        check_golden("fedcurv", GOLDEN["fedcurv"], moved_numbers("fedcurv"))
+    reason = str(skipped.value)
+    assert "this is numpy 0.0, x" in reason
+    assert "global_acc 0.25, client_acc_mean 0, " in reason
+    assert reason.endswith("model_l2 0.5, model_max_abs 0")
+
+
+def test_the_capturing_build_fails_on_moved_numbers(monkeypatch):
+    monkeypatch.setitem(globals(), "numpy_build", lambda: CAPTURED_ON)
+    with pytest.raises(AssertionError):
+        check_golden("fedcurv", GOLDEN["fedcurv"], moved_numbers("fedcurv"))
 
 
 if __name__ == "__main__":
-    print(f"# {numpy_build()}")
-    print("GOLDEN = {")
     with tempfile.TemporaryDirectory() as tmp:
+        outputs = {}
         for name in GOLDEN:
             run_dir = Path(tmp) / name
             run_dir.mkdir()
-            print(f'    "{name}": {{')
-            for file, digest in output_digests(run_dir, CONFIGS[name]).items():
-                print(f'        "{file}": "{digest}",')
-            print("    },")
+            outputs[name] = golden_outputs(run_dir, CONFIGS[name])
+    print(f"# {numpy_build()}")
+    print("GOLDEN = {")
+    for name, (digests, _) in outputs.items():
+        print(f'    "{name}": {{')
+        for file, digest in digests.items():
+            print(f'        "{file}": "{digest}",')
+        print("    },")
+    print("}")
+    print("GOLDEN_NUMBERS = {")
+    for name, (_, numbers) in outputs.items():
+        print(f'    "{name}": {{')
+        print('        "metrics.csv": (')
+        for line in numbers["metrics.csv"].splitlines():
+            print(f'            "{line}\\n"')
+        print("        ),")
+        for key in ("model_l2", "model_max_abs"):
+            print(f'        "{key}": {numbers[key]!r},')
+        print("    },")
     print("}")

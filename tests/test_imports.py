@@ -1,5 +1,7 @@
-"""Every name a `bfel` module imports is used in that module, and every
-private module-level name is referenced somewhere in the package."""
+"""Every name a `bfel` module imports is used in that module, every
+private module-level name is referenced somewhere in the package, and
+every public module-level function has a caller there or a stated reason
+to be kept."""
 
 import ast
 from pathlib import Path
@@ -95,3 +97,77 @@ def test_the_check_finds_unreferenced_private_names():
         "b.py": "from .a import _imported\nfrom . import a\nx = a._helper\n",
     }
     assert unreferenced_private_names(sources) == ["a.py:2 _UNUSED", "a.py:5 _Gone"]
+
+
+# Public functions that nothing in the package calls, each kept for a reason.
+KEEP_WITHOUT_CALLER = {
+    "data.save_bfeldata": "writes the BFELDATA container that README documents",
+    "simulator.load_model_values": "reads the model.bin a run writes",
+    "ledger.select_proposer": "acceptance criterion C07 tests it",
+    "models.per_sample_loglik_grad": "a perfbench self-test deletes it by name",
+}
+
+
+def callerless_public_functions(sources: dict[str, str], keep) -> list[str]:
+    """The public module-level functions of `sources` that no other code
+    there reads, as "module.name", where `module` is a file name without
+    ".py". Names are matched as `unreferenced_private_names` matches them;
+    a function's own body and the bodies of the `keep` functions do not
+    count as readers."""
+    defined, read = [], set()
+    for file, source in sources.items():
+        module = file.removesuffix(".py")
+        for node in ast.parse(source).body:
+            owner = node.name if isinstance(node, ast.FunctionDef) else None
+            if owner and not owner.startswith("_"):
+                defined.append(f"{module}.{owner}")
+            if owner and f"{module}.{owner}" in keep:
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name
+                else:
+                    continue
+                if name != owner:
+                    read.add(name)
+    return [f for f in defined if f.split(".")[1] not in read and f not in keep]
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert callerless_public_functions(sources, KEEP_WITHOUT_CALLER) == []
+    # no reason outlives its function, or stays once the function has a caller
+    assert set(KEEP_WITHOUT_CALLER) <= set(callerless_public_functions(sources, {}))
+
+
+def test_the_check_finds_callerless_public_functions():
+    sources = {
+        "a.py": (
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def only_from_kept():\n"
+            "    pass\n"
+            "def kept():\n"
+            "    return only_from_kept()\n"
+            "def _private():\n"
+            "    pass\n"
+            "def imported():\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "from .a import imported\n"
+            "from . import a\n"
+            "x = a.used() + _private()\n"
+            "def never():\n"
+            "    pass\n"
+        ),
+    }
+    assert callerless_public_functions(sources, {"a.kept"}) == [
+        "a.recursive", "a.only_from_kept", "b.never"
+    ]

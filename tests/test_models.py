@@ -17,6 +17,7 @@ from reference import (
     cnn_stacked_loss_and_grad,
     col2im,
     im2col,
+    loss_and_grad,
     maxpool2,
     maxpool2_backward,
     sgd_step,
@@ -124,17 +125,17 @@ class TestLoss:
             spec = ModelSpec(kind="mlp", input_shape=(3,), classes=c)
             layout = build_layout(spec)
             params = ParameterVector(np.zeros(layout.size), layout)
-            loss, _ = models.loss_and_grad(spec, params, *random_batch(spec, 4, c))
+            loss, _ = loss_and_grad(spec, params, *random_batch(spec, 4, c))
             assert loss == pytest.approx(math.log(c), abs=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(2,))
         params = models.init_params(spec, 11)
         x, y = random_batch(spec, 4, 12)
-        _, grad = models.loss_and_grad(spec, params, x, y)
+        _, grad = loss_and_grad(spec, params, x, y)
 
         def f(v):
-            loss, _ = models.loss_and_grad(spec, params.with_values(v), x, y)
+            loss, _ = loss_and_grad(spec, params.with_values(v), x, y)
             return loss
 
         fd = fd_gradient(f, params.values)
@@ -145,8 +146,8 @@ class TestLoss:
         params = models.init_params(spec, 5)
         rng = np.random.default_rng(6)
         x = rng.random((1, 3))
-        l1, g1 = models.loss_and_grad(spec, params, x, np.array([1]))
-        l2, g2 = models.loss_and_grad(
+        l1, g1 = loss_and_grad(spec, params, x, np.array([1]))
+        l2, g2 = loss_and_grad(
             spec, params, np.repeat(x, 7, axis=0), np.array([1] * 7)
         )
         assert l1 == pytest.approx(l2, rel=1e-14)
@@ -165,13 +166,47 @@ class TestPerSampleGrad:
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(3,))
         params = models.init_params(spec, 1)
         x, y = random_batch(spec, 5, 2)
-        _, batch_grad = models.loss_and_grad(spec, params, x, y)
+        _, batch_grad = loss_and_grad(spec, params, x, y)
         acc = np.zeros_like(params.values)
         for i in range(len(y)):
             acc += models.per_sample_loglik_grad(
                 spec, params, x[i : i + 1], y[i : i + 1]
             ).values
         assert np.allclose(acc / len(y), -batch_grad.values, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="mlp", input_shape=(5,), classes=4, hidden=(6, 3)),
+        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
+    ], ids=["mlp", "cnn-28x28"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_is_the_negated_one_sample_stacked_gradient_bitwise(self, spec, seed):
+        params = models.init_params(spec, seed)
+        x, y = random_batch(spec, 1, seed + 40)
+        _, grads = models.stacked_loss_and_grad(
+            spec, params.layout, params.values[None], x[None], y[None]
+        )
+        got = models.per_sample_loglik_grad(spec, params, x, y)
+        assert got.layout is params.layout
+        assert same_bits(got.values, -grads[0])
+
+    def test_non_finite_gradient_raises(self):
+        spec = ModelSpec(kind="mlp", input_shape=(3,), classes=2)
+        params = models.init_params(spec, 0)
+        values = params.values.copy()
+        values[0] = np.inf  # a first-layer weight
+        x, y = random_batch(spec, 1, 1)
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="loss/gradient not finite"
+        ):
+            models.per_sample_loglik_grad(spec, params.with_values(values), x, y)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_needs_exactly_one_sample(self, n):
+        spec = ModelSpec(kind="mlp", input_shape=(3,), classes=2)
+        params = models.init_params(spec, 0)
+        x, y = random_batch(spec, n, 1)
+        with pytest.raises(ShapeMismatchError, match="requires one sample"):
+            models.per_sample_loglik_grad(spec, params, x, y)
 
     def test_perfect_prediction_zero_gradient(self):
         # huge margin toward the true label makes softmax numerically one-hot
@@ -228,7 +263,7 @@ class TestAccuracy:
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
         params = models.init_params(spec, 0)
         for _ in range(200):
-            _, grad = models.loss_and_grad(spec, params, ds.samples, ds.labels)
+            _, grad = loss_and_grad(spec, params, ds.samples, ds.labels)
             params = sgd_step(params, grad, 0.5)
         assert models.accuracy(spec, params, ds.samples, ds.labels) == 1.0
 
@@ -242,7 +277,7 @@ class TestAccuracy:
 
 ONE_MODEL_CALLS = {
     "forward": models.forward,
-    "loss_and_grad": models.loss_and_grad,
+    "sum_squared_loglik_grads": models.sum_squared_loglik_grads,
     "accuracy": models.accuracy,
 }
 
@@ -269,7 +304,7 @@ class TestInputChecks:
     def test_label_out_of_range_either_side(self, label):
         params = models.init_params(self.SPEC, 0)
         with pytest.raises(ShapeMismatchError, match="out of range"):
-            models.loss_and_grad(
+            models.sum_squared_loglik_grads(
                 self.SPEC, params, np.zeros((2, 2)), np.array([0, label])
             )
 
@@ -403,7 +438,7 @@ class TestStackedLossAndGrad:
             np.stack([y for _, y in batches]),
         )
         for k, (x, y) in enumerate(batches):
-            loss, grad = models.loss_and_grad(
+            loss, grad = loss_and_grad(
                 spec, ParameterVector(thetas[k], layout), x, y
             )
             assert losses[k] == loss
@@ -435,7 +470,11 @@ class TestReadOnlyInputs:
         else:
             params = ParameterVector(thetas[0], layout)
             assert not params.values.flags.writeable  # not a copy
-            getattr(models, call)(spec, params, x[0], labels[0])
+            # loss_and_grad is the reference's K=1 stacked_loss_and_grad call
+            one_model = (
+                loss_and_grad if call == "loss_and_grad" else getattr(models, call)
+            )
+            one_model(spec, params, x[0], labels[0])
         assert [a.tobytes() for a in (thetas, x, labels)] == before
 
 
@@ -476,8 +515,8 @@ class TestColumnBuffers:
         spec = ModelSpec(kind="cnn", input_shape=(28, 28), classes=10)
         params = models.init_params(spec, 0)
         x, y = random_batch(spec, 16, 1)
-        first = traced_peak(lambda: models.loss_and_grad(spec, params, x, y))
-        second = traced_peak(lambda: models.loss_and_grad(spec, params, x, y))
+        first = traced_peak(lambda: loss_and_grad(spec, params, x, y))
+        second = traced_peak(lambda: loss_and_grad(spec, params, x, y))
         # both stages' columns, window-major: 16 images x (1*9*4*13*13 +
         # 8*9*4*5*5) doubles; stage 2's odd 11th output row and column,
         # which no pool window reads, are not built
@@ -485,9 +524,7 @@ class TestColumnBuffers:
         assert columns == 1_700_352
         assert first - second >= columns
 
-    @pytest.mark.parametrize(
-        "call", ["accuracy", "loss_and_grad", "sum_squared_loglik_grads"]
-    )
+    @pytest.mark.parametrize("call", ["accuracy", "sum_squared_loglik_grads"])
     def test_full_set_pass_holds_at_most_512_samples_of_columns(self, empty, call):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
         params = models.init_params(spec, 0)
@@ -502,7 +539,7 @@ class TestColumnBuffers:
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
         params = models.init_params(spec, 0)
         x, y = random_batch(spec, 600, 7)
-        models.loss_and_grad(spec, params, x, y)
+        models.sum_squared_loglik_grads(spec, params, x, y)
         # each stage gathers its columns through its index: one sample's
         # 1 x 12 x 12 input as 9 columns of the 4 members of its 5*5 pool
         # windows, and its 8 x 5 x 5 input as 8*9 columns of the 4 members
@@ -536,10 +573,10 @@ class TestColumnBuffers:
         xs, ys = random_batch(spec, 3 * 16, 5)
         xb, yb = random_batch(spec, 520, 6)
         calls = [
-            lambda: models.loss_and_grad(spec, params, x16, y16),
-            lambda: models.loss_and_grad(spec, params, x20, y20),
+            lambda: loss_and_grad(spec, params, x16, y16),
+            lambda: loss_and_grad(spec, params, x20, y20),
             lambda: models.sum_squared_loglik_grads(spec, params, xb, yb),
-            lambda: models.loss_and_grad(spec, params, x16, y16),
+            lambda: loss_and_grad(spec, params, x16, y16),
             lambda: models.stacked_loss_and_grad(
                 spec, layout, thetas, xs.reshape((3, 16) + xs.shape[1:]),
                 ys.reshape(3, 16),
@@ -578,10 +615,10 @@ class TestGradientExactnessSweep:
         assert build_layout(spec).size <= 200
         params = models.init_params(spec, seed)
         x, y = random_batch(spec, 3, seed + 100)
-        _, grad = models.loss_and_grad(spec, params, x, y)
+        _, grad = loss_and_grad(spec, params, x, y)
 
         def f(v):
-            loss, _ = models.loss_and_grad(spec, params.with_values(v), x, y)
+            loss, _ = loss_and_grad(spec, params.with_values(v), x, y)
             return loss
 
         fd = fd_gradient(f, params.values)
@@ -672,24 +709,6 @@ class TestChunkedFullSetPasses:
         got = models.sum_squared_loglik_grads(self.SPEC, self.params, self.x, self.y)
         want = squared_grad_loop(self.SPEC, self.params, self.x, self.y)
         assert max_rel_err(got, want, floor=1e-12) <= 1e-10
-
-    def test_gradient_is_the_share_weighted_sum_of_chunk_means(self):
-        loss, grad = models.loss_and_grad(self.SPEC, self.params, self.x, self.y)
-        layout, thetas = self.params.layout, self.params.values[None]
-        want_loss = want = None
-        for start in (0, 512, 1024):
-            xc, yc = self.x[start : start + 512], self.y[start : start + 512]
-            losses, grads = models.stacked_loss_and_grad(
-                self.SPEC, layout, thetas, xc[None], yc[None]
-            )
-            share = len(yc) / 1100
-            part, lpart = share * grads[0], share * float(losses[0])
-            if want is None:
-                want, want_loss = part, lpart
-            else:
-                want, want_loss = want + part, want_loss + lpart
-        assert same_bits(grad.values, want)
-        assert loss == want_loss
 
 
 class TestMaxPool:
@@ -863,7 +882,7 @@ class TestReferenceCnn:
         (want_loss,), (want_grad,) = cnn_stacked_loss_and_grad(
             spec, layout, thetas, x[None], y[None]
         )
-        loss, grad = models.loss_and_grad(spec, params, x, y)
+        loss, grad = loss_and_grad(spec, params, x, y)
         assert abs(loss - want_loss) <= 1e-12 * want_loss
         assert_close_per_segment(layout, grad.values, want_grad)
         fisher = models.sum_squared_loglik_grads(spec, params, x, y)

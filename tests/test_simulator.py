@@ -428,17 +428,17 @@ class TestStiffnessWarning:
     max_k max F_k reaches 2, and the run goes on as before."""
 
     def test_healthy_golden_mlp_run_prints_nothing(self, tmp_path, capsys):
-        from test_golden import CONFIGS, output_digests
+        from test_golden import CONFIGS, golden_outputs
 
-        output_digests(tmp_path, CONFIGS["fedcurv"])
+        golden_outputs(tmp_path, CONFIGS["fedcurv"])
         assert capsys.readouterr().err == ""
 
     def test_golden_mlp_decay_run_warns_in_round_2(self, tmp_path, capsys):
         # at eta_local 15, round 1 stays under the threshold (0.95), and
         # round 1's merged model sharpens the Fisher past it
-        from test_golden import CONFIGS, output_digests
+        from test_golden import CONFIGS, golden_outputs
 
-        output_digests(tmp_path, dict(CONFIGS["fedcurv-fraction-decay"], eta_local=15))
+        golden_outputs(tmp_path, dict(CONFIGS["fedcurv-fraction-decay"], eta_local=15))
         [(round_no, stiffness)] = stiffness_warnings(capsys.readouterr().err)
         assert round_no == 2
         assert stiffness == pytest.approx(2.22, abs=0.005)
@@ -446,12 +446,12 @@ class TestStiffnessWarning:
     def test_golden_cnn_images_warn_a_round_before_the_blow_up(
         self, tmp_path, capsys
     ):
-        from test_golden import CNN, output_digests
+        from test_golden import CNN, golden_outputs
 
         config = dict(CNN, algorithm="fedcurv", epsilon=1e-3, eta_global=1.0,
                       rounds=3, eta_local=10, local_epochs=3)
         with pytest.raises(fedcurv.RoundNumericalError, match="round 3, local SGD"):
-            output_digests(tmp_path, config)
+            golden_outputs(tmp_path, config)
         warnings = stiffness_warnings(capsys.readouterr().err)
         assert [round_no for round_no, _ in warnings] == [2, 3]
         assert warnings[0][1] == pytest.approx(2.41e6, rel=0.01)
@@ -599,6 +599,23 @@ class TestCli:
         path = write_config(tmp_path, dataset="bfeldata", clients=2, **overrides)
         assert cli.main(["run", "--config", str(path)]) == 2
         assert want in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dataset", ["bfeldata", "idx"])
+    def test_zero_size_samples_exit_before_output(self, tmp_path, capsys, dataset):
+        from test_data import write_idx_pair, zero_size_bfeldata
+
+        # 40 samples of shape (0,) or (0, 6)
+        if dataset == "bfeldata":
+            bad = zero_size_bfeldata(tmp_path / "train.bfel")
+            files = dict(bfeldata_train=str(bad))
+        else:
+            bad, labels = write_idx_pair(tmp_path, np.zeros((40, 0, 6)), np.arange(40) % 2)
+            files = dict(idx_images=str(bad), idx_labels=str(labels))
+        path = write_config(tmp_path, dataset=dataset, model="mlp", clients=2, **files)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: sample shape" in err and "holds no values" in err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_dataset_exits_before_output(self, tmp_path, capsys):
