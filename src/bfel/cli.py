@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,20 @@ def _cmd_gossip_sim(args) -> int:
     return 0
 
 
+def _median_verify_ms(samples: int) -> float:
+    """Median wall time of one Ed25519 verify of a transaction, in ms."""
+    tx = ledger.make_transaction(
+        ledger.TxKind.CLIENT_UPDATE, bytes(32), ledger.keygen(0), timestamp=0
+    )
+    signed = (tx.sender_public, tx.signed_payload(), tx.signature)
+    times = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        ledger.verify(*signed)
+        times.append(time.perf_counter() - start)
+    return 1000 * statistics.median(times)
+
+
 def _cmd_bench_latency(args) -> int:
     net = gossip.GossipNetwork(
         node_count=args.nodes, fanout=args.fanout, seed=args.seed
@@ -72,6 +88,13 @@ def _cmd_bench_latency(args) -> int:
     print(
         f"median_end_to_end_ms={report.median_end_to_end():.2f} "
         f"total_elapsed_ms={report.total_elapsed_ms:.2f}"
+    )
+    # the simulated VTR phase beside what one signature check costs here
+    samples = 101
+    print(
+        f"measured_median_verify_ms={_median_verify_ms(samples):.4f} "
+        f"verifies={samples} "
+        f"simulated_vtr_base_ms={gossip.BASE_VTR_MS:.2f}"
     )
     return 0
 

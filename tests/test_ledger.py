@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -184,6 +186,169 @@ class TestSerialization:
             ok, bad = ledger.validate_chain_bytes(bytes(mutated))
             assert not ok
             assert bad is not None and bad <= block_idx
+
+
+def flip_bit(value: bytes) -> bytes:
+    return bytes([value[0] ^ 0x01]) + value[1:]
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def long_chain():
+    """25 blocks of 11 transactions: 300 signatures, two 150-signature
+    slices on two CPUs. The parent's slice ends inside block 13."""
+    chain, _ = build_chain(25, txs_per_block=11)
+    return chain
+
+
+def replace_block(chain, pos, **fields):
+    return chain[:pos] + (dataclasses.replace(chain[pos], **fields),) + chain[pos + 1:]
+
+
+def flip_tx_signature(chain, pos, tx):
+    txs = list(chain[pos].transactions)
+    txs[tx] = dataclasses.replace(txs[tx], signature=flip_bit(txs[tx].signature))
+    return replace_block(chain, pos, transactions=tuple(txs))
+
+
+class TestSplitValidation:
+    """A chain of 100 or more signatures is verified on every usable CPU,
+    with the verdicts of the serial path."""
+
+    def count_parent_verifies(self, monkeypatch, child_raises=False):
+        """The parent's `ledger.verify` calls, listed as they happen; with
+        child_raises, a verify in a forked child raises."""
+        calls, real = [], ledger.verify
+        parent = os.getpid()
+
+        def counting(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+            elif child_raises:
+                raise RuntimeError("child fails")
+            return real(*args)
+
+        monkeypatch.setattr(ledger, "verify", counting)
+        return calls
+
+    def both_verdicts(self, monkeypatch, chain):
+        set_cpus(monkeypatch, 1)
+        serial = ledger.validate_chain(chain)
+        assert_no_children()
+        set_cpus(monkeypatch, 2)
+        split = ledger.validate_chain(chain)
+        assert_no_children()
+        return serial, split
+
+    def test_valid_chain_validates_with_half_in_the_parent(
+        self, monkeypatch, long_chain
+    ):
+        calls = self.count_parent_verifies(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        assert ledger.validate_chain(long_chain) == (True, None)
+        assert_no_children()
+        assert len(calls) == 150
+        set_cpus(monkeypatch, 1)
+        assert ledger.validate_chain(long_chain) == (True, None)
+        assert len(calls) == 150 + 300
+
+    @pytest.mark.parametrize(
+        "tamper, bad",
+        [
+            (lambda c: flip_tx_signature(c, 3, 4), 3),  # the parent's slice
+            (lambda c: flip_tx_signature(c, 20, 7), 20),  # the child's slice
+            (lambda c: replace_block(  # triple 155 of 300: the child's slice
+                c, 13, proposer_signature=flip_bit(c[13].proposer_signature)), 13),
+            (lambda c: replace_block(
+                c, 9, previous_hash=flip_bit(c[9].previous_hash)), 9),
+        ],
+        ids=["parent-slice-tx", "child-slice-tx", "proposer", "previous-hash"],
+    )
+    def test_tampered_chain_gets_the_serial_verdict(
+        self, monkeypatch, long_chain, tamper, bad
+    ):
+        serial, split = self.both_verdicts(monkeypatch, tamper(long_chain))
+        assert serial == split == (False, bad)
+
+    def test_random_bit_flips_get_the_serial_verdict(self, monkeypatch, long_chain):
+        blob = ledger.export_chain(long_chain)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            bit = int(rng.integers(12 * 8, len(blob) * 8))  # past magic and count
+            mutated = bytearray(blob)
+            mutated[bit // 8] ^= 1 << (bit % 8)
+            verdicts = []
+            for cpus in (1, 2):
+                set_cpus(monkeypatch, cpus)
+                verdicts.append(ledger.validate_chain_bytes(bytes(mutated)))
+                assert_no_children()
+            assert verdicts[0] == verdicts[1]
+            assert not verdicts[0][0]
+
+    def test_unparsable_blob_returns_before_any_fork(self, monkeypatch, long_chain):
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError("no fork in this test")
+
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        blob = ledger.export_chain(long_chain)
+        assert ledger.validate_chain_bytes(blob[:-1]) == (False, 25)
+        assert forks == []
+
+    def test_failed_fork_verifies_in_the_parent(
+        self, monkeypatch, long_chain, tmp_path, capsys
+    ):
+        def failing_fork():
+            raise OSError("fork refused")
+
+        calls = self.count_parent_verifies(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert ledger.validate_chain(long_chain) == (True, None)
+        assert len(calls) == 300
+        signature = flip_bit(long_chain[25].proposer_signature)
+        bad = replace_block(long_chain, 25, proposer_signature=signature)
+        assert ledger.validate_chain(bad) == (False, 25)
+        for chain, code, out in [
+            (long_chain, 0, "valid\n"), (bad, 1, "invalid first_invalid_index=25\n")
+        ]:
+            path = tmp_path / "chain.log"
+            path.write_bytes(ledger.export_chain(chain))
+            assert cli.main(["validate-chain", "--chain", str(path)]) == code
+            assert capsys.readouterr() == (out, "")
+        assert_no_children()
+
+    def test_failed_child_is_verified_in_the_parent(self, monkeypatch, long_chain):
+        calls = self.count_parent_verifies(monkeypatch, child_raises=True)
+        set_cpus(monkeypatch, 2)
+        assert ledger.validate_chain(long_chain) == (True, None)
+        assert_no_children()
+        assert len(calls) == 300
+        bad = flip_tx_signature(long_chain, 20, 7)
+        assert ledger.validate_chain(bad) == (False, 20)
+        assert_no_children()
+
+    def test_short_chain_is_verified_serially(self, monkeypatch):
+        # 33 blocks of 2 transactions: 99 signatures, below two slices
+        chain, _ = build_chain(33)
+
+        def no_fork():
+            raise AssertionError("a 99-signature chain forked")
+
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert ledger.validate_chain(chain) == (True, None)
 
 
 class TestProposerSelection:

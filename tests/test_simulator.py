@@ -763,3 +763,17 @@ class TestCli:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "request_id,T,trd_ms,vtr_ms,tct_ms,end_to_end_ms"
         assert len(lines) == 5
+
+    def test_bench_latency_prints_a_measured_verify_time(self, tmp_path, capsys):
+        assert cli.main(["bench-latency", "--concurrency", "4",
+                         "--output", str(tmp_path / "lat.csv")]) == 0
+        simulated, measured = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(
+            r"median_end_to_end_ms=\d+\.\d\d total_elapsed_ms=\d+\.\d\d", simulated
+        )
+        assert re.fullmatch(
+            r"measured_median_verify_ms=\d+\.\d{4} verifies=101 "
+            r"simulated_vtr_base_ms=35\.00",
+            measured,
+        )
+        assert float(measured.split()[0].split("=")[1]) > 0
