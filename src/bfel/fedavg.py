@@ -5,8 +5,10 @@ These are FedAvg's client and server steps for `fedcurv.run_round`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .data import Dataset
-from .fedcurv import ClientUpdate, HyperParams, _phase, client_sum, local_train
+from .fedcurv import ClientUpdates, HyperParams, _phase, local_train, row_sum
 from .models import ModelSpec, ParameterVector
 
 
@@ -18,27 +20,20 @@ def client_round(
     client_ids: list[int],
     round_no: int,
     seeds: list[int],
-) -> list[ClientUpdate]:
+) -> tuple[np.ndarray, None]:
     """FedAvg client step: E epochs of SGD from theta_global with no Fisher,
-    so no anchor penalty, for all of a round's sampled clients in lockstep."""
+    so no anchor penalty, for all of a round's sampled clients in lockstep;
+    their (K, P) stack of local models, and no Fisher stack."""
     with _phase("local SGD", round_no, client_ids):
         thetas = local_train(spec, theta_global, None, datasets, hp, seeds, round_no)
-    return [
-        ClientUpdate(
-            client_id=cid,
-            round=round_no,
-            theta_local=theta_local,
-            sample_count=len(ds),
-        )
-        for cid, ds, theta_local in zip(client_ids, datasets, thetas)
-    ]
+    return thetas, None
 
 
 def server_step(
-    theta: ParameterVector, updates: list[ClientUpdate], hp: HyperParams
+    theta: ParameterVector, updates: ClientUpdates, hp: HyperParams
 ) -> ParameterVector:
     """FedAvg server step: the clients' models weighted by their sample
     counts, n_k / N, become the global model."""
-    total_n = sum(u.sample_count for u in updates)
-    weights = [u.sample_count / total_n for u in updates]
-    return theta.with_values(client_sum(theta, updates, "theta_local", weights))
+    total_n = sum(updates.sample_counts)
+    weights = [n / total_n for n in updates.sample_counts]
+    return theta.with_values(row_sum(updates.thetas, weights))

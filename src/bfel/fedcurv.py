@@ -7,8 +7,10 @@ each coordinate weighted by each client's Fisher plus epsilon. `run_round`
 drives one round of any algorithm given its client and server steps; the
 FedCurv steps are the defaults. A client step receives all of a round's
 sampled clients, and their local SGD runs in lockstep: one stacked step
-for every client at once. A server step maps theta and the round's
-updates to the next theta over `client_sum`.
+for every client at once; it returns the clients' models as one (K, P)
+stack and, for FedCurv, their Fisher diagonals as another. A server step
+maps theta and the round's `ClientUpdates` to the next theta, adding the
+stacks' rows in client-id order.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import numpy as np
 from . import models
 from .data import Dataset
 from .models import (
+    LayoutMismatchError,
     ModelSpec,
     NumericalError,
     ParameterVector,
     lr_schedule,
-    require_same_layout,
 )
 
 
@@ -39,7 +41,7 @@ class AggregationError(ValueError):
 class RoundNumericalError(NumericalError):
     """A non-finite value inside a round: where it arose and whose it was.
 
-    `round` counts from 0 like `ClientUpdate.round`; the message counts
+    `round` counts from 0 like `ClientUpdates.round`; the message counts
     from 1, as metrics.csv does. `phase` is one of "Fisher", "local SGD",
     "global step" or "evaluation"; `client_ids` is empty for the server's
     phases.
@@ -99,34 +101,42 @@ class HyperParams:
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    """One client's round output; FedAvg updates carry no fisher.
+class ClientUpdates:
+    """A round's uploads: row k of each (K, P) stack is client_ids[k]'s,
+    ids ascending. thetas holds the client models (theta_k) and fishers
+    their Fisher diagonals (F_k); FedAvg uploads no fishers. Bad ids or
+    counts raise AggregationError, a stack of another shape
+    LayoutMismatchError."""
 
-    fisher (F_k) is in theta_local's layout; `client_sum` checks that when
-    it adds them up.
-    """
-
-    client_id: int
     round: int
-    theta_local: ParameterVector
-    sample_count: int
-    fisher: ParameterVector | None = None
+    client_ids: tuple[int, ...]
+    sample_counts: tuple[int, ...]
+    thetas: np.ndarray
+    fishers: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        ids = self.client_ids
+        if not ids or any(a >= b for a, b in zip(ids, ids[1:])):
+            raise AggregationError(f"need ascending client ids, got {list(ids)}")
+        if min(self.sample_counts) < 1:
+            raise AggregationError("sample_count must be >= 1")
+        shape = (len(ids), self.thetas.shape[-1])
+        for stack in (self.thetas, self.fishers):
+            if stack is not None and stack.shape != shape:
+                raise LayoutMismatchError(f"a {stack.shape} stack, not {shape}")
 
 
 def local_train(
     spec: ModelSpec,
     theta_global: ParameterVector,
-    fishers: list[ParameterVector] | None,
+    fishers: np.ndarray | None,
     datasets: list[Dataset],
     hp: HyperParams,
     seeds: list[int],
     round_no: int = 0,
-) -> list[ParameterVector]:
-    """E epochs of mini-batch SGD on the anchored loss, one model per client.
+) -> np.ndarray:
+    """E epochs of mini-batch SGD on the anchored loss, one model per client:
+    row k of the returned (K, P) stack, anchored by row k of fishers.
 
     Client k starts from theta_global and, each epoch, takes consecutive
     batches of one shuffle of its data, `rng.permutation(n)` from its own
@@ -150,8 +160,9 @@ def local_train(
     thetas = np.tile(anchor, (len(datasets), 1))
     lam_f = None
     if fishers is not None and hp.lam != 0.0:
-        require_same_layout(theta_global, *fishers)
-        lam_f = hp.lam * np.stack([f.values for f in fishers])
+        if fishers.shape != thetas.shape:
+            raise LayoutMismatchError(f"expected a {thetas.shape} Fisher stack")
+        lam_f = hp.lam * fishers
     sizes = [len(ds) for ds in datasets]
     max_samples = max(sizes)
     xs = np.empty((len(datasets), max_samples) + datasets[0].samples.shape[1:])
@@ -205,28 +216,15 @@ def local_train(
     finite = np.isfinite(thetas).all(axis=1)
     if not finite.all():
         raise NumericalError("local model not finite", positions=np.flatnonzero(~finite))
-    return [theta_global.with_values(row) for row in thetas]
+    return thetas
 
 
-def client_sum(
-    theta: ParameterVector, updates: list[ClientUpdate], field: str, weights=None
-) -> np.ndarray:
-    """Sum of weight * `field` ("fisher" or "theta_local") over updates of
-    one round in theta's layout, in client-id order, from zero; `weights`
-    lines up with `updates`, each a scalar or a per-coordinate array, and
-    defaults to 1.0 each."""
-    if not updates:
-        raise AggregationError("no client updates to aggregate")
-    if len({u.round for u in updates}) > 1:
-        raise AggregationError("client updates span multiple rounds")
-    if weights is None:
-        weights = [1.0] * len(updates)
-    pairs = sorted(zip(weights, updates), key=lambda wu: wu[1].client_id)
-    vectors = [getattr(u, field) for _, u in pairs]
-    require_same_layout(theta, *vectors)
-    total = np.zeros(theta.layout.size)
-    for (w, _), v in zip(pairs, vectors):
-        total += w * v.values
+def row_sum(stack: np.ndarray, weights=None) -> np.ndarray:
+    """Sum of the rows of a (K, P) stack, row k times weights[k] (a scalar
+    or a P-array; 1 by default), added in row order from +0.0."""
+    total = np.zeros(stack.shape[1])
+    for k, row in enumerate(stack):
+        total += row if weights is None else weights[k] * row
     return total
 
 
@@ -238,13 +236,14 @@ def client_round(
     client_ids: list[int],
     round_no: int,
     seeds: list[int],
-) -> list[ClientUpdate]:
-    """FedCurv client step for a round's sampled clients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """FedCurv client step for a round's sampled clients: their (K, P)
+    stacks of local models and of Fisher diagonals.
 
     Each client's Fisher at the anchor, then anchored SGD for all of them
     in lockstep. The Fisher pass stays per client, so that no full-dataset
-    pass is stacked. A stderr warning names the round when
-    eta_local * lam * max F_k reaches 2.
+    pass is stacked. A stderr warning names the round when lr * lam *
+    max F_k reaches 2, lr being the round's first and largest rate.
     """
     fishers = []
     for cid, ds in zip(client_ids, datasets):
@@ -252,10 +251,14 @@ def client_round(
             sums = models.sum_squared_loglik_grads(
                 spec, theta_global, ds.samples, ds.labels
             )
-            fishers.append(theta_global.with_values(sums / len(ds)))
-    # a penalty coordinate shrinks by 1 - eta_local * lam * F per step, so
-    # from 2 on, the steps overshoot the anchor by more each time
-    stiffness = hp.eta_local * hp.lam * max(float(f.values.max()) for f in fishers)
+            fishers.append(sums / len(ds))
+    fishers = np.stack(fishers)
+    lr = hp.eta_local
+    if hp.lr_decay:
+        lr = lr_schedule(hp.eta_local, round_no * hp.local_epochs)
+    # a penalty coordinate shrinks by 1 - lr * lam * F per step, so from 2
+    # on, the steps overshoot the anchor by more each time
+    stiffness = lr * hp.lam * float(fishers.max())
     if stiffness >= 2:
         print(
             f"warning: round {round_no + 1}: eta_local * lambda * max Fisher = "
@@ -266,30 +269,20 @@ def client_round(
         thetas = local_train(
             spec, theta_global, fishers, datasets, hp, seeds, round_no
         )
-    return [
-        ClientUpdate(
-            client_id=cid,
-            round=round_no,
-            fisher=fisher,
-            theta_local=theta_local,
-            sample_count=len(ds),
-        )
-        for cid, ds, fisher, theta_local in zip(client_ids, datasets, fishers, thetas)
-    ]
+    return thetas, fishers
 
 
 def server_step(
-    theta: ParameterVector, updates: list[ClientUpdate], hp: HyperParams
+    theta: ParameterVector, updates: ClientUpdates, hp: HyperParams
 ) -> ParameterVector:
     """FedCurv server step: theta + eta_global * (merged - theta), where
     merged = (sum_k F_k theta_k + epsilon sum_k theta_k) / (sum_k F_k + K
     epsilon) minimises sum_k (theta - theta_k)^T diag(F_k + epsilon)
     (theta - theta_k): per coordinate a convex combination of the client
     models, their plain mean where every F_k is zero."""
-    precision = client_sum(theta, updates, "fisher") + len(updates) * hp.epsilon
-    fishers = [u.fisher.values for u in updates]  # layouts checked just above
-    merged = client_sum(theta, updates, "theta_local", fishers)
-    merged += hp.epsilon * client_sum(theta, updates, "theta_local")
+    precision = row_sum(updates.fishers) + len(updates.thetas) * hp.epsilon
+    merged = row_sum(updates.thetas, updates.fishers)
+    merged += hp.epsilon * row_sum(updates.thetas)
     merged /= precision
     return theta.with_values(theta.values + hp.eta_global * (merged - theta.values))
 
@@ -303,16 +296,17 @@ def sample_clients(
     return sorted(int(i) for i in rng.choice(client_count, size=m, replace=False))
 
 
-def divergence(theta: ParameterVector, updates: list[ClientUpdate]) -> float:
-    """Mean L2 distance of the client models from their mean.
+def divergence(thetas: np.ndarray) -> float:
+    """Mean L2 distance of the client models, the rows of thetas, from
+    their mean.
 
     Each distance is the square root of np.add.reduce of the squared
     difference, as np.linalg.norm takes it for one row of a stack.
     """
-    mean = client_sum(theta, updates, "theta_local") / len(updates)
+    mean = row_sum(thetas) / len(thetas)
     squares = []
-    for u in updates:
-        diff = u.theta_local.values - mean
+    for row in thetas:
+        diff = row - mean
         diff *= diff
         squares.append(np.add.reduce(diff))
     return float(np.sqrt(squares).mean())
@@ -328,7 +322,7 @@ def run_round(
     test_set: Dataset | None = None,
     client_step=client_round,
     server_step=server_step,
-) -> tuple[ParameterVector, list[ClientUpdate], dict]:
+) -> tuple[ParameterVector, ClientUpdates, dict]:
     """Round round_no (from 0) from global model theta: sample, run the
     client step, run the server step; returns the new global model.
 
@@ -336,32 +330,40 @@ def run_round(
     `server_step`, so every algorithm shares the sampling, seeds, metrics
     and the check that the new global model is finite.
     The client step receives every sampled client at once, in ascending id
-    order, with per-client training seeds drawn in that order. A non-finite
-    value anywhere in the round raises RoundNumericalError.
+    order, with per-client training seeds drawn in that order, and returns
+    a (thetas, fishers) pair of (K, P) stacks in that order; fishers may be
+    None. Stacks of another shape raise LayoutMismatchError before the
+    server step. A non-finite value anywhere in the round raises
+    RoundNumericalError.
     """
     if not clients:
         raise AggregationError("run_round requires at least one client")
     sampled = sample_clients(len(clients), hp.client_fraction, rng)
     seeds = [int(rng.integers(2**63)) for _ in sampled]
-    updates = client_step(
-        spec,
-        theta,
-        [clients[cid] for cid in sampled],
-        hp,
-        client_ids=sampled,
-        round_no=round_no,
+    datasets = [clients[cid] for cid in sampled]
+    thetas, fishers = client_step(
+        spec, theta, datasets, hp, client_ids=sampled, round_no=round_no,
         seeds=seeds,
     )
+    updates = ClientUpdates(
+        round_no, tuple(sampled), tuple(len(ds) for ds in datasets), thetas, fishers
+    )
+    if thetas.shape[1] != theta.layout.size:
+        raise LayoutMismatchError(
+            f"expected client models of {theta.layout.size} values, got "
+            f"{thetas.shape[1]}"
+        )
     with _phase("global step", round_no):
         new_theta = server_step(theta, updates, hp)
         if not np.all(np.isfinite(new_theta.values)):
             raise NumericalError("global model not finite")
-    metrics = {"divergence": divergence(theta, updates)}
+    metrics = {"divergence": divergence(thetas)}
     if test_set is not None:
         x, labels = test_set.samples, test_set.labels
         with _phase("evaluation", round_no):
             metrics["client_accuracy"] = [
-                models.accuracy(spec, u.theta_local, x, labels) for u in updates
+                models.accuracy(spec, theta.with_values(row), x, labels)
+                for row in thetas
             ]
             metrics["global_accuracy"] = models.accuracy(spec, new_theta, x, labels)
     return new_theta, updates, metrics

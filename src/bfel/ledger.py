@@ -433,18 +433,21 @@ def _digest(tag: bytes, header: bytes, *arrays) -> bytes:
     return h.digest()
 
 
-def digest_update(update) -> bytes:
-    """Canonical digest of a client update.
+def digest_update(updates, k: int) -> bytes:
+    """Canonical digest of the upload in row k of a round's `ClientUpdates`,
+    client updates.client_ids[k]'s.
 
-    FedCurv updates hash (F_k, theta_local); FedAvg updates, which carry
-    no Fisher, hash theta_local alone under their own tag.
+    FedCurv updates hash (F_k, theta_k), rows k of the fishers and thetas
+    stacks; FedAvg updates, which carry no Fisher, hash theta_k alone under
+    their own tag.
     """
-    header = struct.pack("<QQQ", update.client_id, update.round, update.sample_count)
-    if update.fisher is None:
-        return _digest(b"bfel-plain-update-v1", header, update.theta_local.values)
+    header = struct.pack(
+        "<QQQ", updates.client_ids[k], updates.round, updates.sample_counts[k]
+    )
+    if updates.fishers is None:
+        return _digest(b"bfel-plain-update-v1", header, updates.thetas[k])
     return _digest(
-        b"bfel-client-update-v2", header, update.fisher.values,
-        update.theta_local.values,
+        b"bfel-client-update-v2", header, updates.fishers[k], updates.thetas[k]
     )
 
 

@@ -178,12 +178,6 @@ class ParameterVector:
         return ParameterVector(values, self.layout)
 
 
-def require_same_layout(*vectors) -> None:
-    layouts = {v.layout for v in vectors}
-    if len(layouts) > 1:
-        raise LayoutMismatchError("parameter vectors have different layouts")
-
-
 def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
     """Glorot-uniform weights, zero biases, from a seeded generator."""
     layout = build_layout(spec)

@@ -260,17 +260,17 @@ def _round_stream(config: ExperimentConfig, spec, clients, test):
         if config.clock == "wall":
             elapsed = (time.monotonic() - wall_start) * 1000.0
         else:
-            sim_clock_ms += 100.0 * len(updates) + 10.0 * float(clock_rng.random())
+            sim_clock_ms += 100.0 * len(updates.thetas) + 10.0 * float(clock_rng.random())
             elapsed = sim_clock_ms
 
         if chain is not None:
             ts = (round_idx + 1) * 1000
             txs = [
                 ledger.make_transaction(
-                    ledger.TxKind.CLIENT_UPDATE, ledger.digest_update(u),
-                    client_keys[u.client_id], ts,
+                    ledger.TxKind.CLIENT_UPDATE, ledger.digest_update(updates, k),
+                    client_keys[cid], ts,
                 )
-                for u in updates
+                for k, cid in enumerate(updates.client_ids)
             ]
             txs.append(ledger.make_transaction(
                 ledger.TxKind.GLOBAL_MODEL,

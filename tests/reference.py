@@ -14,6 +14,9 @@ No program path calls these:
   scatters their gradients through one index per shape; the CNN below
   keeps the row-major conv layout and builds every per-sample gradient
   whole;
+- the server steps and the divergence metric add the rows of a round's
+  (K, P) stacks; the per-client loops below add one client's vectors at
+  a time, sorted by client id, each times its weight, from zeros;
 - `bfel.ledger` hashes array buffers in place;
 - the program reads IDX files and never writes them: `save_idx` makes
   them for the tests.
@@ -22,6 +25,7 @@ No program path calls these:
 import hashlib
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +40,12 @@ from bfel.gossip import (
     GossipCoverageError,
     GossipNetwork,
 )
-from bfel.models import ModelSpec, ParameterVector, require_same_layout
+from bfel.models import LayoutMismatchError, ModelSpec, ParameterVector
+
+
+def require_same_layout(*vectors) -> None:
+    if len({v.layout for v in vectors}) > 1:
+        raise LayoutMismatchError("parameter vectors have different layouts")
 
 
 def shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -339,3 +348,57 @@ def digest(tag: bytes, header: bytes, *arrays) -> bytes:
         raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         h.update(struct.pack("<I", len(raw)) + raw)
     return h.digest()
+
+
+
+class Update(NamedTuple):
+    """One client's upload on its own: its model and, under FedCurv, its
+    Fisher diagonal."""
+
+    client_id: int
+    sample_count: int
+    theta: np.ndarray
+    fisher: np.ndarray | None = None
+
+
+def client_sum(updates, field, weights=None) -> np.ndarray:
+    """Sum of weight * `field` ("theta" or "fisher") over updates, in
+    client-id order, from zeros; weights line up with updates, each a
+    scalar or a per-coordinate array, 1.0 each by default."""
+    if weights is None:
+        weights = [1.0] * len(updates)
+    pairs = sorted(zip(weights, updates), key=lambda wu: wu[1].client_id)
+    total = np.zeros(len(updates[0].theta))
+    for w, u in pairs:
+        total += w * getattr(u, field)
+    return total
+
+
+def fedcurv_merge(theta, updates, eta_global, epsilon) -> np.ndarray:
+    """FedCurv's server step over per-client updates: theta + eta_global *
+    (merged - theta), merged = (sum F_k theta_k + epsilon sum theta_k) /
+    (sum F_k + K epsilon)."""
+    precision = client_sum(updates, "fisher") + len(updates) * epsilon
+    merged = client_sum(updates, "theta", [u.fisher for u in updates])
+    merged += epsilon * client_sum(updates, "theta")
+    merged /= precision
+    return theta + eta_global * (merged - theta)
+
+
+def fedavg_average(updates) -> np.ndarray:
+    """FedAvg's server step over per-client updates: the client models
+    weighted by n_k / N."""
+    total_n = sum(u.sample_count for u in updates)
+    return client_sum(updates, "theta", [u.sample_count / total_n for u in updates])
+
+
+def divergence(updates) -> float:
+    """Mean L2 distance of the client models from their mean, taken client
+    by client in client-id order."""
+    mean = client_sum(updates, "theta") / len(updates)
+    squares = []
+    for u in sorted(updates, key=lambda u: u.client_id):
+        diff = u.theta - mean
+        diff *= diff
+        squares.append(np.add.reduce(diff))
+    return float(np.sqrt(squares).mean())

@@ -128,7 +128,9 @@ def test_c03_algebraic_identities():
     ds = data.synth_blobs(2, 8, 2, 0.3, seed=1)
     hp = HyperParams(lam=0.0, eta_local=0.1, local_epochs=3, batch_size=5)
     fisher = fisher_diagonal(spec, theta_g, ds)
-    [curv] = fedcurv.local_train(spec, theta_g, [fisher], [ds], hp, seeds=[7])
+    [curv] = fedcurv.local_train(
+        spec, theta_g, fisher.values[None], [ds], hp, seeds=[7]
+    )
     # reference: plain mini-batch SGD, written out here
     plain, rng = theta_g, np.random.default_rng(7)
     for _ in range(hp.local_epochs):
@@ -137,7 +139,7 @@ def test_c03_algebraic_identities():
                 spec, plain, ds.samples[idx], ds.labels[idx]
             )
             plain = plain.with_values(plain.values - hp.eta_local * grad.values)
-    assert np.array_equal(curv.values, plain.values)
+    assert np.array_equal(curv, plain.values)
 
     plain_loss, _ = loss_and_grad(spec, theta_g, ds.samples, ds.labels)
     assert regularized_loss(
@@ -147,13 +149,10 @@ def test_c03_algebraic_identities():
     theta = ParameterVector(np.array([0.2, -0.2]), build_layout(logistic_spec()))
 
     def step(fishers, thetas, eta_global=1.0):
-        updates = [
-            fedcurv.ClientUpdate(
-                k, 0, theta.with_values(np.array(t, dtype=float)), 1,
-                fisher=theta.with_values(np.array(f, dtype=float)),
-            )
-            for k, (f, t) in enumerate(zip(fishers, thetas))
-        ]
+        updates = fedcurv.ClientUpdates(
+            0, tuple(range(len(thetas))), (1,) * len(thetas),
+            np.array(thetas, dtype=float), np.array(fishers, dtype=float),
+        )
         hp = HyperParams(eta_global=eta_global, epsilon=1e-8)
         return fedcurv.server_step(theta, updates, hp).values
 
@@ -253,7 +252,7 @@ def test_c04_fedavg_one_round_oracle():
         for xs, ys in client_data
     )
 
-    assert [u.sample_count for u in updates] == [3, 5]
+    assert updates.sample_counts == (3, 5)
     err = float(np.abs(theta.values - theta_new).max())
     assert err < 1e-10
     ok(f"C4 FedAvg one-round oracle: max abs err {err:.2e}")

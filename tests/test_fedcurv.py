@@ -3,11 +3,7 @@ import pytest
 
 from bfel import data, fedavg, fedcurv, models
 from bfel.data import Dataset
-from bfel.fedcurv import (
-    AggregationError,
-    ClientUpdate,
-    HyperParams,
-)
+from bfel.fedcurv import AggregationError, ClientUpdates, HyperParams
 from bfel.models import (
     LayoutMismatchError,
     ModelSpec,
@@ -16,6 +12,10 @@ from bfel.models import (
     build_layout,
 )
 from reference import (
+    Update,
+    divergence,
+    fedavg_average,
+    fedcurv_merge,
     fisher_diagonal,
     loss_and_grad,
     regularized_gradient,
@@ -198,11 +198,12 @@ class TestLocalTrain:
         self.ds = small_dataset(seed=5, n=10, classes=2)
         self.fisher = fisher_diagonal(self.spec, self.theta_g, self.ds)
 
-    def train(self, hp, seed):
+    def train(self, hp, seed, round_no=0):
         [out] = fedcurv.local_train(
-            self.spec, self.theta_g, [self.fisher], [self.ds], hp, [seed]
+            self.spec, self.theta_g, self.fisher.values[None], [self.ds], hp,
+            [seed], round_no,
         )
-        return out
+        return self.theta_g.with_values(out)
 
     def test_zero_lr_returns_anchor(self):
         hp = make_hp(eta_local=0.0, local_epochs=3, batch_size=4)
@@ -219,9 +220,7 @@ class TestLocalTrain:
         # round 3235 starts the schedule at epoch 3235, past 3**647 > float max;
         # a rate of about 2e-311 moves no weight by more than 1e-300
         hp = make_hp(eta_local=0.01, batch_size=4, lr_decay=True)
-        [out] = fedcurv.local_train(
-            self.spec, self.theta_g, [self.fisher], [self.ds], hp, [0], round_no=3235
-        )
+        out = self.train(hp, 0, round_no=3235)
         assert np.allclose(out.values, self.theta_g.values, rtol=0, atol=1e-300)
 
     def test_single_full_batch_step_closed_form(self):
@@ -236,15 +235,15 @@ class TestLocalTrain:
 
     def test_empty_client_takes_no_step(self):
         # local_train has no empty check of its own: a round's Fisher pass
-        # or its ClientUpdate rejects an empty client (TestEmptyClient)
+        # or its ClientUpdates rejects an empty client (TestEmptyClient)
         hp = make_hp(lam=0.5, eta_local=0.1, local_epochs=2, batch_size=4)
         empty = self.ds.subset(np.arange(0))
         trained, anchor = fedcurv.local_train(
-            self.spec, self.theta_g, [self.fisher, self.fisher], [self.ds, empty],
-            hp, [3, 4],
+            self.spec, self.theta_g, np.stack([self.fisher.values] * 2),
+            [self.ds, empty], hp, [3, 4],
         )
-        assert anchor.values.tobytes() == self.theta_g.values.tobytes()
-        assert trained.values.tobytes() == self.train(hp, 3).values.tobytes()
+        assert anchor.tobytes() == self.theta_g.values.tobytes()
+        assert trained.tobytes() == self.train(hp, 3).values.tobytes()
 
     def test_logistic_gradient_closed_form(self):
         # the plain gradient local SGD steps on, against its closed form
@@ -269,19 +268,23 @@ class TestEmptyClient:
         self.ds = small_dataset(seed=5, n=10, classes=2)
         self.hp = make_hp(eta_local=0.1, batch_size=4)
 
-    def client_round(self, algo):
+    def run_round(self, algo):
         empty = self.ds.subset(np.arange(0))
-        return algo.client_round(
-            self.spec, self.theta, [self.ds, empty], self.hp, [0, 1], 0, [3, 4]
+        return fedcurv.run_round(
+            self.spec, self.theta, 0, [self.ds, empty], self.hp,
+            np.random.default_rng(0), client_step=algo.client_round,
+            server_step=algo.server_step,
         )
 
     def test_fedcurv_fisher_pass_rejects_it(self):
         with pytest.raises(ShapeMismatchError, match="at least one sample"):
-            self.client_round(fedcurv)
+            self.run_round(fedcurv)
 
     def test_fedavg_update_rejects_it(self):
-        with pytest.raises(ValueError, match="sample_count must be >= 1"):
-            self.client_round(fedavg)
+        # FedAvg's local SGD hands the empty client the anchor back; the
+        # round's ClientUpdates then rejects its sample count
+        with pytest.raises(AggregationError, match="sample_count must be >= 1"):
+            self.run_round(fedavg)
 
 
 class TestClientRound:
@@ -291,93 +294,69 @@ class TestClientRound:
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(3,))
         params = models.init_params(spec, 6)
         ds = small_dataset(seed=7)
-        [update] = fedcurv.client_round(
+        thetas, fishers = fedcurv.client_round(
             spec, params, [ds], make_hp(batch_size=5), [3], 0, [8]
         )
-        assert not np.array_equal(update.theta_local.values, params.values)
+        assert thetas.shape == fishers.shape == (1, params.layout.size)
+        assert not np.array_equal(thetas[0], params.values)
         fisher = fisher_diagonal(spec, params, ds)
-        assert np.array_equal(update.fisher.values, fisher.values)
+        assert np.array_equal(fishers[0], fisher.values)
+
+    def stiff_round(self, capsys, round_no, lr_decay):
+        # lam puts eta_local * lam * max F_k at 3 for this client and anchor
+        spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(3,))
+        params = models.init_params(spec, 6)
+        ds = small_dataset(seed=7)
+        max_f = float(fisher_diagonal(spec, params, ds).values.max())
+        hp = make_hp(lam=3 / (0.01 * max_f), eta_local=0.01, batch_size=12,
+                     lr_decay=lr_decay)
+        fedcurv.client_round(spec, params, [ds], hp, [0], round_no, [8])
+        return capsys.readouterr().err
+
+    def test_stiffness_warning_reads_the_rounds_first_rate(self, capsys):
+        # with one epoch a round, round 6 starts the schedule at epoch 5:
+        # eta_local / 3 takes the product from 3 to 1, so no step can overshoot
+        assert self.stiff_round(capsys, 5, lr_decay=True) == ""
+        assert self.stiff_round(capsys, 4, lr_decay=True).startswith(
+            "warning: round 5: eta_local * lambda * max Fisher = 3 >= 2"
+        )
+        assert self.stiff_round(capsys, 5, lr_decay=False).startswith(
+            "warning: round 6: eta_local * lambda * max Fisher = 3 >= 2"
+        )
 
 
-def make_update(client_id, fisher_vals, theta_vals, layout, round_no=0):
-    return ClientUpdate(
-        client_id=client_id,
-        round=round_no,
-        theta_local=ParameterVector(np.asarray(theta_vals, dtype=float), layout),
-        sample_count=1,
-        fisher=ParameterVector(np.asarray(fisher_vals, dtype=float), layout),
-    )
-
-
-def means(updates, layout):
-    """The clients' mean Fisher and mean model, from `client_sum`."""
-    theta = ParameterVector(np.zeros(layout.size), layout)
-    f_sum = fedcurv.client_sum(theta, updates, "fisher")
-    theta_sum = fedcurv.client_sum(theta, updates, "theta_local")
-    return f_sum / len(updates), theta_sum / len(updates)
+def means(fishers, thetas):
+    """The clients' mean Fisher and mean model, from `row_sum`."""
+    fishers, thetas = np.asarray(fishers, float), np.asarray(thetas, float)
+    return (fedcurv.row_sum(fishers) / len(fishers),
+            fedcurv.row_sum(thetas) / len(thetas))
 
 
 class TestAggregation:
-    def setup_method(self):
-        self.layout = build_layout(logistic_spec())
-
     def test_single_update_identity(self):
-        u = make_update(0, [2.0, 0.0], [1.0, -1.0], self.layout)
-        f, theta = means([u], self.layout)
+        f, theta = means([[2.0, 0.0]], [[1.0, -1.0]])
         assert np.array_equal(f, [2.0, 0.0])
         assert np.array_equal(theta, [1.0, -1.0])
 
     def test_elementwise_means(self):
-        u1 = make_update(0, [2.0, 0.0], [1.0, -1.0], self.layout)
-        u2 = make_update(1, [0.0, 2.0], [-1.0, 1.0], self.layout)
-        f, theta = means([u1, u2], self.layout)
+        f, theta = means([[2.0, 0.0], [0.0, 2.0]], [[1.0, -1.0], [-1.0, 1.0]])
         assert np.array_equal(f, [1.0, 1.0])
         assert np.array_equal(theta, [0.0, 0.0])
 
     def test_identical_updates_idempotent(self):
-        us = [make_update(i, [3.0, 1.0], [0.5, 0.5], self.layout) for i in range(4)]
-        f, theta = means(us, self.layout)
+        f, theta = means([[3.0, 1.0]] * 4, [[0.5, 0.5]] * 4)
         assert np.allclose(f, [3.0, 1.0])
         assert np.allclose(theta, [0.5, 0.5])
 
     def test_three_models_by_hand(self):
-        us = [
-            make_update(0, [0, 0], [3.0, 0.0], self.layout),
-            make_update(1, [0, 0], [0.0, 3.0], self.layout),
-            make_update(2, [0, 0], [3.0, 3.0], self.layout),
-        ]
-        assert np.array_equal(means(us, self.layout)[1], [2.0, 2.0])
+        thetas = [[3.0, 0.0], [0.0, 3.0], [3.0, 3.0]]
+        assert np.array_equal(means([[0, 0]] * 3, thetas)[1], [2.0, 2.0])
 
     def test_per_coordinate_weights(self):
-        # each weight multiplies its own update's vector, coordinate by
-        # coordinate, and follows that update into client-id order
-        us = [
-            make_update(1, [0, 0], [1.0, 2.0], self.layout),
-            make_update(0, [0, 0], [4.0, 8.0], self.layout),
-        ]
-        theta = ParameterVector(np.zeros(2), self.layout)
-        weights = [np.array([1.0, 0.0]), np.array([0.5, 0.25])]
-        total = fedcurv.client_sum(theta, us, "theta_local", weights)
-        assert np.array_equal(total, [3.0, 2.0])
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(8)
-        us = [
-            make_update(i, rng.random(2), rng.standard_normal(2), self.layout)
-            for i in range(5)
-        ]
-        fwd = means(us, self.layout)
-        rev = means(us[::-1], self.layout)
-        assert np.array_equal(fwd[0], rev[0])
-        assert np.array_equal(fwd[1], rev[1])
-
-    def test_empty_and_mixed_round_errors(self):
-        with pytest.raises(AggregationError):
-            means([], self.layout)
-        u1 = make_update(0, [0, 0], [0, 0], self.layout, round_no=0)
-        u2 = make_update(1, [0, 0], [0, 0], self.layout, round_no=1)
-        with pytest.raises(AggregationError):
-            means([u1, u2], self.layout)
+        # each weight multiplies its own row, coordinate by coordinate
+        thetas = np.array([[4.0, 8.0], [1.0, 2.0]])
+        weights = [np.array([0.5, 0.25]), np.array([1.0, 0.0])]
+        assert np.array_equal(fedcurv.row_sum(thetas, weights), [3.0, 2.0])
 
 
 def layout_check_cases():
@@ -400,18 +379,14 @@ def layout_check_cases():
             spec, theta.layout, np.zeros((2, 2 + 5)), np.stack([x, x]),
             np.stack([labels, labels]),
         ),
-        "client-sum": lambda: fedcurv.client_sum(
-            theta, [ClientUpdate(0, 0, theta, 2, fisher=other)],
-            "fisher",
-        ),
         "local-train": lambda: fedcurv.local_train(
-            spec, theta, [other], [ds], make_hp(), [0]
+            spec, theta, np.ones((1, 3)), [ds], make_hp(), [0]
         ),
     }
 
 
 @pytest.mark.parametrize("case", [
-    "vector-length", "model-spec", "wide-thetas", "client-sum", "local-train",
+    "vector-length", "model-spec", "wide-thetas", "local-train",
 ])
 def test_layout_check_raises(case):
     call = layout_check_cases()[case]
@@ -419,32 +394,22 @@ def test_layout_check_raises(case):
         call()
 
 
-def round_with_updates(theta, updates, hp):
+def merge(theta, fishers, thetas, eta_global=1.0, epsilon=1e-8):
     """The global model after a round 0 of the logistic model from theta,
-    by `run_round` with a client step that returns `updates`."""
+    by `run_round` with a client step that returns the stacks of F_k and
+    theta_k, client k having id k."""
 
-    def given_updates(spec, theta_global, datasets, hp, client_ids, round_no,
-                      seeds):
-        return updates
+    def given_stacks(spec, theta_global, datasets, hp, client_ids, round_no,
+                     seeds):
+        return np.asarray(thetas, dtype=float), np.asarray(fishers, dtype=float)
 
     one = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=int), 2)
     new_theta, _, _ = fedcurv.run_round(
-        logistic_spec(), theta, 0, [one], hp, np.random.default_rng(0),
-        client_step=given_updates,
+        logistic_spec(), theta, 0, [one] * len(thetas),
+        make_hp(eta_global=eta_global, epsilon=epsilon), np.random.default_rng(0),
+        client_step=given_stacks,
     )
-    return new_theta
-
-
-def merge(theta, fishers, thetas, eta_global=1.0, epsilon=1e-8):
-    """The FedCurv server step from theta over one update per (F_k, theta_k)
-    pair, client k having id k."""
-    updates = [
-        make_update(k, f, t, theta.layout)
-        for k, (f, t) in enumerate(zip(fishers, thetas))
-    ]
-    return round_with_updates(
-        theta, updates, make_hp(eta_global=eta_global, epsilon=epsilon)
-    ).values
+    return new_theta.values
 
 
 class TestMerge:
@@ -495,15 +460,6 @@ class TestMerge:
             assert np.all(out >= thetas.min(axis=0) - slack)
             assert np.all(out <= thetas.max(axis=0) + slack)
 
-    def test_client_order_gives_the_same_bits(self):
-        rng = np.random.default_rng(10)
-        us = [make_update(i, rng.random(2), rng.standard_normal(2), self.theta.layout)
-              for i in range(5)]
-        hp = make_hp(eta_global=0.7, epsilon=1e-3)
-        fwd = fedcurv.server_step(self.theta, us, hp)
-        rev = fedcurv.server_step(self.theta, us[::-1], hp)
-        assert fwd.values.tobytes() == rev.values.tobytes()
-
 
 class TestDivergence:
     @pytest.mark.parametrize("spec", [
@@ -512,24 +468,113 @@ class TestDivergence:
     ])
     @pytest.mark.parametrize("clients", [1, 3, 10])
     def test_equals_stacked_norm_formula_bitwise(self, spec, clients):
-        layout = build_layout(spec)
+        size = build_layout(spec).size
         rng = np.random.default_rng(clients)
-        theta = ParameterVector(rng.standard_normal(layout.size), layout)
-        updates = [
-            ClientUpdate(
-                client_id=cid, round=0, sample_count=1,
-                theta_local=theta.with_values(
-                    theta.values + 10.0 ** rng.integers(-3, 3)
-                    * rng.standard_normal(layout.size)
-                ),
-            )
-            for cid in rng.permutation(clients)  # not in client-id order
-        ]
-        stack = np.stack([u.theta_local.values for u in updates])
-        mean = fedcurv.client_sum(theta, updates, "theta_local") / clients
+        stack = rng.standard_normal(size) + 10.0 ** rng.integers(
+            -3, 3, size=(clients, 1)
+        ) * rng.standard_normal((clients, size))
+        mean = fedcurv.row_sum(stack) / clients
         want = float(np.linalg.norm(stack - mean, axis=1).mean())
-        got = fedcurv.divergence(theta, updates)
+        got = fedcurv.divergence(stack)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def random_uploads(k, seed):
+    """A round's (K, P) stacks of models and Fisher diagonals, and sample
+    counts: one model row is all -0.0, coordinate 1 is -0.0 in every
+    model, coordinate 2 is 0 in every F_k, and magnitudes span decades."""
+    rng = np.random.default_rng(seed)
+    thetas = rng.standard_normal((k, 40)) * 10.0 ** rng.integers(-6, 6, (k, 40))
+    fishers = rng.random((k, 40)) * 10.0 ** rng.integers(-9, 3, (k, 40))
+    thetas[k // 2] = -0.0
+    thetas[:, 1] = -0.0
+    fishers[:, 2] = 0.0
+    return thetas, fishers, [int(n) for n in rng.integers(1, 50, k)]
+
+
+class TestSumOrder:
+    """The stacked server steps and divergence add the rows in client-id
+    order from +0.0: the same bits as the per-client loops of reference.py,
+    on any numpy build."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_stacked_steps_match_the_client_loops(self, k):
+        thetas, fishers, counts = random_uploads(k, seed=k)
+        rng = np.random.default_rng(100 + k)
+        layout = build_layout(
+            ModelSpec(kind="mlp", input_shape=(8,), classes=5, bias=False)
+        )
+        theta = ParameterVector(rng.standard_normal(layout.size), layout)
+        ids = sorted(int(i) for i in rng.choice(100, size=k, replace=False))
+        # the loops sort by client id, so hand them the clients reversed
+        loose = [Update(*u) for u in zip(ids, counts, thetas, fishers)][::-1]
+        hp = make_hp(eta_global=0.7, epsilon=1e-6)
+        pairs = [
+            (fedcurv.server_step(
+                theta, ClientUpdates(3, tuple(ids), tuple(counts), thetas, fishers), hp
+            ).values, fedcurv_merge(theta.values, loose, 0.7, 1e-6)),
+            (fedavg.server_step(
+                theta, ClientUpdates(3, tuple(ids), tuple(counts), thetas), hp
+            ).values, fedavg_average(loose)),
+            (np.float64(fedcurv.divergence(thetas)), np.float64(divergence(loose))),
+        ]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+
+    def test_an_all_negative_zero_coordinate_sums_to_positive_zero(self):
+        thetas, _, _ = random_uploads(3, seed=0)
+        assert np.signbit(thetas[:, 1]).all()
+        assert not np.signbit(fedcurv.row_sum(thetas)[1])
+
+
+def mangled(algo, change):
+    """algo's client step with its (thetas, fishers) passed through change."""
+    def client_step(*args, **kwargs):
+        return change(*algo.client_round(*args, **kwargs))
+    return client_step
+
+
+def extra_column(stack):
+    return np.hstack([stack, stack[:, :1]])
+
+
+# case: (algorithm, change to the client step's stacks, sampled ids or
+# None, the error the round raises)
+BAD_CLIENT_STEPS = {
+    "thetas-missing-a-row": (fedcurv, lambda t, f: (t[1:], f), None,
+                             LayoutMismatchError),
+    "thetas-one-row-only": (fedcurv, lambda t, f: (t[0], f), None,
+                            LayoutMismatchError),
+    "thetas-extra-column": (fedcurv, lambda t, f: (extra_column(t), f), None,
+                            LayoutMismatchError),
+    "fedavg-thetas-extra-column": (fedavg, lambda t, f: (extra_column(t), f),
+                                   None, LayoutMismatchError),
+    "fishers-missing-a-row": (fedcurv, lambda t, f: (t, f[1:]), None,
+                              LayoutMismatchError),
+    "fishers-extra-column": (fedcurv, lambda t, f: (t, extra_column(f)), None,
+                             LayoutMismatchError),
+    "ids-descending": (fedcurv, lambda t, f: (t, f), [2, 0], AggregationError),
+    "ids-repeated": (fedavg, lambda t, f: (t, f), [1, 1], AggregationError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CLIENT_STEPS))
+def test_bad_client_step_is_a_typed_error(case, monkeypatch):
+    algo, change, ids, error = BAD_CLIENT_STEPS[case]
+    if ids is not None:
+        monkeypatch.setattr(fedcurv, "sample_clients", lambda n, f, rng: ids)
+
+    def server_step(theta, updates, hp):
+        raise AssertionError("the server step ran")
+
+    spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))
+    clients = [small_dataset(seed=s, n=6, classes=2) for s in range(3)]
+    with pytest.raises(error):
+        fedcurv.run_round(
+            spec, models.init_params(spec, 0), 0, clients, make_hp(batch_size=4),
+            np.random.default_rng(0), client_step=mangled(algo, change),
+            server_step=server_step,
+        )
 
 
 class TestRunRound:
@@ -546,10 +591,10 @@ class TestRunRound:
         theta, updates, _ = fedcurv.run_round(
             self.spec, self.theta, 0, [self.ds, self.ds], hp, rng
         )
-        assert len(updates) == 2
-        assert np.allclose(updates[0].theta_local.values, updates[1].theta_local.values)
-        assert np.allclose(updates[0].fisher.values, updates[1].fisher.values)
-        assert np.allclose(theta.values, updates[0].theta_local.values, rtol=1e-14)
+        assert updates.client_ids == (0, 1)
+        assert np.allclose(updates.thetas[0], updates.thetas[1])
+        assert np.allclose(updates.fishers[0], updates.fishers[1])
+        assert np.allclose(theta.values, updates.thetas[0], rtol=1e-14)
 
     def test_deterministic_under_fixed_seed(self):
         hp = make_hp(lam=0.1, eta_local=0.05, local_epochs=2, batch_size=4,
@@ -561,7 +606,7 @@ class TestRunRound:
             theta, updates, _ = fedcurv.run_round(
                 self.spec, self.theta, 0, clients, hp, rng
             )
-            runs.append((theta.values, [u.client_id for u in updates]))
+            runs.append((theta.values, updates.client_ids))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
@@ -572,20 +617,17 @@ class TestRunRound:
         theta, updates, _ = fedcurv.run_round(
             self.spec, self.theta, 0, [self.ds, self.ds], hp, rng
         )
-        assert len(updates) == 1
-        assert np.array_equal(updates[0].theta_local.values, self.theta.values)
+        assert len(updates.client_ids) == 1
+        assert np.array_equal(updates.thetas[0], self.theta.values)
         # merging one client's model gives that model: the anchor
         assert np.allclose(theta.values, self.theta.values, rtol=1e-15, atol=0)
 
     def test_infinite_weight_is_an_evaluation_error(self):
         def infinite_clients(spec, theta_global, datasets, hp, client_ids,
                              round_no, seeds):
-            values = theta_global.values.copy()
-            values[-1] = np.inf  # the last logit's bias
-            return [
-                ClientUpdate(cid, round_no, theta_global.with_values(values), len(ds))
-                for cid, ds in zip(client_ids, datasets)
-            ]
+            thetas = np.tile(theta_global.values, (len(datasets), 1))
+            thetas[:, -1] = np.inf  # the last logit's bias
+            return thetas, None
 
         def keep_global(theta, updates, hp):
             return theta
@@ -666,12 +708,14 @@ class TestLocalTrainInputs:
         spec = LOCKSTEP_SPECS[kind]
         theta_g = models.init_params(spec, 5)
         clients = ragged_clients(spec, [10, 7, 10, 9], seed=6)
-        fishers = [fisher_diagonal(spec, theta_g, ds) for ds in clients]
+        fishers = np.stack(
+            [fisher_diagonal(spec, theta_g, ds).values for ds in clients]
+        )
         hp = make_hp(lam=0.3, eta_local=0.05, local_epochs=2, batch_size=4)
         writable = fedcurv.local_train(
             spec, theta_g, fishers, clients, hp, [11, 12, 13, 14]
         )
-        arrays = [theta_g.values] + [f.values for f in fishers]
+        arrays = [theta_g.values, fishers]
         arrays += [a for ds in clients for a in (ds.samples, ds.labels)]
         before = [a.tobytes() for a in arrays]
         for a in arrays:
@@ -680,8 +724,7 @@ class TestLocalTrainInputs:
             spec, theta_g, fishers, clients, hp, [11, 12, 13, 14]
         )
         assert [a.tobytes() for a in arrays] == before
-        for got, want in zip(thetas, writable):
-            assert np.array_equal(got.values, want.values)
+        assert np.array_equal(thetas, writable)
 
 
 class TestLockstep:
@@ -709,7 +752,7 @@ class TestLockstep:
             alone = train_alone(
                 spec, theta_g, fisher, ds, hp, seed, self.ROUND * hp.local_epochs
             )
-            assert np.array_equal(theta.values, alone.values), cid
+            assert np.array_equal(theta, alone.values), cid
 
     @pytest.mark.parametrize("kind", sorted(LOCKSTEP_SPECS))
     def test_round_with_sampling_matches_training_alone(self, kind, monkeypatch):
@@ -725,11 +768,10 @@ class TestLockstep:
         rng = np.random.default_rng(21)
         sampled = fedcurv.sample_clients(len(clients), 0.5, rng)
         seeds = [int(rng.integers(2**63)) for _ in sampled]
-        assert [u.client_id for u in updates] == sampled
+        assert updates.client_ids == tuple(sampled)
         assert max(widths) > 1
         self.assert_alone(
-            spec, theta_g, clients, hp,
-            [(u.client_id, s, u.theta_local) for u, s in zip(updates, seeds)],
+            spec, theta_g, clients, hp, zip(sampled, seeds, updates.thetas)
         )
 
     @pytest.mark.parametrize("kind", sorted(LOCKSTEP_SPECS))
@@ -742,7 +784,9 @@ class TestLockstep:
         theta_g = models.init_params(spec, 5)
         clients = ragged_clients(spec, [10, 7, 10, 9], seed=6)
         hp = make_hp(**self.HP)
-        fishers = [fisher_diagonal(spec, theta_g, ds) for ds in clients]
+        fishers = np.stack(
+            [fisher_diagonal(spec, theta_g, ds).values for ds in clients]
+        )
         seeds = [11, 12, 13, 14]
         widths = self.spy_widths(monkeypatch)
         thetas = fedcurv.local_train(

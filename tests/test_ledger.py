@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bfel import cli, ledger
-from bfel.fedcurv import ClientUpdate
+from bfel.fedcurv import ClientUpdates
 from bfel.ledger import (
     ChainFormatError,
     InvalidTransactionError,
@@ -391,13 +391,20 @@ class TestUpdateDigest:
         self.fisher = ParameterVector(np.array([0.25, 2.0]), layout)
         self.header = struct.pack("<QQQ", 3, 7, 11)  # client, round, samples
 
+    def updates(self, fisher):
+        """Round 7's updates of clients 1 and 3 (11 samples), client 3's
+        upload in row 1 of each stack."""
+        thetas = np.stack([-self.theta.values, self.theta.values])
+        if fisher is not None:
+            fisher = np.stack([3 * fisher.values, fisher.values])
+        return ClientUpdates(7, (1, 3), (5, 11), thetas, fisher)
+
     def test_fedcurv_update_bytes(self):
-        update = ClientUpdate(3, 7, self.theta, 11, self.fisher)
         want = reference_digest(
             b"bfel-client-update-v2", self.header, self.fisher.values,
             self.theta.values,
         )
-        assert ledger.digest_update(update) == want
+        assert ledger.digest_update(self.updates(self.fisher), 1) == want
         assert want.hex() == (
             "0109889ad645d743c004dd70ea8989ad21567951977fce862d1dd3238426862a"
         )
@@ -415,9 +422,8 @@ class TestUpdateDigest:
         assert ledger._digest(b"tag", header, arrays, values[:3]) == want
 
     def test_fedavg_update_bytes(self):
-        update = ClientUpdate(3, 7, self.theta, 11)
         want = reference_digest(b"bfel-plain-update-v1", self.header, self.theta.values)
-        assert ledger.digest_update(update) == want
+        assert ledger.digest_update(self.updates(None), 1) == want
         assert want.hex() == (
             "bc4383ecf22c247ef7c32325c812aadb4cd9f2ff0161690bab41a3084c95d72f"
         )

@@ -368,7 +368,7 @@ class TestRounds:
         for i, (round_idx, theta, updates, metrics, elapsed, chain) in enumerate(records):
             assert round_idx == i
             assert len(chain) == i + 2  # genesis, then one block per round
-            assert len(chain[-1].transactions) == len(updates) + 1
+            assert len(chain[-1].transactions) == len(updates.client_ids) + 1
             accs = metrics["client_accuracy"]
             rows.append(",".join(map(repr, (
                 simulator.CSV_SCHEMA_VERSION, i + 1, metrics["global_accuracy"],
