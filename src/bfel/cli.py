@@ -69,6 +69,8 @@ def _median_verify_ms(samples: int) -> float:
 
 
 def _cmd_bench_latency(args) -> int:
+    if args.seed < 0:  # numpy's own error would not name the flag
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     net = gossip.GossipNetwork(
         node_count=args.nodes, fanout=args.fanout, seed=args.seed
     )

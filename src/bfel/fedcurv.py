@@ -126,6 +126,13 @@ class ClientUpdates:
                 raise LayoutMismatchError(f"a {stack.shape} stack, not {shape}")
 
 
+def _epoch_lr(hp: HyperParams, round_no: int, epoch: int) -> float:
+    """Local SGD's rate in epoch `epoch` of round round_no."""
+    if hp.lr_decay:
+        return lr_schedule(hp.eta_local, round_no * hp.local_epochs + epoch)
+    return hp.eta_local
+
+
 def local_train(
     spec: ModelSpec,
     theta_global: ParameterVector,
@@ -156,7 +163,7 @@ def local_train(
     clients' positions in `datasets`. An empty dataset takes no step, so
     its client gets theta_global back.
     """
-    layout, anchor = theta_global.layout, theta_global.values
+    anchor = models._unwrap(spec, theta_global)
     thetas = np.tile(anchor, (len(datasets), 1))
     lam_f = None
     if fishers is not None and hp.lam != 0.0:
@@ -174,7 +181,7 @@ def local_train(
         rows = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
         theta = thetas[rows]
         losses, grads = models.stacked_loss_and_grad(
-            spec, layout, theta, xs[rows, cols], ys[rows, cols]
+            spec, theta, xs[rows, cols], ys[rows, cols]
         )
         bad = ~(np.isfinite(losses) & np.isfinite(grads).all(axis=1))
         if bad.any():
@@ -193,9 +200,7 @@ def local_train(
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     for epoch in range(hp.local_epochs):
-        lr = hp.eta_local
-        if hp.lr_decay:
-            lr = lr_schedule(hp.eta_local, round_no * hp.local_epochs + epoch)
+        lr = _epoch_lr(hp, round_no, epoch)
         if lr == 0.0:
             continue
         for k, (ds, n, rng) in enumerate(zip(datasets, sizes, rngs)):
@@ -253,12 +258,9 @@ def client_round(
             )
             fishers.append(sums / len(ds))
     fishers = np.stack(fishers)
-    lr = hp.eta_local
-    if hp.lr_decay:
-        lr = lr_schedule(hp.eta_local, round_no * hp.local_epochs)
     # a penalty coordinate shrinks by 1 - lr * lam * F per step, so from 2
     # on, the steps overshoot the anchor by more each time
-    stiffness = lr * hp.lam * float(fishers.max())
+    stiffness = _epoch_lr(hp, round_no, 0) * hp.lam * float(fishers.max())
     if stiffness >= 2:
         print(
             f"warning: round {round_no + 1}: eta_local * lambda * max Fisher = "
@@ -348,9 +350,9 @@ def run_round(
     updates = ClientUpdates(
         round_no, tuple(sampled), tuple(len(ds) for ds in datasets), thetas, fishers
     )
-    if thetas.shape[1] != theta.layout.size:
+    if thetas.shape[1] != theta.values.size:
         raise LayoutMismatchError(
-            f"expected client models of {theta.layout.size} values, got "
+            f"expected client models of {theta.values.size} values, got "
             f"{thetas.shape[1]}"
         )
     with _phase("global step", round_no):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -81,36 +81,15 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class Segment:
-    layer: str
-    role: str  # "weight" | "bias"
-    shape: tuple[int, ...]
-    offset: int
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-
-@dataclass(frozen=True)
 class ParamLayout:
-    segments: tuple[Segment, ...]
+    """The flat parameter order: (layer, role) -> (start, stop, shape) in
+    flat order, and the total size P; compared by value, hashed by size."""
 
-    @property
-    def size(self) -> int:
-        last = self.segments[-1]
-        return last.offset + last.size
-
-    @functools.cached_property
-    def slots(self) -> dict[tuple[str, str], tuple[int, int, tuple[int, ...]]]:
-        """(layer, role) -> (start, stop, shape), built once per layout."""
-        return {
-            (s.layer, s.role): (s.offset, s.offset + s.size, s.shape)
-            for s in self.segments
-        }
+    slots: dict[tuple[str, str], tuple[int, int, tuple[int, ...]]] = field(hash=False)
+    size: int
 
     def stacked(self, values: np.ndarray, layer: str, role: str) -> np.ndarray:
-        """One segment of (K, size) stacked values, as a (K, *shape) view."""
+        """One slot of (K, size) stacked values, as a (K, *shape) view."""
         start, stop, shape = self.slots[layer, role]
         return values[:, start:stop].reshape((values.shape[0],) + shape)
 
@@ -121,16 +100,16 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
 
     Cached per spec: both are frozen, so every caller shares one layout.
     """
-    segs: list[Segment] = []
-    offset = 0
+    slots = {}
+    size = 0
 
     def add(layer, shape, width):
         # the layer's weight of `shape`, then with spec.bias its `width` biases
-        nonlocal offset
+        nonlocal size
         parts = (("weight", shape), ("bias", (width,)))
         for role, part in parts if spec.bias else parts[:1]:
-            segs.append(Segment(layer, role, tuple(part), offset))
-            offset += math.prod(part)
+            slots[layer, role] = (size, size + math.prod(part), tuple(part))
+            size += math.prod(part)
 
     if spec.kind == "mlp":
         dims = [math.prod(spec.input_shape), *spec.hidden, spec.classes]
@@ -150,7 +129,7 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
         flat = in_c * h * w
         add("fc0", (flat, spec.fc_hidden), spec.fc_hidden)
         add("fc1", (spec.fc_hidden, spec.classes), spec.classes)
-    return ParamLayout(tuple(segs))
+    return ParamLayout(slots, size)
 
 
 @dataclass(frozen=True)
@@ -169,10 +148,7 @@ class ParameterVector:
         object.__setattr__(self, "values", vals)
 
     def segment(self, layer: str, role: str) -> np.ndarray:
-        try:
-            return self.layout.stacked(self.values[None], layer, role)[0]
-        except KeyError:
-            raise KeyError(f"no segment ({layer}, {role})") from None
+        return self.layout.stacked(self.values[None], layer, role)[0]
 
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         return ParameterVector(values, self.layout)
@@ -183,19 +159,19 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
     layout = build_layout(spec)
     rng = np.random.default_rng(seed)
     values = np.empty(layout.size)
-    for seg in layout.segments:
-        view = values[seg.offset : seg.offset + seg.size]
-        if seg.role == "bias":
+    for (_, role), (start, stop, shape) in layout.slots.items():
+        view = values[start:stop]
+        if role == "bias":
             view[:] = 0.0
             continue
-        if len(seg.shape) == 2:
-            fan_in, fan_out = seg.shape
+        if len(shape) == 2:
+            fan_in, fan_out = shape
         else:  # conv weight (OC, C, k, k)
-            oc, c, k, _ = seg.shape
+            oc, c, k, _ = shape
             fan_in = c * k * k
             fan_out = oc * k * k
         a = math.sqrt(6.0 / (fan_in + fan_out))
-        view[:] = rng.uniform(-a, a, seg.size)
+        view[:] = rng.uniform(-a, a, stop - start)
     return ParameterVector(values, layout)
 
 
@@ -287,7 +263,14 @@ def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dout[..., None, :] * (idx[..., None, :] == np.arange(4)[:, None])
 
 
-def _check_inputs(spec: ModelSpec, layout: ParamLayout, thetas, x, labels) -> None:
+def _unwrap(spec: ModelSpec, params: ParameterVector) -> np.ndarray:
+    """params' values, after the one check that they are in spec's layout."""
+    if params.layout != build_layout(spec):
+        raise LayoutMismatchError("parameter layout does not match model spec")
+    return params.values
+
+
+def _check_inputs(spec: ModelSpec, thetas, x, labels) -> None:
     """The one check of a model call's inputs, in stacked form.
 
     thetas is (K, P) in the spec's layout, x (K, N, *input_shape) and labels
@@ -295,16 +278,15 @@ def _check_inputs(spec: ModelSpec, layout: ParamLayout, thetas, x, labels) -> No
     labels[None]. Samples are not checked for finiteness: a `Dataset`
     checked them when it was built.
     """
-    if layout != build_layout(spec):
-        raise LayoutMismatchError("parameter layout does not match model spec")
+    size = build_layout(spec).size
     if labels.ndim != 2 or labels.shape != x.shape[:2]:
         raise ShapeMismatchError(
             f"labels shape {labels.shape[1:]} does not give one label per "
             f"sample of inputs shape {x.shape[1:]}"
         )
-    if thetas.shape != (labels.shape[0], layout.size):
+    if thetas.shape != (labels.shape[0], size):
         raise LayoutMismatchError(
-            f"thetas shape {thetas.shape} is not {(labels.shape[0], layout.size)}"
+            f"thetas shape {thetas.shape} is not {(labels.shape[0], size)}"
         )
     if labels.shape[1] < 1:
         raise ShapeMismatchError("a model call needs at least one sample")
@@ -317,12 +299,13 @@ def _check_inputs(spec: ModelSpec, layout: ParamLayout, thetas, x, labels) -> No
         raise ShapeMismatchError(f"label out of range for {spec.classes} classes")
 
 
-def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
+def _forward_cached(spec: ModelSpec, thetas, x, keep=True):
     """Run the forward pass of K models, keeping what backprop needs.
 
-    thetas is (K, P) in `layout`; x is (K, N, *input_shape), client k's N
-    samples seen by model k. Every weight op is one matmul batched over
-    the client axis; im2col and the pools run on the K*N samples.
+    thetas is (K, P) in the spec's layout; x is (K, N, *input_shape),
+    client k's N samples seen by model k. Every weight op is one matmul
+    batched over the client axis; im2col and the pools run on the K*N
+    samples.
     A conv's outputs are pool-window-major, (K, N, OC, 4, L) for L pool
     windows, and its pooled map is NCHW again.
     Each cache entry holds a layer's input (dense activations (K, N, fan_in),
@@ -332,6 +315,7 @@ def _forward_cached(spec: ModelSpec, layout: ParamLayout, thetas, x, keep=True):
     With keep false, the same logits come with no caches, and no mask or
     pooling index is computed.
     """
+    layout = build_layout(spec)
     caches = []
     kk, n = x.shape[:2]
     if spec.kind == "mlp":
@@ -376,7 +360,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _grad_sums(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits, p):
+def _grad_sums(spec: ModelSpec, thetas, caches, dlogits, p):
     """The one backward pass: the sum over the samples of each per-sample
     gradient to the power p, (K, P); p = 1 gives the summed gradient, p = 2
     the Fisher sum.
@@ -393,6 +377,7 @@ def _grad_sums(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits, p)
     def power(a):
         return a if p == 1 else a**p
 
+    layout = build_layout(spec)
     out = np.zeros(thetas.shape)
     da = dlogits
     for i in range(len(caches) - 1, -1, -1):
@@ -431,7 +416,7 @@ def _grad_sums(spec: ModelSpec, layout: ParamLayout, thetas, caches, dlogits, p)
     return out
 
 
-def _output_grads(spec: ModelSpec, layout: ParamLayout, thetas, x, labels):
+def _output_grads(spec: ModelSpec, thetas, x, labels):
     """The one prologue of both gradient calls: check the inputs and run the
     cached forward pass.
 
@@ -439,8 +424,8 @@ def _output_grads(spec: ModelSpec, layout: ParamLayout, thetas, x, labels):
     unscaled per-sample output gradients (K, N, classes), softmax minus
     one-hot.
     """
-    _check_inputs(spec, layout, thetas, x, labels)
-    logits, caches = _forward_cached(spec, layout, thetas, x)
+    _check_inputs(spec, thetas, x, labels)
+    logits, caches = _forward_cached(spec, thetas, x)
     kk, n = labels.shape
     pick = np.arange(kk)[:, None], np.arange(n), labels  # each labelled logit
     logp = _log_softmax(logits)
@@ -451,27 +436,27 @@ def _output_grads(spec: ModelSpec, layout: ParamLayout, thetas, x, labels):
 
 
 def stacked_loss_and_grad(
-    spec: ModelSpec, layout: ParamLayout, thetas: np.ndarray, inputs, labels
+    spec: ModelSpec, thetas: np.ndarray, inputs, labels
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy and its exact gradient for K models at once.
 
-    thetas (K, P) holds one parameter vector per row; inputs (K, N, ...)
-    and labels (K, N) hold each model's batch. Returns losses (K,) and
-    gradients (K, P). Non-finite results are returned, not raised, so that
-    the caller can name the rows they came from.
+    thetas (K, P) holds one parameter vector per row, in the spec's layout;
+    inputs (K, N, ...) and labels (K, N) hold each model's batch. Returns
+    losses (K,) and gradients (K, P). Non-finite results are returned, not
+    raised, so that the caller can name the rows they came from.
     """
-    loglik, caches, dlogits = _output_grads(spec, layout, thetas, inputs, labels)
+    loglik, caches, dlogits = _output_grads(spec, thetas, inputs, labels)
     dlogits /= labels.shape[1]
-    return -loglik.mean(axis=1), _grad_sums(spec, layout, thetas, caches, dlogits, 1)
+    return -loglik.mean(axis=1), _grad_sums(spec, thetas, caches, dlogits, 1)
 
 
 def forward(
     spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Logits (N, classes) for samples x (N, ...) labelled by labels (N,)."""
-    thetas, x = params.values[None], x[None]
-    _check_inputs(spec, params.layout, thetas, x, labels[None])
-    logits, _ = _forward_cached(spec, params.layout, thetas, x, keep=False)
+    thetas, x = _unwrap(spec, params)[None], x[None]
+    _check_inputs(spec, thetas, x, labels[None])
+    logits, _ = _forward_cached(spec, thetas, x, keep=False)
     if not np.isfinite(logits).all():
         raise NumericalError("logits not finite")
     return logits[0]
@@ -488,7 +473,7 @@ def per_sample_loglik_grad(
     if labels.shape[:1] != (1,):
         raise ShapeMismatchError("per-sample gradient requires one sample")
     losses, grads = stacked_loss_and_grad(
-        spec, params.layout, params.values[None], x[None], labels[None]
+        spec, _unwrap(spec, params)[None], x[None], labels[None]
     )
     if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
         raise NumericalError("loss/gradient not finite")
@@ -500,11 +485,11 @@ def sum_squared_loglik_grads(
 ) -> np.ndarray:
     """Sum over the samples x of squared per-sample log-likelihood gradients,
     added up chunk by chunk from zeros."""
-    layout, thetas = params.layout, params.values[None]
-    out = np.zeros(layout.size)
+    thetas = _unwrap(spec, params)[None]
+    out = np.zeros(thetas.shape[1])
     for xc, lc in _chunks(x, labels):
-        _, caches, dlogits = _output_grads(spec, layout, thetas, xc[None], lc[None])
-        out += _grad_sums(spec, layout, thetas, caches, dlogits, 2)[0]
+        _, caches, dlogits = _output_grads(spec, thetas, xc[None], lc[None])
+        out += _grad_sums(spec, thetas, caches, dlogits, 2)[0]
     if not np.all(np.isfinite(out)):
         raise NumericalError("squared log-likelihood gradients not finite")
     return out

@@ -72,7 +72,7 @@ def loss_and_grad(
     `stacked_loss_and_grad` call, with no chunking; a non-finite loss or
     gradient raises."""
     losses, grads = models.stacked_loss_and_grad(
-        spec, params.layout, params.values[None], x[None], labels[None]
+        spec, params.values[None], x[None], labels[None]
     )
     if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
         raise models.NumericalError("loss/gradient not finite")
@@ -257,13 +257,14 @@ def maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape) -> np.ndarray:
     return dx
 
 
-def cnn_per_sample(spec: ModelSpec, layout, thetas, x, labels):
+def cnn_per_sample(spec: ModelSpec, thetas, x, labels):
     """Logits (K, N, classes) of K CNNs, each on its N samples, and every
     sample's gradient of -log p(label), (K, N, P), in row-major conv layout.
 
     Each conv stage is an im2col matmul, a ReLU and a 2x2 max-pool of the
     whole (Ho, Wo) map; every per-sample gradient is built whole.
     """
+    layout = models.build_layout(spec)
     kk, n = labels.shape
     k = models.KERNEL
     a = x.reshape((kk * n,) + spec._chw())
@@ -315,9 +316,9 @@ def cnn_per_sample(spec: ModelSpec, layout, thetas, x, labels):
     return logits, grads
 
 
-def cnn_stacked_loss_and_grad(spec: ModelSpec, layout, thetas, x, labels):
+def cnn_stacked_loss_and_grad(spec: ModelSpec, thetas, x, labels):
     """Mean cross-entropy (K,) and its gradient (K, P) from cnn_per_sample."""
-    logits, grads = cnn_per_sample(spec, layout, thetas, x, labels)
+    logits, grads = cnn_per_sample(spec, thetas, x, labels)
     kk, n = labels.shape
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -375,8 +375,18 @@ def layout_check_cases():
     return {
         "vector-length": lambda: ParameterVector(np.zeros(3), theta.layout),
         "model-spec": lambda: models.forward(spec, other, x, labels),
+        "model-spec-accuracy": lambda: models.accuracy(spec, other, x, labels),
+        "model-spec-fisher": lambda: models.sum_squared_loglik_grads(
+            spec, other, x, labels
+        ),
+        "model-spec-per-sample": lambda: models.per_sample_loglik_grad(
+            spec, other, x[:1], labels[:1]
+        ),
+        "model-spec-fedavg": lambda: fedcurv.local_train(
+            spec, other, None, [ds], make_hp(), [0]
+        ),
         "wide-thetas": lambda: models.stacked_loss_and_grad(
-            spec, theta.layout, np.zeros((2, 2 + 5)), np.stack([x, x]),
+            spec, np.zeros((2, 2 + 5)), np.stack([x, x]),
             np.stack([labels, labels]),
         ),
         "local-train": lambda: fedcurv.local_train(
@@ -386,7 +396,8 @@ def layout_check_cases():
 
 
 @pytest.mark.parametrize("case", [
-    "vector-length", "model-spec", "wide-thetas", "local-train",
+    "vector-length", "model-spec", "model-spec-accuracy", "model-spec-fisher",
+    "model-spec-per-sample", "model-spec-fedavg", "wide-thetas", "local-train",
 ])
 def test_layout_check_raises(case):
     call = layout_check_cases()[case]
@@ -738,9 +749,9 @@ class TestLockstep:
     def spy_widths(self, monkeypatch):
         stacked, widths = models.stacked_loss_and_grad, []
 
-        def spy(spec, layout, thetas, inputs, labels):
+        def spy(spec, thetas, inputs, labels):
             widths.append(len(thetas))
-            return stacked(spec, layout, thetas, inputs, labels)
+            return stacked(spec, thetas, inputs, labels)
 
         monkeypatch.setattr(models, "stacked_loss_and_grad", spy)
         return widths
@@ -805,8 +816,8 @@ class TestLockstep:
         assert sampled.index(target) != target  # position and id differ
         stacked = models.stacked_loss_and_grad
 
-        def poisoned(spec, layout, thetas, inputs, labels):
-            losses, grads = stacked(spec, layout, thetas, inputs, labels)
+        def poisoned(spec, thetas, inputs, labels):
+            losses, grads = stacked(spec, thetas, inputs, labels)
             for row, x in enumerate(inputs):
                 if np.isin(x, clients[target].samples).all():
                     grads[row, 0] = np.inf

@@ -78,14 +78,12 @@ class TestForward:
     def test_logits_are_the_cached_pass_logits_bitwise(self, spec):
         params = models.init_params(spec, 5)
         x, y = random_batch(spec, 9, 6)
-        logits, caches = models._forward_cached(
-            spec, params.layout, params.values[None], x[None]
-        )
-        assert len(caches) == len(params.layout.segments) // 2
+        logits, caches = models._forward_cached(spec, params.values[None], x[None])
+        assert len(caches) == len(params.layout.slots) // 2
         got = models.forward(spec, params, x, y)
         assert got.tobytes() == logits[0].tobytes()
         _, kept = models._forward_cached(
-            spec, params.layout, params.values[None], x[None], keep=False
+            spec, params.values[None], x[None], keep=False
         )
         assert kept == []
 
@@ -183,7 +181,7 @@ class TestPerSampleGrad:
         params = models.init_params(spec, seed)
         x, y = random_batch(spec, 1, seed + 40)
         _, grads = models.stacked_loss_and_grad(
-            spec, params.layout, params.values[None], x[None], y[None]
+            spec, params.values[None], x[None], y[None]
         )
         got = models.per_sample_loglik_grad(spec, params, x, y)
         assert got.layout is params.layout
@@ -379,10 +377,8 @@ class TestLayout:
         )
         params = models.init_params(spec, 9)
         rebuilt = np.empty_like(params.values)
-        for seg in params.layout.segments:
-            rebuilt[seg.offset : seg.offset + seg.size] = params.segment(
-                seg.layer, seg.role
-            ).ravel()
+        for (layer, role), (start, stop, _) in params.layout.slots.items():
+            rebuilt[start:stop] = params.segment(layer, role).ravel()
         assert np.array_equal(rebuilt, params.values)
 
     def test_same_spec_same_layout(self):
@@ -398,12 +394,12 @@ class TestLayout:
     def test_stacked_views_are_the_segments_of_each_row(self):
         layout = build_layout(SWEEP_CNN)
         stack = np.random.default_rng(3).random((3, layout.size))
-        for seg in layout.segments:
-            view = layout.stacked(stack, seg.layer, seg.role)
-            assert view.shape == (3,) + seg.shape
+        for (layer, role), (_, _, shape) in layout.slots.items():
+            view = layout.stacked(stack, layer, role)
+            assert view.shape == (3,) + shape
             for k in range(3):
                 row = ParameterVector(stack[k], layout)
-                assert np.array_equal(view[k], row.segment(seg.layer, seg.role))
+                assert np.array_equal(view[k], row.segment(layer, role))
         layout.stacked(stack, "fc1", "bias")[...] = -1.0  # writes through
         start, stop, _ = layout.slots["fc1", "bias"]
         assert (stack[:, start:stop] == -1.0).all()
@@ -433,7 +429,7 @@ class TestStackedLossAndGrad:
         thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
         batches = [random_batch(spec, 6, seed=10 + k) for k in range(3)]
         losses, grads = models.stacked_loss_and_grad(
-            spec, layout, thetas,
+            spec, thetas,
             np.stack([x for x, _ in batches]),
             np.stack([y for _, y in batches]),
         )
@@ -466,7 +462,7 @@ class TestReadOnlyInputs:
         for a in (thetas, x, labels):
             a.flags.writeable = False
         if call == "stacked_loss_and_grad":
-            models.stacked_loss_and_grad(spec, layout, thetas, x, labels)
+            models.stacked_loss_and_grad(spec, thetas, x, labels)
         else:
             params = ParameterVector(thetas[0], layout)
             assert not params.values.flags.writeable  # not a copy
@@ -565,7 +561,6 @@ class TestColumnBuffers:
 
     def test_interleaved_sizes_match_calls_on_empty_buffers(self, empty):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
-        layout = build_layout(spec)
         params = models.init_params(spec, 2)
         thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
         x16, y16 = random_batch(spec, 16, 3)
@@ -578,7 +573,7 @@ class TestColumnBuffers:
             lambda: models.sum_squared_loglik_grads(spec, params, xb, yb),
             lambda: loss_and_grad(spec, params, x16, y16),
             lambda: models.stacked_loss_and_grad(
-                spec, layout, thetas, xs.reshape((3, 16) + xs.shape[1:]),
+                spec, thetas, xs.reshape((3, 16) + xs.shape[1:]),
                 ys.reshape(3, 16),
             ),
             lambda: models.forward(spec, params, x20, y20),
@@ -657,8 +652,8 @@ class TestSquaredGradients:
         x, y = random_batch(spec, 7, seed + 50)
         got = models.sum_squared_loglik_grads(spec, params, x, y)
         want = squared_grad_loop(spec, params, x, y)
-        for seg in params.layout.segments:  # no layer compares zeros only
-            assert np.any(want[seg.offset : seg.offset + seg.size]), seg
+        for slot, (start, stop, _) in params.layout.slots.items():
+            assert np.any(want[start:stop]), slot  # no layer compares zeros only
         assert max_rel_err(got, want, floor=1e-12) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -846,12 +841,12 @@ ORACLE_CNNS = [
 def assert_close_per_segment(layout, got, want, rtol=1e-12):
     """Within each layer segment, every value is within rtol of the
     segment's largest magnitude in want, which is not zero."""
-    for seg in layout.segments:
-        g = got[..., seg.offset : seg.offset + seg.size]
-        w = want[..., seg.offset : seg.offset + seg.size]
+    for slot, (start, stop, _) in layout.slots.items():
+        g = got[..., start:stop]
+        w = want[..., start:stop]
         scale = np.max(np.abs(w))
-        assert scale > 0, seg
-        assert np.max(np.abs(g - w)) <= rtol * scale, seg
+        assert scale > 0, slot
+        assert np.max(np.abs(g - w)) <= rtol * scale, slot
 
 
 class TestReferenceCnn:
@@ -864,8 +859,8 @@ class TestReferenceCnn:
         thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
         x, y = random_batch(spec, 3 * 7, 30)
         x, y = x.reshape((3, 7) + spec.input_shape), y.reshape(3, 7)
-        losses, grads = models.stacked_loss_and_grad(spec, layout, thetas, x, y)
-        want_losses, want_grads = cnn_stacked_loss_and_grad(spec, layout, thetas, x, y)
+        losses, grads = models.stacked_loss_and_grad(spec, thetas, x, y)
+        want_losses, want_grads = cnn_stacked_loss_and_grad(spec, thetas, x, y)
         assert np.all(np.abs(losses - want_losses) <= 1e-12 * want_losses)
         for got, want in zip(grads, want_grads):
             assert_close_per_segment(layout, got, want)
@@ -876,11 +871,11 @@ class TestReferenceCnn:
         layout = params.layout
         x, y = random_batch(spec, 9, 31)
         thetas = params.values[None]
-        logits, per_sample = cnn_per_sample(spec, layout, thetas, x[None], y[None])
+        logits, per_sample = cnn_per_sample(spec, thetas, x[None], y[None])
         got = models.forward(spec, params, x, y)
         assert np.max(np.abs(got - logits[0])) <= 1e-12 * np.max(np.abs(logits[0]))
         (want_loss,), (want_grad,) = cnn_stacked_loss_and_grad(
-            spec, layout, thetas, x[None], y[None]
+            spec, thetas, x[None], y[None]
         )
         loss, grad = loss_and_grad(spec, params, x, y)
         assert abs(loss - want_loss) <= 1e-12 * want_loss

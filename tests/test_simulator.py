@@ -652,8 +652,8 @@ class TestCli:
         stacked = models.stacked_loss_and_grad
         sizes = []
 
-        def poisoned(spec, layout, thetas, inputs, labels):
-            losses, grads = stacked(spec, layout, thetas, inputs, labels)
+        def poisoned(spec, thetas, inputs, labels):
+            losses, grads = stacked(spec, thetas, inputs, labels)
             sizes.append(len(thetas))
             hit = (inputs == marker).reshape(len(inputs), -1).any(axis=1)
             grads[hit] = np.nan
@@ -753,6 +753,13 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: --seeds must be >= 1")
         assert out == ""  # no seed lines and no median_hops=nan
+
+    def test_bench_latency_with_a_negative_seed_names_the_flag(self, capsys):
+        code = cli.main(["bench-latency", "--concurrency", "4", "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: --seed must be >= 0, got -1\n"
+        assert out == ""  # no latency rows
 
     def test_gossip_and_latency_commands(self, tmp_path, capsys):
         assert cli.main(["gossip-sim", "--nodes", "16", "--fanout", "2",
