@@ -250,14 +250,13 @@ def client_round(
     pass is stacked. A stderr warning names the round when lr * lam *
     max F_k reaches 2, lr being the round's first and largest rate.
     """
-    fishers = []
-    for cid, ds in zip(client_ids, datasets):
+    fishers = np.empty((len(datasets), theta_global.layout.size))
+    for k, (cid, ds) in enumerate(zip(client_ids, datasets)):
         with _phase("Fisher", round_no, [cid]):
             sums = models.sum_squared_loglik_grads(
                 spec, theta_global, ds.samples, ds.labels
             )
-            fishers.append(sums / len(ds))
-    fishers = np.stack(fishers)
+            np.divide(sums, len(ds), out=fishers[k])
     # a penalty coordinate shrinks by 1 - lr * lam * F per step, so from 2
     # on, the steps overshoot the anchor by more each time
     stiffness = _epoch_lr(hp, round_no, 0) * hp.lam * float(fishers.max())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ class ModelSpec:
 
     kind="mlp": dense layers input -> hidden... -> classes, ReLU between.
     kind="cnn": two conv(KERNEL x KERNEL, valid, stride 1) + 2x2 max-pool
-    stages, then two fully connected layers.
+    stages, then two fully connected layers. Every layer has a bias.
     """
 
     kind: str
@@ -54,7 +55,6 @@ class ModelSpec:
     hidden: tuple[int, ...] = ()
     conv_channels: tuple[int, int] = (8, 16)
     fc_hidden: int = 64
-    bias: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
@@ -104,10 +104,9 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
     size = 0
 
     def add(layer, shape, width):
-        # the layer's weight of `shape`, then with spec.bias its `width` biases
+        # the layer's weight of `shape`, then its `width` biases
         nonlocal size
-        parts = (("weight", shape), ("bias", (width,)))
-        for role, part in parts if spec.bias else parts[:1]:
+        for role, part in (("weight", shape), ("bias", (width,))):
             slots[layer, role] = (size, size + math.prod(part), tuple(part))
             size += math.prod(part)
 
@@ -147,9 +146,6 @@ class ParameterVector:
             )
         object.__setattr__(self, "values", vals)
 
-    def segment(self, layer: str, role: str) -> np.ndarray:
-        return self.layout.stacked(self.values[None], layer, role)[0]
-
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         return ParameterVector(values, self.layout)
 
@@ -179,10 +175,17 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
 # forward / backward primitives
 
 
-# One im2col work buffer per conv stage, kept across calls and grown only
-# when a call needs more: a column array freed after each call would go
-# back to the OS, and every call would fault its pages in again.
-_COLUMNS = [np.empty(0), np.empty(0)]
+class _Columns(threading.local):
+    """Each thread's im2col work buffers, one per conv stage, kept across
+    calls and grown only when a call needs more, as a freed column array's
+    pages would fault in again on every call. A call reads its columns back
+    in its backward pass, so no other thread may write them."""
+
+    def __init__(self):
+        self.buffers = [np.empty(0), np.empty(0)]
+
+
+_COLUMNS = _Columns()
 
 
 @functools.cache
@@ -210,15 +213,15 @@ def _im2col(x: np.ndarray, k: int, stage: int) -> np.ndarray:
     a strided copy of the same patches runs one inner loop per row of
     pool windows, Wo//2 values long.
 
-    The result is a view of the buffer, overwritten by the next call for
-    the same stage, so it must not outlive the model call that made it.
+    The result is a view of this thread's buffer, overwritten by its next
+    call for the same stage, so it must not outlive the call that made it.
     """
     n, c, h, w = x.shape
     index = _scatter_index(c, h, w, k)
     size = n * index.size
-    if _COLUMNS[stage].size < size:
-        _COLUMNS[stage] = np.empty(size)
-    cols = _COLUMNS[stage][:size].reshape(n, index.size)
+    if _COLUMNS.buffers[stage].size < size:
+        _COLUMNS.buffers[stage] = np.empty(size)
+    cols = _COLUMNS.buffers[stage][:size].reshape(n, index.size)
     # an in-range index: "clip" clips nothing and writes straight into out
     np.take(x.reshape(n, -1), index, axis=1, out=cols, mode="clip")
     return cols.reshape(n, c * k * k, -1)
@@ -335,8 +338,7 @@ def _forward_cached(spec: ModelSpec, thetas, x, keep=True):
             # bias and ReLU on the pooled map, a quarter of the elements:
             # max(z) + b is max(z + b) bit for bit, as rounding is monotone
             pooled, pool_idx = _maxpool2(z.reshape(kk, n, oc, 4, -1), keep)
-            if spec.bias:
-                pooled += layout.stacked(thetas, name, "bias")[:, None, :, None]
+            pooled += layout.stacked(thetas, name, "bias")[:, None, :, None]
             if keep:
                 caches.append(("conv", name, cols, pooled > 0, pool_idx, a.shape))
             pooled_shape = (kk * n, oc, (a.shape[2] - k + 1) // 2, -1)
@@ -345,8 +347,7 @@ def _forward_cached(spec: ModelSpec, thetas, x, keep=True):
     for i in range(dense):
         name = f"fc{i}"
         z = a @ layout.stacked(thetas, name, "weight")
-        if spec.bias:
-            z += layout.stacked(thetas, name, "bias")[:, None, :]
+        z += layout.stacked(thetas, name, "bias")[:, None, :]
         last = i == dense - 1
         if keep:
             caches.append(("fc", name, a, None if last else z > 0))
@@ -411,8 +412,7 @@ def _grad_sums(spec: ModelSpec, thetas, caches, dlogits, p):
                 )
                 da = _col2im(dcols, in_shape, KERNEL)
                 del dcols  # not held while the next layer is summed
-        if spec.bias:
-            layout.stacked(out, name, "bias")[...] += bias
+        layout.stacked(out, name, "bias")[...] += bias
     return out
 
 

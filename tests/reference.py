@@ -43,6 +43,11 @@ from bfel.gossip import (
 from bfel.models import LayoutMismatchError, ModelSpec, ParameterVector
 
 
+def slot(params: ParameterVector, layer: str, role: str) -> np.ndarray:
+    """One (layer, role) slot of params, as a view of its values."""
+    return params.layout.stacked(params.values[None], layer, role)[0]
+
+
 def require_same_layout(*vectors) -> None:
     if len({v.layout for v in vectors}) > 1:
         raise LayoutMismatchError("parameter vectors have different layouts")
@@ -273,8 +278,7 @@ def cnn_per_sample(spec: ModelSpec, thetas, x, labels):
         wgt = layout.stacked(thetas, name, "weight")
         cols = im2col(a, k).reshape(kk, n, wgt[0, 0].size, -1)
         z = wgt.reshape(kk, 1, wgt.shape[1], -1) @ cols
-        if spec.bias:
-            z = z + layout.stacked(thetas, name, "bias")[:, None, :, None]
+        z = z + layout.stacked(thetas, name, "bias")[:, None, :, None]
         z = np.maximum(z, 0.0).reshape(
             (kk * n, wgt.shape[1], a.shape[2] - k + 1, a.shape[3] - k + 1)
         )
@@ -284,8 +288,7 @@ def cnn_per_sample(spec: ModelSpec, thetas, x, labels):
     a = a.reshape(kk, n, -1)
     for name in ("fc0", "fc1"):
         z = a @ layout.stacked(thetas, name, "weight")
-        if spec.bias:
-            z = z + layout.stacked(thetas, name, "bias")[:, None, :]
+        z = z + layout.stacked(thetas, name, "bias")[:, None, :]
         layers.append((name, a, z > 0 if name == "fc0" else None, None))
         a = np.maximum(z, 0.0) if name == "fc0" else z
     logits = a
@@ -310,9 +313,8 @@ def cnn_per_sample(spec: ModelSpec, thetas, x, labels):
             da = col2im((wmat @ dz).reshape(kk * n, -1, dz.shape[-1]), in_shape, k)
         start, stop, _ = layout.slots[name, "weight"]
         grads[:, :, start:stop] = gw.reshape(kk, n, -1)
-        if spec.bias:
-            start, stop, _ = layout.slots[name, "bias"]
-            grads[:, :, start:stop] = gb
+        start, stop, _ = layout.slots[name, "bias"]
+        grads[:, :, start:stop] = gb
     return logits, grads
 
 

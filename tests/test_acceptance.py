@@ -32,17 +32,21 @@ def ok(line):
 
 
 def logistic_spec():
-    return ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
+    # weights w_0, w_1 and biases b_0, b_1 on a scalar input
+    return ModelSpec(kind="mlp", input_shape=(1,), classes=2)
 
 
 def logistic_probs(w, x):
-    z = np.asarray(w, dtype=float) * x
+    w = np.asarray(w, dtype=float)
+    z = w[:2] * x + w[2:]
     e = np.exp(z - z.max())
     return e / e.sum()
 
 
 def logistic_loglik_grad(w, x, y):
-    return (np.eye(2)[y] - logistic_probs(w, x)) * x
+    # d log p(y|x) / dw_c = (1[y == c] - p_c) * x, and / db_c without the x
+    delta = np.eye(2)[y] - logistic_probs(w, x)
+    return np.concatenate([delta * x, delta])
 
 
 def logistic_loss_grad(w, xs, ys):
@@ -104,7 +108,7 @@ def test_c01_gradient_oracle():
 
 def test_c02_fisher_oracle():
     """Criterion 2: Fisher diagonal vs brute-force squared-gradient average."""
-    w = np.array([0.6, -0.3])
+    w = np.array([0.6, -0.3, 0.2, -0.1])
     xs = [0.8, -1.5, 2.0]
     ys = [1, 0, 1]
     # independent brute force: closed-form logistic gradients, squared, averaged
@@ -146,7 +150,9 @@ def test_c03_algebraic_identities():
         spec, theta_g, theta_g, fisher, ds.samples, ds.labels, lam=5.0
     ) == plain_loss
 
-    theta = ParameterVector(np.array([0.2, -0.2]), build_layout(logistic_spec()))
+    # one weight and one bias: a model of two coordinates
+    pair = build_layout(ModelSpec(kind="mlp", input_shape=(1,), classes=1))
+    theta = ParameterVector(np.array([0.2, -0.2]), pair)
 
     def step(fishers, thetas, eta_global=1.0):
         updates = fedcurv.ClientUpdates(
@@ -186,7 +192,7 @@ def test_c04_one_round_end_to_end_oracle():
     """Criterion 4: run_round vs straight-line evaluation of the protocol."""
     spec = logistic_spec()
     layout = build_layout(spec)
-    w0 = np.array([0.5, -0.4])
+    w0 = np.array([0.5, -0.4, 0.1, -0.2])
     client_data = [
         ([0.9, -1.2, 0.3], [0, 1, 0]),
         ([1.5, -0.7, 2.0, -0.2, 0.6], [1, 0, 1, 1, 0]),
@@ -227,7 +233,7 @@ def test_c04_one_round_end_to_end_oracle():
 def test_c04_fedavg_one_round_oracle():
     """Criterion 4, FedAvg steps: run_round vs a sample-weighted average."""
     spec = logistic_spec()
-    w0 = np.array([0.5, -0.4])
+    w0 = np.array([0.5, -0.4, 0.1, -0.2])
     client_data = [
         ([0.9, -1.2, 0.3], [0, 1, 0]),
         ([1.5, -0.7, 2.0, -0.2, 0.6], [1, 0, 1, 1, 0]),
@@ -451,6 +457,7 @@ def test_c10_cnn_experiment_determinism(tmp_path):
     for _ in range(2):
         simulator.run_experiment(config)
         runs.append([(tmp_path / "a" / name).read_bytes() for name in names])
-    assert models._scatter_index.cache_info().currsize and models._COLUMNS[1].size
+    assert models._scatter_index.cache_info().currsize
+    assert models._COLUMNS.buffers[1].size
     assert runs[0] == runs[1]
     ok("C10 determinism: CNN rerun produced byte-identical outputs")

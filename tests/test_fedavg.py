@@ -10,7 +10,7 @@ from reference import fisher_diagonal, loss_and_grad
 
 
 def tiny_spec():
-    return ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
+    return ModelSpec(kind="mlp", input_shape=(1,), classes=2)
 
 
 class TestLocalTrainPlain:
@@ -66,21 +66,21 @@ def average_models(thetas, counts):
 
 class TestAverageModels:
     def test_equal_counts_arithmetic_mean(self):
-        out = average_models([[0.0, 2.0], [2.0, 0.0]], [5, 5])
-        assert np.array_equal(out.values, [1.0, 1.0])
+        out = average_models([[0.0, 2.0, 1.0, -1.0], [2.0, 0.0, 3.0, 1.0]], [5, 5])
+        assert np.array_equal(out.values, [1.0, 1.0, 2.0, 0.0])
 
     def test_single_client(self):
-        out = average_models([[3.0, -1.0]], [9])
-        assert np.array_equal(out.values, [3.0, -1.0])
+        out = average_models([[3.0, -1.0, 0.5, 2.0]], [9])
+        assert np.array_equal(out.values, [3.0, -1.0, 0.5, 2.0])
 
     def test_weighted_counts(self):
-        out = average_models([[0.0, 0.0], [4.0, 4.0]], [1, 3])
-        assert np.array_equal(out.values, [3.0, 3.0])
+        out = average_models([[0.0, 0.0, 0.0, 0.0], [4.0, 4.0, 4.0, -4.0]], [1, 3])
+        assert np.array_equal(out.values, [3.0, 3.0, 3.0, -3.0])
 
     def test_idempotent_on_identical_models(self):
-        out = average_models([[1.5, -2.5]] * 4, [1, 2, 3, 4])
-        assert np.allclose(out.values, [1.5, -2.5])
+        out = average_models([[1.5, -2.5, 0.25, 4.0]] * 4, [1, 2, 3, 4])
+        assert np.allclose(out.values, [1.5, -2.5, 0.25, 4.0])
 
     def test_empty_error(self):
         with pytest.raises(AggregationError):
-            average_models(np.empty((0, 2)), [])
+            average_models(np.empty((0, 4)), [])

@@ -22,12 +22,18 @@ from reference import (
     regularized_loss,
     sgd_step,
     shuffled_batches,
+    slot,
 )
 
 
 def logistic_spec():
-    # softmax over 2 classes on scalar input, no bias: 2 trainable weights
-    return ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
+    # softmax over 2 classes on scalar input: weights w_0, w_1, biases b_0, b_1
+    return ModelSpec(kind="mlp", input_shape=(1,), classes=2)
+
+
+def pair_spec():
+    # one weight and one bias: a model of two coordinates
+    return ModelSpec(kind="mlp", input_shape=(1,), classes=1)
 
 
 def logistic_params(w):
@@ -35,14 +41,15 @@ def logistic_params(w):
 
 
 def logistic_probs(w, x):
-    z = np.asarray(w) * x
+    z = np.asarray(w[:2]) * x + np.asarray(w[2:])
     e = np.exp(z - z.max())
     return e / e.sum()
 
 
 def logistic_loglik_grad(w, x, y):
-    onehot = np.eye(2)[y]
-    return (onehot - logistic_probs(w, x)) * x
+    # d log p(y|x) / dw_c = (1[y == c] - p_c) * x, and / db_c without the x
+    delta = np.eye(2)[y] - logistic_probs(w, x)
+    return np.concatenate([delta * x, delta])
 
 
 def small_dataset(seed=0, n=12, classes=3, dim=2):
@@ -69,13 +76,13 @@ class TestComputeFisher:
         layout = build_layout(spec)
         params = ParameterVector(np.zeros(layout.size), layout)
         pv = params.with_values(params.values.copy())
-        pv.segment("fc0", "bias")[...] = [1000.0, -1000.0]
+        slot(pv, "fc0", "bias")[...] = [1000.0, -1000.0]
         ds = Dataset(np.ones((4, 1)), np.zeros(4, dtype=int), 2)
         f = fisher_diagonal(spec, pv, ds)
         assert np.array_equal(f.values, np.zeros(layout.size))
 
     def test_logistic_brute_force_oracle(self):
-        w = [0.4, -0.2]
+        w = [0.4, -0.2, 0.1, -0.3]
         xs = [1.0, -2.0, 0.5]
         ys = [0, 1, 1]
         ds = Dataset(np.array(xs).reshape(-1, 1), np.array(ys), 2)
@@ -112,7 +119,7 @@ class TestComputeFisher:
         spec = logistic_spec()
         ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ShapeMismatchError, match="at least one sample"):
-            fisher_diagonal(spec, logistic_params([0, 0]), ds)
+            fisher_diagonal(spec, logistic_params([0, 0, 0, 0]), ds)
 
 
 class TestRegularizedLoss:
@@ -247,7 +254,7 @@ class TestLocalTrain:
 
     def test_logistic_gradient_closed_form(self):
         # the plain gradient local SGD steps on, against its closed form
-        w = [0.2, -0.5]
+        w = [0.2, -0.5, -0.1, 0.3]
         xs, ys = [1.0, 2.0], [0, 1]
         ds = Dataset(np.array(xs).reshape(-1, 1), np.array(ys), 2)
         expected = -np.mean(
@@ -366,9 +373,9 @@ def layout_check_cases():
     not a length check, can reject it.
     """
     spec = logistic_spec()
-    theta = logistic_params([0.0, 0.0])
-    other = ParameterVector(np.ones(2), build_layout(
-        ModelSpec(kind="mlp", input_shape=(2,), classes=1, bias=False)
+    theta = logistic_params([0.0, 0.0, 0.0, 0.0])
+    other = ParameterVector(np.ones(4), build_layout(
+        ModelSpec(kind="mlp", input_shape=(3,), classes=1)
     ))
     ds = Dataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
     x, labels = ds.samples, ds.labels
@@ -386,7 +393,7 @@ def layout_check_cases():
             spec, other, None, [ds], make_hp(), [0]
         ),
         "wide-thetas": lambda: models.stacked_loss_and_grad(
-            spec, np.zeros((2, 2 + 5)), np.stack([x, x]),
+            spec, np.zeros((2, 4 + 5)), np.stack([x, x]),
             np.stack([labels, labels]),
         ),
         "local-train": lambda: fedcurv.local_train(
@@ -406,7 +413,7 @@ def test_layout_check_raises(case):
 
 
 def merge(theta, fishers, thetas, eta_global=1.0, epsilon=1e-8):
-    """The global model after a round 0 of the logistic model from theta,
+    """The global model after a round 0 of the two-coordinate model from theta,
     by `run_round` with a client step that returns the stacks of F_k and
     theta_k, client k having id k."""
 
@@ -414,9 +421,9 @@ def merge(theta, fishers, thetas, eta_global=1.0, epsilon=1e-8):
                      seeds):
         return np.asarray(thetas, dtype=float), np.asarray(fishers, dtype=float)
 
-    one = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=int), 2)
+    one = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=int), 1)
     new_theta, _, _ = fedcurv.run_round(
-        logistic_spec(), theta, 0, [one] * len(thetas),
+        pair_spec(), theta, 0, [one] * len(thetas),
         make_hp(eta_global=eta_global, epsilon=epsilon), np.random.default_rng(0),
         client_step=given_stacks,
     )
@@ -428,7 +435,8 @@ class TestMerge:
     mean of the client models."""
 
     def setup_method(self):
-        self.theta = logistic_params([1.0, -1.0])
+        layout = build_layout(pair_spec())
+        self.theta = ParameterVector(np.array([1.0, -1.0]), layout)
 
     def test_two_clients_by_hand(self):
         # coordinate 0: (3 * 1 + 1 * 5 + eps * (1 + 5)) / (3 + 1 + 2 eps);
@@ -512,9 +520,8 @@ class TestSumOrder:
     def test_stacked_steps_match_the_client_loops(self, k):
         thetas, fishers, counts = random_uploads(k, seed=k)
         rng = np.random.default_rng(100 + k)
-        layout = build_layout(
-            ModelSpec(kind="mlp", input_shape=(8,), classes=5, bias=False)
-        )
+        # 7 * 5 weights and 5 biases: the uploads' 40 coordinates
+        layout = build_layout(ModelSpec(kind="mlp", input_shape=(7,), classes=5))
         theta = ParameterVector(rng.standard_normal(layout.size), layout)
         ids = sorted(int(i) for i in rng.choice(100, size=k, replace=False))
         # the loops sort by client id, so hand them the clients reversed

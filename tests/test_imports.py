@@ -1,7 +1,7 @@
 """Every name a `bfel` module imports is used in that module, every
 private module-level name is referenced somewhere in the package, and
-every public module-level function has a caller there or a stated reason
-to be kept."""
+every public module-level function and public method has a caller there
+or a stated reason to be kept."""
 
 import ast
 from pathlib import Path
@@ -99,7 +99,8 @@ def test_the_check_finds_unreferenced_private_names():
     assert unreferenced_private_names(sources) == ["a.py:2 _UNUSED", "a.py:5 _Gone"]
 
 
-# Public functions that nothing in the package calls, each kept for a reason.
+# Public functions and methods that nothing in the package calls, each kept
+# for a reason.
 KEEP_WITHOUT_CALLER = {
     "data.save_bfeldata": "writes the BFELDATA container that README documents",
     "simulator.load_model_values": "reads the model.bin a run writes",
@@ -108,20 +109,40 @@ KEEP_WITHOUT_CALLER = {
 }
 
 
+def code_units(module: str, tree: ast.Module):
+    """(qualified name, node) for each module-level function and each method
+    of a module-level class, as "module.name" or "module.Class.name", and
+    (None, node) for every other part of the module's code."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for part in node.bases + node.keywords + node.decorator_list:
+                yield None, part
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+                else:
+                    yield None, sub
+        else:
+            yield None, node
+
+
 def callerless_public_functions(sources: dict[str, str], keep) -> list[str]:
-    """The public module-level functions of `sources` that no other code
-    there reads, as "module.name", where `module` is a file name without
-    ".py". Names are matched as `unreferenced_private_names` matches them;
-    a function's own body and the bodies of the `keep` functions do not
-    count as readers."""
+    """The public module-level functions and the public methods of
+    module-level classes of `sources` that no other code there reads, as
+    `code_units` names them, where `module` is a file name without ".py".
+    Names are matched by their last part, as `unreferenced_private_names`
+    matches them; a function's own body and the bodies of the `keep`
+    functions do not count as readers."""
     defined, read = [], set()
     for file, source in sources.items():
         module = file.removesuffix(".py")
-        for node in ast.parse(source).body:
-            owner = node.name if isinstance(node, ast.FunctionDef) else None
+        for qualified, node in code_units(module, ast.parse(source)):
+            owner = qualified and qualified.rsplit(".", 1)[1]
             if owner and not owner.startswith("_"):
-                defined.append(f"{module}.{owner}")
-            if owner and f"{module}.{owner}" in keep:
+                defined.append(qualified)
+            if qualified in keep:
                 continue
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
@@ -134,7 +155,7 @@ def callerless_public_functions(sources: dict[str, str], keep) -> list[str]:
                     continue
                 if name != owner:
                     read.add(name)
-    return [f for f in defined if f.split(".")[1] not in read and f not in keep]
+    return [f for f in defined if f.rsplit(".", 1)[1] not in read and f not in keep]
 
 
 def test_every_public_function_has_a_caller_or_a_reason():
@@ -170,4 +191,34 @@ def test_the_check_finds_callerless_public_functions():
     }
     assert callerless_public_functions(sources, {"a.kept"}) == [
         "a.recursive", "a.only_from_kept", "b.never"
+    ]
+
+
+def test_the_check_finds_callerless_public_methods():
+    sources = {
+        "a.py": (
+            "@decorate\n"
+            "class A(base()):\n"
+            "    size = 1\n"
+            "    def __init__(self):\n"
+            "        self.called()\n"
+            "    def called(self):\n"
+            "        return 1\n"
+            "    def recursive(self):\n"
+            "        return self.recursive()\n"
+            "    def kept(self):\n"
+            "        return self.only_from_kept()\n"
+            "    def only_from_kept(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "def decorate(cls):\n"
+            "    return cls\n"
+            "def base():\n"
+            "    return object\n"
+        ),
+        "b.py": "from .a import A\nA().called()\n",
+    }
+    assert callerless_public_functions(sources, {"a.A.kept"}) == [
+        "a.A.recursive", "a.A.only_from_kept"
     ]

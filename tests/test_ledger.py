@@ -14,7 +14,6 @@ from bfel.ledger import (
     StakeError,
     TxKind,
 )
-from bfel.models import ModelSpec, ParameterVector, build_layout
 from reference import digest as reference_digest
 
 
@@ -384,25 +383,22 @@ class TestUpdateDigest:
     """chain.log bytes depend on these digests; the constants pin the format."""
 
     def setup_method(self):
-        layout = build_layout(
-            ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
-        )
-        self.theta = ParameterVector(np.array([0.5, -1.25]), layout)
-        self.fisher = ParameterVector(np.array([0.25, 2.0]), layout)
+        # digest_update reads only the stacks, so no model spec is needed
+        self.theta = np.array([0.5, -1.25])
+        self.fisher = np.array([0.25, 2.0])
         self.header = struct.pack("<QQQ", 3, 7, 11)  # client, round, samples
 
     def updates(self, fisher):
         """Round 7's updates of clients 1 and 3 (11 samples), client 3's
         upload in row 1 of each stack."""
-        thetas = np.stack([-self.theta.values, self.theta.values])
+        thetas = np.stack([-self.theta, self.theta])
         if fisher is not None:
-            fisher = np.stack([3 * fisher.values, fisher.values])
+            fisher = np.stack([3 * fisher, fisher])
         return ClientUpdates(7, (1, 3), (5, 11), thetas, fisher)
 
     def test_fedcurv_update_bytes(self):
         want = reference_digest(
-            b"bfel-client-update-v2", self.header, self.fisher.values,
-            self.theta.values,
+            b"bfel-client-update-v2", self.header, self.fisher, self.theta,
         )
         assert ledger.digest_update(self.updates(self.fisher), 1) == want
         assert want.hex() == (
@@ -422,7 +418,7 @@ class TestUpdateDigest:
         assert ledger._digest(b"tag", header, arrays, values[:3]) == want
 
     def test_fedavg_update_bytes(self):
-        want = reference_digest(b"bfel-plain-update-v1", self.header, self.theta.values)
+        want = reference_digest(b"bfel-plain-update-v1", self.header, self.theta)
         assert ledger.digest_update(self.updates(None), 1) == want
         assert want.hex() == (
             "bc4383ecf22c247ef7c32325c812aadb4cd9f2ff0161690bab41a3084c95d72f"

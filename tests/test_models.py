@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from reference import (
     maxpool2,
     maxpool2_backward,
     sgd_step,
+    slot,
     window_major,
 )
 
@@ -58,7 +61,7 @@ class TestForward:
         layout = build_layout(spec)
         values = np.zeros(layout.size)
         params = ParameterVector(values, layout)
-        params.segment("fc0", "weight")[...] = np.eye(2)
+        slot(params, "fc0", "weight")[...] = np.eye(2)
         logits = models.forward(spec, params, np.array([[1.0, 2.0]]), np.array([0]))
         assert np.array_equal(logits, [[1.0, 2.0]])
 
@@ -94,10 +97,10 @@ class TestForward:
         b0 = np.array([0.1, -0.1])
         w1 = np.array([[2.0, 0.0], [-1.0, 1.0]])
         b1 = np.array([0.0, 0.5])
-        params.segment("fc0", "weight")[...] = w0
-        params.segment("fc0", "bias")[...] = b0
-        params.segment("fc1", "weight")[...] = w1
-        params.segment("fc1", "bias")[...] = b1
+        slot(params, "fc0", "weight")[...] = w0
+        slot(params, "fc0", "bias")[...] = b0
+        slot(params, "fc1", "weight")[...] = w1
+        slot(params, "fc1", "bias")[...] = b1
         x = np.array([1.0, 3.0])
         hidden = np.maximum(x @ w0 + b0, 0.0)
         expected = hidden @ w1 + b1
@@ -211,24 +214,25 @@ class TestPerSampleGrad:
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
         layout = build_layout(spec)
         params = ParameterVector(np.zeros(layout.size), layout)
-        params.segment("fc0", "bias")[...] = [1000.0, -1000.0]
+        slot(params, "fc0", "bias")[...] = [1000.0, -1000.0]
         g = models.per_sample_loglik_grad(
             spec, params, np.array([[1.0, 1.0]]), np.array([0])
         )
         assert np.array_equal(g.values, np.zeros_like(g.values))
 
     def test_logistic_closed_form(self):
-        # two-parameter softmax on scalar input reduces to logistic regression:
-        # d log p(y|x) / dw_c = (1[y == c] - p_c) * x
-        spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
+        # two-class softmax on scalar input reduces to logistic regression:
+        # d log p(y|x) / dw_c = (1[y == c] - p_c) * x, and / db_c without the x
+        spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2)
         layout = build_layout(spec)
-        w = np.array([0.3, -0.7])
-        params = ParameterVector(w, layout)
+        w, b = np.array([0.3, -0.7]), np.array([0.2, -0.1])
+        params = ParameterVector(np.concatenate([w, b]), layout)
         x, y = 1.7, 1
-        z = w * x
+        z = w * x + b
         p = np.exp(z - z.max())
         p /= p.sum()
-        expected = (np.array([0.0, 1.0]) - p) * x
+        delta = np.array([0.0, 1.0]) - p
+        expected = np.concatenate([delta * x, delta])
         g = models.per_sample_loglik_grad(spec, params, np.array([[x]]), np.array([y]))
         assert np.allclose(g.values, expected, atol=1e-15)
 
@@ -249,7 +253,7 @@ class TestAccuracy:
         layout = build_layout(spec)
         params = ParameterVector(np.zeros(layout.size), layout)
         pv = params.with_values(params.values.copy())
-        pv.segment("fc0", "weight")[...] = np.eye(3)
+        slot(pv, "fc0", "weight")[...] = np.eye(3)
         x = np.array(
             [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]]
         )
@@ -332,18 +336,18 @@ class TestSgdAndSchedule:
         assert np.array_equal(out.values, params.values)
 
     def test_arithmetic(self):
-        spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
+        spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2)
         layout = build_layout(spec)
-        params = ParameterVector(np.array([1.0, 1.0]), layout)
-        grad = ParameterVector(np.array([2.0, -2.0]), layout)
+        params = ParameterVector(np.array([1.0, 1.0, 0.5, -0.5]), layout)
+        grad = ParameterVector(np.array([2.0, -2.0, 1.0, 3.0]), layout)
         out = sgd_step(params, grad, 0.5)
-        assert np.array_equal(out.values, [0.0, 2.0])
+        assert np.array_equal(out.values, [0.0, 2.0, 0.0, -2.0])
 
     def test_two_steps_fixed_grad_compose(self):
-        spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2, bias=False)
+        spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2)
         layout = build_layout(spec)
-        params = ParameterVector(np.array([1.0, -3.0]), layout)
-        grad = ParameterVector(np.array([0.5, 4.0]), layout)
+        params = ParameterVector(np.array([1.0, -3.0, 0.25, 2.0]), layout)
+        grad = ParameterVector(np.array([0.5, 4.0, -1.0, 0.125]), layout)
         a, b = 0.1, 0.3
         stepped = sgd_step(sgd_step(params, grad, a), grad, b)
         assert np.allclose(stepped.values, params.values - (a + b) * grad.values)
@@ -378,7 +382,7 @@ class TestLayout:
         params = models.init_params(spec, 9)
         rebuilt = np.empty_like(params.values)
         for (layer, role), (start, stop, _) in params.layout.slots.items():
-            rebuilt[start:stop] = params.segment(layer, role).ravel()
+            rebuilt[start:stop] = slot(params, layer, role).ravel()
         assert np.array_equal(rebuilt, params.values)
 
     def test_same_spec_same_layout(self):
@@ -394,12 +398,11 @@ class TestLayout:
     def test_stacked_views_are_the_segments_of_each_row(self):
         layout = build_layout(SWEEP_CNN)
         stack = np.random.default_rng(3).random((3, layout.size))
-        for (layer, role), (_, _, shape) in layout.slots.items():
+        for (layer, role), (start, stop, shape) in layout.slots.items():
             view = layout.stacked(stack, layer, role)
             assert view.shape == (3,) + shape
             for k in range(3):
-                row = ParameterVector(stack[k], layout)
-                assert np.array_equal(view[k], row.segment(layer, role))
+                assert np.array_equal(view[k].ravel(), stack[k, start:stop])
         layout.stacked(stack, "fc1", "bias")[...] = -1.0  # writes through
         start, stop, _ = layout.slots["fc1", "bias"]
         assert (stack[:, start:stop] == -1.0).all()
@@ -407,7 +410,7 @@ class TestLayout:
     def test_unknown_segment_is_a_key_error(self):
         params = models.init_params(SWEEP_CNN, 0)
         with pytest.raises(KeyError, match="fc2"):
-            params.segment("fc2", "weight")
+            slot(params, "fc2", "weight")
 
     def test_cnn_spec_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
@@ -501,7 +504,9 @@ class TestColumnBuffers:
         """Give models fresh, empty column buffers."""
 
         def reset():
-            monkeypatch.setattr(models, "_COLUMNS", [np.empty(0), np.empty(0)])
+            monkeypatch.setattr(
+                models._COLUMNS, "buffers", [np.empty(0), np.empty(0)]
+            )
             models._scatter_index.cache_clear()
 
         reset()
@@ -528,8 +533,8 @@ class TestColumnBuffers:
         getattr(models, call)(spec, params, x, y)
         # columns per sample: 1*9*4*5*5 in stage 1; 8*9*4*1*1 in stage 2,
         # whose 3x3 output has one pool window
-        assert 0 < models._COLUMNS[0].size <= 512 * 900
-        assert 0 < models._COLUMNS[1].size <= 512 * 288
+        assert 0 < models._COLUMNS.buffers[0].size <= 512 * 900
+        assert 0 < models._COLUMNS.buffers[1].size <= 512 * 288
 
     def test_scatter_index_holds_one_sample_per_shape(self, empty):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
@@ -587,13 +592,50 @@ class TestColumnBuffers:
         got, buffers = [], []
         for call in calls:
             got.append(result_arrays(call()))
-            buffers += models._COLUMNS
+            buffers += models._COLUMNS.buffers
         # compared after every call has run: a result held in a buffer
         # would have been overwritten by a later call
         assert [[a.tobytes() for a in arrays] for arrays in got] == want
         for arrays in got:
             for a in arrays:
                 assert not any(np.shares_memory(a, b) for b in buffers)
+
+    def test_threads_keep_their_own_columns(self):
+        # a model call reads its columns again in its backward pass, so a
+        # thread must not write another thread's columns in between
+        spec = SWEEP_CNN
+        thetas = np.stack([models.init_params(spec, s).values for s in range(2)])
+        jobs = []
+        for seed in range(2):
+            x, y = random_batch(spec, 2 * 6, seed)
+            jobs.append((x.reshape((2, 6) + x.shape[1:]), y.reshape(2, 6)))
+
+        def results(job):
+            losses, grads = models.stacked_loss_and_grad(spec, thetas, *job)
+            return [losses.tobytes(), grads.tobytes()]
+
+        want = [results(job) for job in jobs]
+        got = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def run(k):
+            start.wait()
+            for _ in range(50):
+                got[k].append(results(jobs[k]))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(len(jobs)):
+            assert got[k] == [want[k]] * 50
 
 
 class TestGradientExactnessSweep:
@@ -638,7 +680,7 @@ class TestSquaredGradients:
             SWEEP_CNN,
             ModelSpec(
                 kind="cnn", input_shape=(12, 11), classes=4, conv_channels=(3, 2),
-                fc_hidden=6, bias=False,
+                fc_hidden=6,
             ),
             ModelSpec(
                 kind="cnn", input_shape=(3, 10, 10), classes=2,
@@ -828,7 +870,7 @@ ORACLE_CNNS = [
     ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
     ModelSpec(
         kind="cnn", input_shape=(12, 11), classes=4, conv_channels=(3, 2),
-        fc_hidden=6, bias=False,
+        fc_hidden=6,
     ),
     ModelSpec(
         kind="cnn", input_shape=(3, 10, 10), classes=2, conv_channels=(4, 3),
