@@ -38,36 +38,36 @@ class NumericalError(ArithmeticError):
 
 
 KERNEL = 3  # the side of every CNN convolution's square kernel
+CONV_CHANNELS = (8, 16)  # the output channels of the CNN's two conv stages
+CNN_HIDDEN = (64,)  # the hidden widths of every run's CNN dense stack
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description for the two supported model families.
+    """What a run sets of a model: kind, input shape, classes and hidden
+    widths.
 
-    kind="mlp": dense layers input -> hidden... -> classes, ReLU between.
-    kind="cnn": two conv(KERNEL x KERNEL, valid, stride 1) + 2x2 max-pool
-    stages, then two fully connected layers. Every layer has a bias.
+    Both kinds end in one dense stack, flat -> hidden... -> classes, with a
+    ReLU after every layer but the last: an MLP's flat is its input size, a
+    CNN's the output size of two conv(KERNEL x KERNEL, valid, stride 1) +
+    ReLU + 2x2 max-pool stages of CONV_CHANNELS channels. Every layer has a
+    bias.
     """
 
     kind: str
     input_shape: tuple[int, ...]
     classes: int
     hidden: tuple[int, ...] = ()
-    conv_channels: tuple[int, int] = (8, 16)
-    fc_hidden: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
         if self.kind not in ("mlp", "cnn"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.classes < 1:
             raise ValueError("classes must be >= 1")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        if self.kind == "cnn" and len(self.conv_channels) != 2:
-            raise ValueError("cnn requires exactly two conv stages")
         build_layout(self)  # raises ShapeMismatchError for a too-small input
 
     def _chw(self) -> tuple[int, int, int]:
@@ -96,7 +96,9 @@ class ParamLayout:
 
 @functools.cache
 def build_layout(spec: ModelSpec) -> ParamLayout:
-    """Derive the canonical flat parameter layout for an architecture.
+    """Derive the canonical flat parameter layout for an architecture: a
+    CNN's two conv layers, then the dense stack's layers fc0, fc1, ...,
+    each layer's weight followed by its bias.
 
     Cached per spec: both are frozen, so every caller shares one layout.
     """
@@ -111,23 +113,18 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
             size += math.prod(part)
 
     if spec.kind == "mlp":
-        dims = [math.prod(spec.input_shape), *spec.hidden, spec.classes]
-        for i in range(len(dims) - 1):
-            add(f"fc{i}", (dims[i], dims[i + 1]), dims[i + 1])
+        flat = math.prod(spec.input_shape)
     else:
         c, h, w = spec._chw()
-        k = KERNEL
-        in_c = c
-        for i, out_c in enumerate(spec.conv_channels):
-            add(f"conv{i}", (out_c, in_c, k, k), out_c)
-            h = (h - k + 1) // 2
-            w = (w - k + 1) // 2
-            in_c = out_c
+        for i, out_c in enumerate(CONV_CHANNELS):
+            add(f"conv{i}", (out_c, c, KERNEL, KERNEL), out_c)
+            c, h, w = out_c, (h - KERNEL + 1) // 2, (w - KERNEL + 1) // 2
         if h < 1 or w < 1:
             raise ShapeMismatchError("input too small for two conv+pool stages")
-        flat = in_c * h * w
-        add("fc0", (flat, spec.fc_hidden), spec.fc_hidden)
-        add("fc1", (spec.fc_hidden, spec.classes), spec.classes)
+        flat = c * h * w
+    dims = [flat, *spec.hidden, spec.classes]
+    for i in range(len(dims) - 1):
+        add(f"fc{i}", (dims[i], dims[i + 1]), dims[i + 1])
     return ParamLayout(slots, size)
 
 
@@ -182,7 +179,7 @@ class _Columns(threading.local):
     in its backward pass, so no other thread may write them."""
 
     def __init__(self):
-        self.buffers = [np.empty(0), np.empty(0)]
+        self.buffers = [np.empty(0) for _ in CONV_CHANNELS]
 
 
 _COLUMNS = _Columns()
@@ -306,9 +303,10 @@ def _forward_cached(spec: ModelSpec, thetas, x, keep=True):
     """Run the forward pass of K models, keeping what backprop needs.
 
     thetas is (K, P) in the spec's layout; x is (K, N, *input_shape),
-    client k's N samples seen by model k. Every weight op is one matmul
-    batched over the client axis; im2col and the pools run on the K*N
-    samples.
+    client k's N samples seen by model k. A CNN runs its conv stages, then
+    both kinds run the len(spec.hidden) + 1 layers of the dense stack.
+    Every weight op is one matmul batched over the client axis; im2col and
+    the pools run on the K*N samples.
     A conv's outputs are pool-window-major, (K, N, OC, 4, L) for L pool
     windows, and its pooled map is NCHW again.
     Each cache entry holds a layer's input (dense activations (K, N, fan_in),
@@ -323,15 +321,12 @@ def _forward_cached(spec: ModelSpec, thetas, x, keep=True):
     kk, n = x.shape[:2]
     if spec.kind == "mlp":
         a = x.reshape(kk, n, -1)
-        dense = len(spec.hidden) + 1
     else:
         a = x.reshape((kk * n,) + spec._chw())
-        dense = 2
         k = KERNEL
-        for i in range(2):
+        for i, oc in enumerate(CONV_CHANNELS):
             name = f"conv{i}"
             wgt = layout.stacked(thetas, name, "weight")
-            oc = wgt.shape[1]
             cols = _im2col(a, k, i)
             cols = cols.reshape((kk, n) + cols.shape[1:])
             z = wgt.reshape(kk, 1, oc, -1) @ cols
@@ -344,6 +339,7 @@ def _forward_cached(spec: ModelSpec, thetas, x, keep=True):
             pooled_shape = (kk * n, oc, (a.shape[2] - k + 1) // 2, -1)
             a = np.maximum(pooled, 0.0, out=pooled).reshape(pooled_shape)
         a = a.reshape(kk, n, -1)
+    dense = len(spec.hidden) + 1
     for i in range(dense):
         name = f"fc{i}"
         z = a @ layout.stacked(thetas, name, "weight")

@@ -221,7 +221,7 @@ def rounds(config: ExperimentConfig):
     spec = models.ModelSpec(
         kind=config.model, input_shape=train.samples.shape[1:],
         classes=train.class_count,
-        hidden=config.mlp_hidden if config.model == "mlp" else (),
+        hidden=config.mlp_hidden if config.model == "mlp" else models.CNN_HIDDEN,
     )
     if test.samples.shape[1:] != spec.input_shape or test.labels.max() >= spec.classes:
         raise ConfigError(

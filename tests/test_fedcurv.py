@@ -483,7 +483,7 @@ class TestMerge:
 class TestDivergence:
     @pytest.mark.parametrize("spec", [
         ModelSpec(kind="mlp", input_shape=(64,), classes=10, hidden=(64,)),
-        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
+        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10, hidden=(64,)),
     ])
     @pytest.mark.parametrize("clients", [1, 3, 10])
     def test_equals_stacked_norm_formula_bitwise(self, spec, clients):
@@ -688,10 +688,7 @@ class TestSampleClients:
 
 LOCKSTEP_SPECS = {
     "mlp": ModelSpec(kind="mlp", input_shape=(3,), classes=3, hidden=(5,)),
-    "cnn": ModelSpec(
-        kind="cnn", input_shape=(10, 10), classes=3, conv_channels=(2, 3),
-        fc_hidden=5,
-    ),
+    "cnn": ModelSpec(kind="cnn", input_shape=(10, 10), classes=3, hidden=(5,)),
 }
 
 

@@ -5,11 +5,13 @@ Small MLP and CNN runs whose output bytes must not move when the code is
 refactored or sped up. Beside each run's digests, GOLDEN_NUMBERS holds its
 metrics.csv text and the L2 norm and largest magnitude of its model.bin.
 Both were captured with numpy 2.4.6 on scipy-openblas 0.3.31.188.0
-(OpenBLAS DYNAMIC_ARCH, x86-64, Python 3.11), and on that build every
-mismatch fails. Another numpy or BLAS build may round matrix products
-differently, so there a mismatch skips, and the skip reason names both
-builds and the largest difference in each metrics.csv column and in each
-norm; no tolerance is set yet.
+(OpenBLAS DYNAMIC_ARCH, x86-64, Python 3.11) running its SkylakeX kernels,
+and on that build every mismatch fails. A DYNAMIC_ARCH OpenBLAS picks its
+kernels from the CPU, or from OPENBLAS_CORETYPE, when it loads, so the
+build key names the kernels read at run time. Another numpy, BLAS or
+kernel set may round matrix products differently, so there a mismatch
+skips, and the skip reason names both builds and the largest difference
+in each metrics.csv column and in each norm; no tolerance is set yet.
 
 `PYTHONPATH=src python tests/test_golden.py` prints this build's digests
 and numbers as GOLDEN and GOLDEN_NUMBERS dicts, for a deliberate
@@ -18,8 +20,12 @@ re-capture.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,7 +34,7 @@ import pytest
 
 from bfel import data, simulator
 
-CAPTURED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+CAPTURED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, SkylakeX"
 
 MLP = dict(
     dataset="synth", synth_classes=4, synth_per_class=30, synth_dim=5,
@@ -168,12 +174,27 @@ GOLDEN_NUMBERS = {
 }
 
 
+def openblas_kernels() -> str | None:
+    """The name of the kernel set that numpy's bundled scipy-openblas runs
+    in this process, or None where that library or its symbol is missing."""
+    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"
+    )
+    try:
+        corename = ctypes.CDLL(str(min(libs))).scipy_openblas_get_corename64_
+    except (ValueError, OSError, AttributeError):  # no library, or no symbol
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def numpy_build() -> str:
+    kernels = openblas_kernels() or "unknown kernels"
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+        return f"numpy {np.__version__}, {blas['name']} {blas['version']}, {kernels}"
     except (TypeError, KeyError):  # older numpy has no dict mode
-        return f"numpy {np.__version__}, unknown BLAS"
+        return f"numpy {np.__version__}, unknown BLAS, {kernels}"
 
 
 def write_images(path, count=40, classes=4, side=12, seed=5):
@@ -273,6 +294,19 @@ def test_the_capturing_build_fails_on_moved_numbers(monkeypatch):
     monkeypatch.setitem(globals(), "numpy_build", lambda: CAPTURED_ON)
     with pytest.raises(AssertionError):
         check_golden("fedcurv", GOLDEN["fedcurv"], moved_numbers("fedcurv"))
+
+
+def test_the_build_names_the_kernels_that_run():
+    if openblas_kernels() is None:
+        pytest.skip(f"no OpenBLAS kernel name to read on {numpy_build()}")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_golden; print(test_golden.numpy_build())"],
+        env=dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert child.stdout.endswith(", Haswell\n")
 
 
 if __name__ == "__main__":

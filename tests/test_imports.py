@@ -1,12 +1,15 @@
 """Every name a `bfel` module imports is used in that module, every
-private module-level name is referenced somewhere in the package, and
-every public module-level function and public method has a caller there
-or a stated reason to be kept."""
+private module-level name is referenced somewhere in the package, every
+public module-level function and public method has a caller there or a
+stated reason to be kept, and every `ModelSpec` field is one a run sets."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from bfel.models import ModelSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bfel"
 
@@ -222,3 +225,19 @@ def test_the_check_finds_callerless_public_methods():
     assert callerless_public_functions(sources, {"a.A.kept"}) == [
         "a.A.recursive", "a.A.only_from_kept"
     ]
+
+
+def model_spec_keywords(source: str) -> set[str]:
+    """The keywords of the one `ModelSpec(...)` call in the `rounds`
+    function of `source`, which passes no positional argument."""
+    rounds = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "rounds")
+    calls = [node for node in ast.walk(rounds) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("ModelSpec", "models.ModelSpec")]
+    assert len(calls) == 1 and not calls[0].args
+    return {keyword.arg for keyword in calls[0].keywords}
+
+
+def test_every_model_spec_field_is_one_a_run_sets():
+    fields = {field.name for field in dataclasses.fields(ModelSpec)}
+    assert model_spec_keywords((SRC / "simulator.py").read_text()) == fields

@@ -27,9 +27,7 @@ from reference import (
     window_major,
 )
 
-SWEEP_CNN = ModelSpec(
-    kind="cnn", input_shape=(10, 10), classes=3, conv_channels=(2, 3), fc_hidden=5
-)
+SWEEP_CNN = ModelSpec(kind="cnn", input_shape=(10, 10), classes=3, hidden=(5,))
 
 
 def random_batch(spec, n, seed):
@@ -76,7 +74,7 @@ class TestForward:
     @pytest.mark.parametrize("spec", [
         ModelSpec(kind="mlp", input_shape=(5,), classes=4, hidden=(6, 3)),
         SWEEP_CNN,
-        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
+        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10, hidden=(64,)),
     ])
     def test_logits_are_the_cached_pass_logits_bitwise(self, spec):
         params = models.init_params(spec, 5)
@@ -177,7 +175,7 @@ class TestPerSampleGrad:
 
     @pytest.mark.parametrize("spec", [
         ModelSpec(kind="mlp", input_shape=(5,), classes=4, hidden=(6, 3)),
-        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
+        ModelSpec(kind="cnn", input_shape=(28, 28), classes=10, hidden=(64,)),
     ], ids=["mlp", "cnn-28x28"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_is_the_negated_one_sample_stacked_gradient_bitwise(self, spec, seed):
@@ -375,10 +373,7 @@ class TestSgdAndSchedule:
 
 class TestLayout:
     def test_flatten_round_trip_is_bit_exact(self):
-        spec = ModelSpec(
-            kind="cnn", input_shape=(10, 10), classes=3, conv_channels=(2, 3),
-            fc_hidden=5,
-        )
+        spec = ModelSpec(kind="cnn", input_shape=(10, 10), classes=3, hidden=(5,))
         params = models.init_params(spec, 9)
         rebuilt = np.empty_like(params.values)
         for (layer, role), (start, stop, _) in params.layout.slots.items():
@@ -412,9 +407,18 @@ class TestLayout:
         with pytest.raises(KeyError, match="fc2"):
             slot(params, "fc2", "weight")
 
+    def test_cnn_hidden_widths_shape_its_dense_layers(self):
+        specs = [
+            ModelSpec(kind="cnn", input_shape=(12, 12), classes=4, hidden=hidden)
+            for hidden in [(5,), (64,), ()]
+        ]
+        # 12 -> 10 -> 5 -> 3 -> 1: the second pool gives 16 values
+        assert build_layout(specs[0]).slots["fc0", "weight"][2] == (16, 5)
+        assert len({build_layout(spec) for spec in specs}) == 3
+
     def test_cnn_spec_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
-            ModelSpec(kind="cnn", input_shape=(4, 4), classes=2)
+            ModelSpec(kind="cnn", input_shape=(4, 4), classes=2, hidden=(64,))
 
     @pytest.mark.parametrize("width", [-3, 0])
     def test_hidden_width_below_one_is_rejected(self, width):
@@ -513,7 +517,7 @@ class TestColumnBuffers:
         return reset
 
     def test_second_same_shape_call_allocates_no_columns(self, empty):
-        spec = ModelSpec(kind="cnn", input_shape=(28, 28), classes=10)
+        spec = ModelSpec(kind="cnn", input_shape=(28, 28), classes=10, hidden=(64,))
         params = models.init_params(spec, 0)
         x, y = random_batch(spec, 16, 1)
         first = traced_peak(lambda: loss_and_grad(spec, params, x, y))
@@ -527,7 +531,7 @@ class TestColumnBuffers:
 
     @pytest.mark.parametrize("call", ["accuracy", "sum_squared_loglik_grads"])
     def test_full_set_pass_holds_at_most_512_samples_of_columns(self, empty, call):
-        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
+        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4, hidden=(64,))
         params = models.init_params(spec, 0)
         x, y = random_batch(spec, 600, 7)
         getattr(models, call)(spec, params, x, y)
@@ -537,7 +541,7 @@ class TestColumnBuffers:
         assert 0 < models._COLUMNS.buffers[1].size <= 512 * 288
 
     def test_scatter_index_holds_one_sample_per_shape(self, empty):
-        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
+        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4, hidden=(64,))
         params = models.init_params(spec, 0)
         x, y = random_batch(spec, 600, 7)
         models.sum_squared_loglik_grads(spec, params, x, y)
@@ -565,7 +569,7 @@ class TestColumnBuffers:
         assert same_bits(models._im2col(x[::-1].copy()[::-1], 3, 1), want)
 
     def test_interleaved_sizes_match_calls_on_empty_buffers(self, empty):
-        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4)
+        spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4, hidden=(64,))
         params = models.init_params(spec, 2)
         thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
         x16, y16 = random_batch(spec, 16, 3)
@@ -649,7 +653,9 @@ class TestGradientExactnessSweep:
         ],
     )
     def test_analytic_matches_fd(self, spec, seed):
-        assert build_layout(spec).size <= 200
+        # bounds the sweep's cost at SWEEP_CNN's 1,351 coordinates, of which
+        # conv1's weights alone are 1,152 at CONV_CHANNELS
+        assert build_layout(spec).size <= 1351
         params = models.init_params(spec, seed)
         x, y = random_batch(spec, 3, seed + 100)
         _, grad = loss_and_grad(spec, params, x, y)
@@ -678,14 +684,8 @@ class TestSquaredGradients:
         [
             ModelSpec(kind="mlp", input_shape=(5,), classes=4, hidden=(6, 3)),
             SWEEP_CNN,
-            ModelSpec(
-                kind="cnn", input_shape=(12, 11), classes=4, conv_channels=(3, 2),
-                fc_hidden=6,
-            ),
-            ModelSpec(
-                kind="cnn", input_shape=(3, 10, 10), classes=2,
-                conv_channels=(4, 3), fc_hidden=5,
-            ),
+            ModelSpec(kind="cnn", input_shape=(12, 11), classes=4, hidden=(6,)),
+            ModelSpec(kind="cnn", input_shape=(3, 10, 10), classes=2, hidden=(5,)),
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -867,16 +867,10 @@ class TestSpatialBackward:
 
 
 ORACLE_CNNS = [
-    ModelSpec(kind="cnn", input_shape=(28, 28), classes=10),
-    ModelSpec(
-        kind="cnn", input_shape=(12, 11), classes=4, conv_channels=(3, 2),
-        fc_hidden=6,
-    ),
-    ModelSpec(
-        kind="cnn", input_shape=(3, 10, 10), classes=2, conv_channels=(4, 3),
-        fc_hidden=5,
-    ),
-    ModelSpec(kind="cnn", input_shape=(12, 12), classes=4),
+    ModelSpec(kind="cnn", input_shape=(28, 28), classes=10, hidden=(64,)),
+    ModelSpec(kind="cnn", input_shape=(12, 11), classes=4, hidden=(6,)),
+    ModelSpec(kind="cnn", input_shape=(3, 10, 10), classes=2, hidden=(5,)),
+    ModelSpec(kind="cnn", input_shape=(12, 12), classes=4, hidden=(64,)),
 ]
 
 
