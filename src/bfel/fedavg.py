@@ -9,12 +9,12 @@ import numpy as np
 
 from .data import Dataset
 from .fedcurv import ClientUpdates, HyperParams, _phase, local_train, row_sum
-from .models import ModelSpec, ParameterVector
+from .models import ModelSpec
 
 
 def client_round(
     spec: ModelSpec,
-    theta_global: ParameterVector,
+    theta_global: np.ndarray,
     datasets: list[Dataset],
     hp: HyperParams,
     client_ids: list[int],
@@ -30,10 +30,10 @@ def client_round(
 
 
 def server_step(
-    theta: ParameterVector, updates: ClientUpdates, hp: HyperParams
-) -> ParameterVector:
+    theta: np.ndarray, updates: ClientUpdates, hp: HyperParams
+) -> np.ndarray:
     """FedAvg server step: the clients' models weighted by their sample
     counts, n_k / N, become the global model."""
     total_n = sum(updates.sample_counts)
     weights = [n / total_n for n in updates.sample_counts]
-    return theta.with_values(row_sum(updates.thetas, weights))
+    return row_sum(updates.thetas, weights)

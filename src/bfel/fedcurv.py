@@ -25,13 +25,7 @@ import numpy as np
 
 from . import models
 from .data import Dataset
-from .models import (
-    LayoutMismatchError,
-    ModelSpec,
-    NumericalError,
-    ParameterVector,
-    lr_schedule,
-)
+from .models import LayoutMismatchError, ModelSpec, NumericalError, lr_schedule
 
 
 class AggregationError(ValueError):
@@ -135,7 +129,7 @@ def _epoch_lr(hp: HyperParams, round_no: int, epoch: int) -> float:
 
 def local_train(
     spec: ModelSpec,
-    theta_global: ParameterVector,
+    theta_global: np.ndarray,
     fishers: np.ndarray | None,
     datasets: list[Dataset],
     hp: HyperParams,
@@ -163,7 +157,7 @@ def local_train(
     clients' positions in `datasets`. An empty dataset takes no step, so
     its client gets theta_global back.
     """
-    anchor = models._unwrap(spec, theta_global)
+    anchor = models._check_theta(spec, theta_global)
     thetas = np.tile(anchor, (len(datasets), 1))
     lam_f = None
     if fishers is not None and hp.lam != 0.0:
@@ -235,7 +229,7 @@ def row_sum(stack: np.ndarray, weights=None) -> np.ndarray:
 
 def client_round(
     spec: ModelSpec,
-    theta_global: ParameterVector,
+    theta_global: np.ndarray,
     datasets: list[Dataset],
     hp: HyperParams,
     client_ids: list[int],
@@ -250,7 +244,7 @@ def client_round(
     pass is stacked. A stderr warning names the round when lr * lam *
     max F_k reaches 2, lr being the round's first and largest rate.
     """
-    fishers = np.empty((len(datasets), theta_global.layout.size))
+    fishers = np.empty((len(datasets), theta_global.size))
     for k, (cid, ds) in enumerate(zip(client_ids, datasets)):
         with _phase("Fisher", round_no, [cid]):
             sums = models.sum_squared_loglik_grads(
@@ -274,8 +268,8 @@ def client_round(
 
 
 def server_step(
-    theta: ParameterVector, updates: ClientUpdates, hp: HyperParams
-) -> ParameterVector:
+    theta: np.ndarray, updates: ClientUpdates, hp: HyperParams
+) -> np.ndarray:
     """FedCurv server step: theta + eta_global * (merged - theta), where
     merged = (sum_k F_k theta_k + epsilon sum_k theta_k) / (sum_k F_k + K
     epsilon) minimises sum_k (theta - theta_k)^T diag(F_k + epsilon)
@@ -285,7 +279,7 @@ def server_step(
     merged = row_sum(updates.thetas, updates.fishers)
     merged += hp.epsilon * row_sum(updates.thetas)
     merged /= precision
-    return theta.with_values(theta.values + hp.eta_global * (merged - theta.values))
+    return theta + hp.eta_global * (merged - theta)
 
 
 def sample_clients(
@@ -315,7 +309,7 @@ def divergence(thetas: np.ndarray) -> float:
 
 def run_round(
     spec: ModelSpec,
-    theta: ParameterVector,
+    theta: np.ndarray,
     round_no: int,
     clients: list[Dataset],
     hp: HyperParams,
@@ -323,7 +317,7 @@ def run_round(
     test_set: Dataset | None = None,
     client_step=client_round,
     server_step=server_step,
-) -> tuple[ParameterVector, ClientUpdates, dict]:
+) -> tuple[np.ndarray, ClientUpdates, dict]:
     """Round round_no (from 0) from global model theta: sample, run the
     client step, run the server step; returns the new global model.
 
@@ -349,22 +343,21 @@ def run_round(
     updates = ClientUpdates(
         round_no, tuple(sampled), tuple(len(ds) for ds in datasets), thetas, fishers
     )
-    if thetas.shape[1] != theta.values.size:
+    if thetas.shape[1] != theta.size:
         raise LayoutMismatchError(
-            f"expected client models of {theta.values.size} values, got "
+            f"expected client models of {theta.size} values, got "
             f"{thetas.shape[1]}"
         )
     with _phase("global step", round_no):
         new_theta = server_step(theta, updates, hp)
-        if not np.all(np.isfinite(new_theta.values)):
+        if not np.all(np.isfinite(new_theta)):
             raise NumericalError("global model not finite")
     metrics = {"divergence": divergence(thetas)}
     if test_set is not None:
         x, labels = test_set.samples, test_set.labels
         with _phase("evaluation", round_no):
             metrics["client_accuracy"] = [
-                models.accuracy(spec, theta.with_values(row), x, labels)
-                for row in thetas
+                models.accuracy(spec, row, x, labels) for row in thetas
             ]
             metrics["global_accuracy"] = models.accuracy(spec, new_theta, x, labels)
     return new_theta, updates, metrics

@@ -2,8 +2,9 @@
 
 Everything here is pure numpy in float64: exact analytic forward/backward
 passes for the two fixed architectures (convolutions as im2col matmuls),
-cross-entropy loss, and the flat parameter-vector representation shared by
-the federated algorithms.
+cross-entropy loss, and the flat parameter layout. A model's parameters
+are one float64 (P,) array, and K models' one (K, P) stack; every call
+reads their layout from its `ModelSpec`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ class ShapeMismatchError(ValueError):
 
 
 class LayoutMismatchError(ValueError):
-    """Two parameter vectors do not share the same layout."""
+    """Parameters, or a stack of them, do not have the shape of their
+    spec's layout."""
 
 
 class NumericalError(ArithmeticError):
@@ -128,26 +130,7 @@ def build_layout(spec: ModelSpec) -> ParamLayout:
     return ParamLayout(slots, size)
 
 
-@dataclass(frozen=True)
-class ParameterVector:
-    """Flat float64 view of all trainable parameters, plus its layout."""
-
-    values: np.ndarray
-    layout: ParamLayout
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if vals.ndim != 1 or vals.shape[0] != self.layout.size:
-            raise LayoutMismatchError(
-                f"expected {self.layout.size} values, got shape {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-
-    def with_values(self, values: np.ndarray) -> "ParameterVector":
-        return ParameterVector(values, self.layout)
-
-
-def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
+def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Glorot-uniform weights, zero biases, from a seeded generator."""
     layout = build_layout(spec)
     rng = np.random.default_rng(seed)
@@ -165,7 +148,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
             fan_out = oc * k * k
         a = math.sqrt(6.0 / (fan_in + fan_out))
         view[:] = rng.uniform(-a, a, stop - start)
-    return ParameterVector(values, layout)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +246,15 @@ def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dout[..., None, :] * (idx[..., None, :] == np.arange(4)[:, None])
 
 
-def _unwrap(spec: ModelSpec, params: ParameterVector) -> np.ndarray:
-    """params' values, after the one check that they are in spec's layout."""
-    if params.layout != build_layout(spec):
-        raise LayoutMismatchError("parameter layout does not match model spec")
-    return params.values
+def _check_theta(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
+    """theta, after the one check of one model's parameters: a (P,) array,
+    P being the size of spec's layout."""
+    size = build_layout(spec).size
+    if np.shape(theta) != (size,):
+        raise LayoutMismatchError(
+            f"expected parameters of shape ({size},), got shape {np.shape(theta)}"
+        )
+    return theta
 
 
 def _check_inputs(spec: ModelSpec, thetas, x, labels) -> None:
@@ -447,10 +434,10 @@ def stacked_loss_and_grad(
 
 
 def forward(
-    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Logits (N, classes) for samples x (N, ...) labelled by labels (N,)."""
-    thetas, x = _unwrap(spec, params)[None], x[None]
+    thetas, x = _check_theta(spec, theta)[None], x[None]
     _check_inputs(spec, thetas, x, labels[None])
     logits, _ = _forward_cached(spec, thetas, x, keep=False)
     if not np.isfinite(logits).all():
@@ -459,9 +446,9 @@ def forward(
 
 
 def per_sample_loglik_grad(
-    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
-) -> ParameterVector:
-    """Gradient of log p(y|x; params) for a single sample.
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Gradient of log p(y|x; theta) for a single sample.
 
     No training path calls this; it is the one-sample reference that
     `sum_squared_loglik_grads` is tested against.
@@ -469,19 +456,19 @@ def per_sample_loglik_grad(
     if labels.shape[:1] != (1,):
         raise ShapeMismatchError("per-sample gradient requires one sample")
     losses, grads = stacked_loss_and_grad(
-        spec, _unwrap(spec, params)[None], x[None], labels[None]
+        spec, _check_theta(spec, theta)[None], x[None], labels[None]
     )
     if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
         raise NumericalError("loss/gradient not finite")
-    return params.with_values(-grads[0])
+    return -grads[0]
 
 
 def sum_squared_loglik_grads(
-    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Sum over the samples x of squared per-sample log-likelihood gradients,
     added up chunk by chunk from zeros."""
-    thetas = _unwrap(spec, params)[None]
+    thetas = _check_theta(spec, theta)[None]
     out = np.zeros(thetas.shape[1])
     for xc, lc in _chunks(x, labels):
         _, caches, dlogits = _output_grads(spec, thetas, xc[None], lc[None])
@@ -508,11 +495,11 @@ def lr_schedule(initial_lr: float, epoch: int) -> float:
 
 
 def accuracy(
-    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, labels: np.ndarray
 ) -> float:
     """Fraction of argmax predictions matching labels (ties -> lowest class)."""
     correct = 0
     for xc, lc in _chunks(x, labels):
-        preds = forward(spec, params, xc, lc).argmax(axis=1)
+        preds = forward(spec, theta, xc, lc).argmax(axis=1)
         correct += int((preds == lc).sum())
     return correct / len(labels)

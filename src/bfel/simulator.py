@@ -147,11 +147,11 @@ def parse_config(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def save_model(params: models.ParameterVector, path) -> None:
+def save_model(theta: np.ndarray, path) -> None:
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
-        f.write(struct.pack("<IQ", MODEL_VERSION, params.values.shape[0]))
-        f.write(params.values.astype("<f8").tobytes())
+        f.write(struct.pack("<IQ", MODEL_VERSION, theta.shape[0]))
+        f.write(theta.astype("<f8").tobytes())
 
 
 def load_model_values(path) -> np.ndarray:
@@ -274,7 +274,7 @@ def _round_stream(config: ExperimentConfig, spec, clients, test):
             ]
             txs.append(ledger.make_transaction(
                 ledger.TxKind.GLOBAL_MODEL,
-                ledger.digest_global_model(theta.values, round_idx + 1), server_key, ts,
+                ledger.digest_global_model(theta, round_idx + 1), server_key, ts,
             ))
             chain = ledger.append_block(chain, txs, server_key, timestamp=ts)
         yield round_idx, theta, updates, metrics, elapsed, chain

@@ -40,17 +40,12 @@ from bfel.gossip import (
     GossipCoverageError,
     GossipNetwork,
 )
-from bfel.models import LayoutMismatchError, ModelSpec, ParameterVector
+from bfel.models import ModelSpec
 
 
-def slot(params: ParameterVector, layer: str, role: str) -> np.ndarray:
-    """One (layer, role) slot of params, as a view of its values."""
-    return params.layout.stacked(params.values[None], layer, role)[0]
-
-
-def require_same_layout(*vectors) -> None:
-    if len({v.layout for v in vectors}) > 1:
-        raise LayoutMismatchError("parameter vectors have different layouts")
+def slot(spec: ModelSpec, theta: np.ndarray, layer: str, role: str) -> np.ndarray:
+    """One (layer, role) slot of theta, in spec's layout, as a view."""
+    return models.build_layout(spec).stacked(theta[None], layer, role)[0]
 
 
 def shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -60,71 +55,65 @@ def shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def sgd_step(
-    params: ParameterVector, grad: ParameterVector, lr: float
-) -> ParameterVector:
-    """One plain SGD step: params - lr * grad."""
+def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    """One plain SGD step: theta - lr * grad."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    require_same_layout(params, grad)
-    return params.with_values(params.values - lr * grad.values)
+    return theta - lr * grad
 
 
 def loss_and_grad(
-    spec: ModelSpec, params: ParameterVector, x: np.ndarray, labels: np.ndarray
-) -> tuple[float, ParameterVector]:
+    spec: ModelSpec, theta: np.ndarray, x: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over all of x and its gradient, in one K=1
     `stacked_loss_and_grad` call, with no chunking; a non-finite loss or
     gradient raises."""
     losses, grads = models.stacked_loss_and_grad(
-        spec, params.values[None], x[None], labels[None]
+        spec, theta[None], x[None], labels[None]
     )
     if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
         raise models.NumericalError("loss/gradient not finite")
-    return float(losses[0]), params.with_values(grads[0])
+    return float(losses[0]), grads[0]
 
 
-def fisher_diagonal(spec: ModelSpec, theta: ParameterVector, ds) -> ParameterVector:
+def fisher_diagonal(spec: ModelSpec, theta: np.ndarray, ds) -> np.ndarray:
     """F_k as `fedcurv.client_round` takes it: the mean over ds of the
     squared per-sample log-likelihood gradients at theta."""
     sums = models.sum_squared_loglik_grads(spec, theta, ds.samples, ds.labels)
-    return theta.with_values(sums / len(ds))
+    return sums / len(ds)
 
 
 def regularized_loss(
     spec: ModelSpec,
-    theta: ParameterVector,
-    theta_global: ParameterVector,
-    fisher: ParameterVector,
+    theta: np.ndarray,
+    theta_global: np.ndarray,
+    fisher: np.ndarray,
     x: np.ndarray,
     labels: np.ndarray,
     lam: float,
 ) -> float:
     """Cross-entropy plus (lam/2) * sum_i F[i] * (theta - theta_global)[i]^2."""
-    require_same_layout(theta, theta_global)
     loss, _ = loss_and_grad(spec, theta, x, labels)
     if lam == 0.0:
         return loss
-    diff = theta.values - theta_global.values
-    return loss + 0.5 * lam * float(np.dot(fisher.values, diff * diff))
+    diff = theta - theta_global
+    return loss + 0.5 * lam * float(np.dot(fisher, diff * diff))
 
 
 def regularized_gradient(
     spec: ModelSpec,
-    theta: ParameterVector,
-    theta_global: ParameterVector,
-    fisher: ParameterVector,
+    theta: np.ndarray,
+    theta_global: np.ndarray,
+    fisher: np.ndarray,
     x: np.ndarray,
     labels: np.ndarray,
     lam: float,
-) -> ParameterVector:
+) -> np.ndarray:
     """Gradient of regularized_loss: dL + lam * F * (theta - theta_global)."""
-    require_same_layout(theta, theta_global)
     _, grad = loss_and_grad(spec, theta, x, labels)
     if lam == 0.0:
         return grad
-    penalty = lam * fisher.values * (theta.values - theta_global.values)
-    return grad.with_values(grad.values + penalty)
+    return grad + lam * fisher * (theta - theta_global)
 
 
 def gossip_broadcast(net: GossipNetwork, origin: int) -> tuple[int, np.ndarray]:

@@ -16,7 +16,7 @@ import pytest
 from bfel import data, fedavg, fedcurv, gossip, ledger, models, simulator
 from bfel.data import Dataset
 from bfel.fedcurv import HyperParams
-from bfel.models import ModelSpec, ParameterVector, build_layout
+from bfel.models import ModelSpec, build_layout
 from reference import (
     fisher_diagonal,
     loss_and_grad,
@@ -72,31 +72,29 @@ def test_c01_gradient_oracle():
             continue
         lam = [0.0, 0.1, 1.0][checked % 3]
         theta_g = models.init_params(spec, int(rng.integers(1 << 30)))
-        theta = theta_g.with_values(
-            theta_g.values + 0.1 * rng.standard_normal(theta_g.values.size)
-        )
+        theta = theta_g + 0.1 * rng.standard_normal(theta_g.size)
         n = int(rng.integers(2, 6))
         x = rng.random((n,) + spec.input_shape)
         labels = rng.integers(0, spec.classes, n)
-        fisher = theta.with_values(rng.random(theta.values.size))
+        fisher = rng.random(theta.size)
         grad = regularized_gradient(
             spec, theta, theta_g, fisher, x, labels, lam
         )
         h = 1e-5
-        fd = np.zeros_like(theta.values)
-        for i in range(theta.values.size):
-            vp, vm = theta.values.copy(), theta.values.copy()
+        fd = np.zeros_like(theta)
+        for i in range(theta.size):
+            vp, vm = theta.copy(), theta.copy()
             vp[i] += h
             vm[i] -= h
             fd[i] = (
                 regularized_loss(
-                    spec, theta.with_values(vp), theta_g, fisher, x, labels, lam
+                    spec, vp, theta_g, fisher, x, labels, lam
                 )
                 - regularized_loss(
-                    spec, theta.with_values(vm), theta_g, fisher, x, labels, lam
+                    spec, vm, theta_g, fisher, x, labels, lam
                 )
             ) / (2 * h)
-        rel = np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1e-8)
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         worst = max(worst, float(rel.max()))
         checked += 1
     elapsed = time.monotonic() - start
@@ -116,9 +114,8 @@ def test_c02_fisher_oracle():
         [logistic_loglik_grad(w, x, y) ** 2 for x, y in zip(xs, ys)], axis=0
     )
     ds = Dataset(np.array(xs).reshape(-1, 1), np.array(ys), 2)
-    params = ParameterVector(w, build_layout(logistic_spec()))
-    got = fisher_diagonal(logistic_spec(), params, ds)
-    err = float(np.abs(got.values - expected).max())
+    got = fisher_diagonal(logistic_spec(), w, ds)
+    err = float(np.abs(got - expected).max())
     assert err < 1e-10
     ok(f"C2 fisher oracle: max abs err {err:.2e}")
 
@@ -133,7 +130,7 @@ def test_c03_algebraic_identities():
     hp = HyperParams(lam=0.0, eta_local=0.1, local_epochs=3, batch_size=5)
     fisher = fisher_diagonal(spec, theta_g, ds)
     [curv] = fedcurv.local_train(
-        spec, theta_g, fisher.values[None], [ds], hp, seeds=[7]
+        spec, theta_g, fisher[None], [ds], hp, seeds=[7]
     )
     # reference: plain mini-batch SGD, written out here
     plain, rng = theta_g, np.random.default_rng(7)
@@ -142,8 +139,8 @@ def test_c03_algebraic_identities():
             _, grad = loss_and_grad(
                 spec, plain, ds.samples[idx], ds.labels[idx]
             )
-            plain = plain.with_values(plain.values - hp.eta_local * grad.values)
-    assert np.array_equal(curv, plain.values)
+            plain = plain - hp.eta_local * grad
+    assert np.array_equal(curv, plain)
 
     plain_loss, _ = loss_and_grad(spec, theta_g, ds.samples, ds.labels)
     assert regularized_loss(
@@ -151,8 +148,7 @@ def test_c03_algebraic_identities():
     ) == plain_loss
 
     # one weight and one bias: a model of two coordinates
-    pair = build_layout(ModelSpec(kind="mlp", input_shape=(1,), classes=1))
-    theta = ParameterVector(np.array([0.2, -0.2]), pair)
+    theta = np.array([0.2, -0.2])
 
     def step(fishers, thetas, eta_global=1.0):
         updates = fedcurv.ClientUpdates(
@@ -160,11 +156,11 @@ def test_c03_algebraic_identities():
             np.array(thetas, dtype=float), np.array(fishers, dtype=float),
         )
         hp = HyperParams(eta_global=eta_global, epsilon=1e-8)
-        return fedcurv.server_step(theta, updates, hp).values
+        return fedcurv.server_step(theta, updates, hp)
 
     # identical client models at theta: theta again, up to rounding
-    out = step([[1.0, 2.0], [0.0, 5.0]], [theta.values] * 2)
-    assert np.allclose(out, theta.values, rtol=1e-15, atol=0)
+    out = step([[1.0, 2.0], [0.0, 5.0]], [theta] * 2)
+    assert np.allclose(out, theta, rtol=1e-15, atol=0)
 
     # a coordinate where every F_k is 0 gets the clients' plain mean
     out = step([[0.0, 3.0], [0.0, 1.0], [0.0, 2.0]], [[1.0, 0], [2.0, 0], [6.0, 0]])
@@ -180,9 +176,9 @@ def test_c03_algebraic_identities():
     assert np.all(out <= thetas.max(axis=0) + slack)
 
     # eta_global scales the move away from theta
-    full = out - theta.values
+    full = out - theta
     for eta in [0.25, 0.5, 3.0]:
-        assert np.allclose(step(fishers, thetas, eta) - theta.values, eta * full,
+        assert np.allclose(step(fishers, thetas, eta) - theta, eta * full,
                            rtol=1e-14)
     ok("C3 algebraic identities: lambda-0 bitwise, zero penalty, fixed point, "
        "plain mean at F = 0, convex combination, eta_global scale")
@@ -191,7 +187,6 @@ def test_c03_algebraic_identities():
 def test_c04_one_round_end_to_end_oracle():
     """Criterion 4: run_round vs straight-line evaluation of the protocol."""
     spec = logistic_spec()
-    layout = build_layout(spec)
     w0 = np.array([0.5, -0.4, 0.1, -0.2])
     client_data = [
         ([0.9, -1.2, 0.3], [0, 1, 0]),
@@ -206,9 +201,7 @@ def test_c04_one_round_end_to_end_oracle():
         epsilon=1e-6, batch_size=8, client_fraction=1.0,
     )
     rng = np.random.default_rng(5)
-    theta, updates, _ = fedcurv.run_round(
-        spec, ParameterVector(w0, layout), 0, datasets, hp, rng
-    )
+    theta, updates, _ = fedcurv.run_round(spec, w0, 0, datasets, hp, rng)
 
     # straight-line: fisher at anchor, one full-batch step (the penalty
     # gradient is zero at the anchor), the Fisher-weighted merge of the
@@ -225,7 +218,7 @@ def test_c04_one_round_end_to_end_oracle():
     )
     theta_new = w0 + hp.eta_global * (merged - w0)
 
-    err = float(np.abs(theta.values - theta_new).max())
+    err = float(np.abs(theta - theta_new).max())
     assert err < 1e-10
     ok(f"C4 one-round oracle: max abs err {err:.2e}")
 
@@ -245,8 +238,7 @@ def test_c04_fedavg_one_round_oracle():
     # lam is set to show that FedAvg ignores the anchor penalty
     hp = HyperParams(lam=0.7, local_epochs=1, eta_local=0.05, batch_size=8)
     theta, updates, _ = fedcurv.run_round(
-        spec, ParameterVector(w0, build_layout(spec)), 0, datasets, hp,
-        np.random.default_rng(5),
+        spec, w0, 0, datasets, hp, np.random.default_rng(5),
         client_step=fedavg.client_round, server_step=fedavg.server_step,
     )
 
@@ -259,7 +251,7 @@ def test_c04_fedavg_one_round_oracle():
     )
 
     assert updates.sample_counts == (3, 5)
-    err = float(np.abs(theta.values - theta_new).max())
+    err = float(np.abs(theta - theta_new).max())
     assert err < 1e-10
     ok(f"C4 FedAvg one-round oracle: max abs err {err:.2e}")
 

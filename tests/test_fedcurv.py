@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from bfel.fedcurv import AggregationError, ClientUpdates, HyperParams
 from bfel.models import (
     LayoutMismatchError,
     ModelSpec,
-    ParameterVector,
     ShapeMismatchError,
     build_layout,
 )
@@ -37,7 +38,7 @@ def pair_spec():
 
 
 def logistic_params(w):
-    return ParameterVector(np.asarray(w, dtype=float), build_layout(logistic_spec()))
+    return np.asarray(w, dtype=float)
 
 
 def logistic_probs(w, x):
@@ -66,7 +67,7 @@ def plain_sgd(spec, theta, ds, hp, seed):
     for _ in range(hp.local_epochs):
         for idx in shuffled_batches(len(ds), hp.batch_size, rng):
             _, grad = loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
-            theta = theta.with_values(theta.values - hp.eta_local * grad.values)
+            theta = theta - hp.eta_local * grad
     return theta
 
 
@@ -74,12 +75,12 @@ class TestComputeFisher:
     def test_perfect_prediction_gives_zero_fisher(self):
         spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2)
         layout = build_layout(spec)
-        params = ParameterVector(np.zeros(layout.size), layout)
-        pv = params.with_values(params.values.copy())
-        slot(pv, "fc0", "bias")[...] = [1000.0, -1000.0]
+        params = np.zeros(layout.size)
+        pv = params.copy()
+        slot(spec, pv, "fc0", "bias")[...] = [1000.0, -1000.0]
         ds = Dataset(np.ones((4, 1)), np.zeros(4, dtype=int), 2)
         f = fisher_diagonal(spec, pv, ds)
-        assert np.array_equal(f.values, np.zeros(layout.size))
+        assert np.array_equal(f, np.zeros(layout.size))
 
     def test_logistic_brute_force_oracle(self):
         w = [0.4, -0.2, 0.1, -0.3]
@@ -91,7 +92,7 @@ class TestComputeFisher:
             [logistic_loglik_grad(w, x, y) ** 2 for x, y in zip(xs, ys)], axis=0
         )
         f = fisher_diagonal(logistic_spec(), logistic_params(w), ds)
-        assert np.allclose(f.values, expected, atol=1e-15)
+        assert np.allclose(f, expected, atol=1e-15)
 
     def test_duplicated_dataset_mean_invariance(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2, hidden=(3,))
@@ -104,7 +105,7 @@ class TestComputeFisher:
         )
         f1 = fisher_diagonal(spec, params, ds)
         f2 = fisher_diagonal(spec, params, doubled)
-        assert np.allclose(f1.values, f2.values, atol=1e-15)
+        assert np.allclose(f1, f2, atol=1e-15)
 
     def test_nonnegative_on_random_inputs(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(4,))
@@ -112,7 +113,7 @@ class TestComputeFisher:
             params = models.init_params(spec, seed)
             ds = small_dataset(seed=seed)
             f = fisher_diagonal(spec, params, ds)
-            assert np.all(f.values >= 0)
+            assert np.all(f >= 0)
 
     def test_empty_dataset(self):
         # the model call's input check rejects it before any division by n
@@ -138,7 +139,7 @@ class TestRegularizedLoss:
         assert reg == plain
 
     def test_lambda_zero_is_plain_loss(self):
-        theta = self.theta_g.with_values(self.theta_g.values + 0.3)
+        theta = self.theta_g + 0.3
         plain, _ = loss_and_grad(self.spec, theta, self.x, self.y)
         reg = regularized_loss(
             self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam=0.0
@@ -146,9 +147,9 @@ class TestRegularizedLoss:
         assert reg == plain
 
     def test_unit_fisher_unit_offset_adds_n(self):
-        n = self.theta_g.values.size
-        ones_fisher = self.theta_g.with_values(np.ones(n))
-        theta = self.theta_g.with_values(self.theta_g.values + 1.0)
+        n = self.theta_g.size
+        ones_fisher = np.ones(n)
+        theta = self.theta_g + 1.0
         plain, _ = loss_and_grad(self.spec, theta, self.x, self.y)
         reg = regularized_loss(
             self.spec, theta, self.theta_g, ones_fisher, self.x, self.y, lam=2.0
@@ -158,30 +159,28 @@ class TestRegularizedLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        theta = self.theta_g.with_values(
-            self.theta_g.values + 0.1 * rng.standard_normal(self.theta_g.values.size)
-        )
+        theta = self.theta_g + 0.1 * rng.standard_normal(self.theta_g.size)
         lam = 0.7
         grad = regularized_gradient(
             self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam
         )
         h = 1e-5
-        fd = np.zeros_like(theta.values)
-        for i in range(theta.values.size):
-            vp, vm = theta.values.copy(), theta.values.copy()
+        fd = np.zeros_like(theta)
+        for i in range(theta.size):
+            vp, vm = theta.copy(), theta.copy()
             vp[i] += h
             vm[i] -= h
             fd[i] = (
                 regularized_loss(
-                    self.spec, theta.with_values(vp), self.theta_g, self.fisher,
+                    self.spec, vp, self.theta_g, self.fisher,
                     self.x, self.y, lam,
                 )
                 - regularized_loss(
-                    self.spec, theta.with_values(vm), self.theta_g, self.fisher,
+                    self.spec, vm, self.theta_g, self.fisher,
                     self.x, self.y, lam,
                 )
             ) / (2 * h)
-        rel = np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1e-8)
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
 
     def test_gradient_trivial_cases_equal_plain(self):
@@ -189,13 +188,13 @@ class TestRegularizedLoss:
         at_anchor = regularized_gradient(
             self.spec, self.theta_g, self.theta_g, self.fisher, self.x, self.y, lam=3.0
         )
-        assert np.array_equal(at_anchor.values, plain_grad.values)
-        theta = self.theta_g.with_values(self.theta_g.values - 0.2)
+        assert np.array_equal(at_anchor, plain_grad)
+        theta = self.theta_g - 0.2
         _, plain_off = loss_and_grad(self.spec, theta, self.x, self.y)
         lam_zero = regularized_gradient(
             self.spec, theta, self.theta_g, self.fisher, self.x, self.y, lam=0.0
         )
-        assert np.array_equal(lam_zero.values, plain_off.values)
+        assert np.array_equal(lam_zero, plain_off)
 
 
 class TestLocalTrain:
@@ -207,28 +206,28 @@ class TestLocalTrain:
 
     def train(self, hp, seed, round_no=0):
         [out] = fedcurv.local_train(
-            self.spec, self.theta_g, self.fisher.values[None], [self.ds], hp,
+            self.spec, self.theta_g, self.fisher[None], [self.ds], hp,
             [seed], round_no,
         )
-        return self.theta_g.with_values(out)
+        return out
 
     def test_zero_lr_returns_anchor(self):
         hp = make_hp(eta_local=0.0, local_epochs=3, batch_size=4)
         out = self.train(hp, 0)
-        assert np.array_equal(out.values, self.theta_g.values)
+        assert np.array_equal(out, self.theta_g)
 
     def test_lambda_zero_matches_plain_sgd_bitwise(self):
         hp = make_hp(lam=0.0, eta_local=0.05, local_epochs=2, batch_size=3)
         curv = self.train(hp, 42)
         plain = plain_sgd(self.spec, self.theta_g, self.ds, hp, 42)
-        assert np.array_equal(curv.values, plain.values)
+        assert np.array_equal(curv, plain)
 
     def test_decay_far_into_a_run_finishes(self):
         # round 3235 starts the schedule at epoch 3235, past 3**647 > float max;
         # a rate of about 2e-311 moves no weight by more than 1e-300
         hp = make_hp(eta_local=0.01, batch_size=4, lr_decay=True)
         out = self.train(hp, 0, round_no=3235)
-        assert np.allclose(out.values, self.theta_g.values, rtol=0, atol=1e-300)
+        assert np.allclose(out, self.theta_g, rtol=0, atol=1e-300)
 
     def test_single_full_batch_step_closed_form(self):
         hp = make_hp(lam=0.5, eta_local=0.1, local_epochs=1, batch_size=len(self.ds))
@@ -237,8 +236,8 @@ class TestLocalTrain:
         _, grad = loss_and_grad(
             self.spec, self.theta_g, self.ds.samples, self.ds.labels
         )
-        expected = self.theta_g.values - 0.1 * grad.values
-        assert np.allclose(out.values, expected, atol=1e-14)
+        expected = self.theta_g - 0.1 * grad
+        assert np.allclose(out, expected, atol=1e-14)
 
     def test_empty_client_takes_no_step(self):
         # local_train has no empty check of its own: a round's Fisher pass
@@ -246,11 +245,11 @@ class TestLocalTrain:
         hp = make_hp(lam=0.5, eta_local=0.1, local_epochs=2, batch_size=4)
         empty = self.ds.subset(np.arange(0))
         trained, anchor = fedcurv.local_train(
-            self.spec, self.theta_g, np.stack([self.fisher.values] * 2),
+            self.spec, self.theta_g, np.stack([self.fisher] * 2),
             [self.ds, empty], hp, [3, 4],
         )
-        assert anchor.tobytes() == self.theta_g.values.tobytes()
-        assert trained.tobytes() == self.train(hp, 3).values.tobytes()
+        assert anchor.tobytes() == self.theta_g.tobytes()
+        assert trained.tobytes() == self.train(hp, 3).tobytes()
 
     def test_logistic_gradient_closed_form(self):
         # the plain gradient local SGD steps on, against its closed form
@@ -263,7 +262,7 @@ class TestLocalTrain:
         _, got = loss_and_grad(
             logistic_spec(), logistic_params(w), ds.samples, ds.labels
         )
-        assert np.allclose(got.values, expected, atol=1e-15)
+        assert np.allclose(got, expected, atol=1e-15)
 
 
 class TestEmptyClient:
@@ -304,17 +303,17 @@ class TestClientRound:
         thetas, fishers = fedcurv.client_round(
             spec, params, [ds], make_hp(batch_size=5), [3], 0, [8]
         )
-        assert thetas.shape == fishers.shape == (1, params.layout.size)
-        assert not np.array_equal(thetas[0], params.values)
+        assert thetas.shape == fishers.shape == (1, build_layout(spec).size)
+        assert not np.array_equal(thetas[0], params)
         fisher = fisher_diagonal(spec, params, ds)
-        assert np.array_equal(fishers[0], fisher.values)
+        assert np.array_equal(fishers[0], fisher)
 
     def stiff_round(self, capsys, round_no, lr_decay):
         # lam puts eta_local * lam * max F_k at 3 for this client and anchor
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=3, hidden=(3,))
         params = models.init_params(spec, 6)
         ds = small_dataset(seed=7)
-        max_f = float(fisher_diagonal(spec, params, ds).values.max())
+        max_f = float(fisher_diagonal(spec, params, ds).max())
         hp = make_hp(lam=3 / (0.01 * max_f), eta_local=0.01, batch_size=12,
                      lr_decay=lr_decay)
         fedcurv.client_round(spec, params, [ds], hp, [0], round_no, [8])
@@ -367,48 +366,70 @@ class TestAggregation:
 
 
 def layout_check_cases():
-    """One call per layout check, each given a vector of the wrong layout.
+    """One call per shape check, each given parameters or a stack of the
+    wrong shape, with the shape a one-model call names (None for a stack).
 
-    `other` has theta's size but another layout, so only a layout check,
-    not a length check, can reject it.
+    theta is the logistic model's 4 values; `other` holds the 6 values of
+    another spec's model, so each one-model call must check the length.
+    With a rate of 0, local_train makes no model call that would check it.
     """
     spec = logistic_spec()
     theta = logistic_params([0.0, 0.0, 0.0, 0.0])
-    other = ParameterVector(np.ones(4), build_layout(
-        ModelSpec(kind="mlp", input_shape=(3,), classes=1)
-    ))
+    other = models.init_params(ModelSpec(kind="mlp", input_shape=(2,), classes=2), 0)
     ds = Dataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
     x, labels = ds.samples, ds.labels
     return {
-        "vector-length": lambda: ParameterVector(np.zeros(3), theta.layout),
-        "model-spec": lambda: models.forward(spec, other, x, labels),
-        "model-spec-accuracy": lambda: models.accuracy(spec, other, x, labels),
-        "model-spec-fisher": lambda: models.sum_squared_loglik_grads(
-            spec, other, x, labels
+        "vector-length": (
+            lambda: models.forward(spec, np.zeros(3), x, labels), (3,)
         ),
-        "model-spec-per-sample": lambda: models.per_sample_loglik_grad(
-            spec, other, x[:1], labels[:1]
+        "two-d-theta": (lambda: models.forward(spec, theta[None], x, labels), (1, 4)),
+        "model-spec": (lambda: models.forward(spec, other, x, labels), (6,)),
+        "model-spec-accuracy": (
+            lambda: models.accuracy(spec, other, x, labels), (6,)
         ),
-        "model-spec-fedavg": lambda: fedcurv.local_train(
-            spec, other, None, [ds], make_hp(), [0]
+        "model-spec-fisher": (
+            lambda: models.sum_squared_loglik_grads(spec, other, x, labels), (6,)
         ),
-        "wide-thetas": lambda: models.stacked_loss_and_grad(
-            spec, np.zeros((2, 4 + 5)), np.stack([x, x]),
-            np.stack([labels, labels]),
+        "model-spec-per-sample": (
+            lambda: models.per_sample_loglik_grad(spec, other, x[:1], labels[:1]),
+            (6,),
         ),
-        "local-train": lambda: fedcurv.local_train(
-            spec, theta, np.ones((1, 3)), [ds], make_hp(), [0]
+        "model-spec-fedavg": (
+            lambda: fedcurv.local_train(spec, other, None, [ds], make_hp(), [0]),
+            (6,),
+        ),
+        "zero-rate": (
+            lambda: fedcurv.local_train(
+                spec, other, None, [ds], make_hp(eta_local=0.0), [0]
+            ),
+            (6,),
+        ),
+        "wide-thetas": (
+            lambda: models.stacked_loss_and_grad(
+                spec, np.zeros((2, 4 + 5)), np.stack([x, x]),
+                np.stack([labels, labels]),
+            ),
+            None,
+        ),
+        "local-train": (
+            lambda: fedcurv.local_train(
+                spec, theta, np.ones((1, 3)), [ds], make_hp(), [0]
+            ),
+            None,
         ),
     }
 
 
 @pytest.mark.parametrize("case", [
-    "vector-length", "model-spec", "model-spec-accuracy", "model-spec-fisher",
-    "model-spec-per-sample", "model-spec-fedavg", "wide-thetas", "local-train",
+    "vector-length", "two-d-theta", "model-spec", "model-spec-accuracy",
+    "model-spec-fisher", "model-spec-per-sample", "model-spec-fedavg",
+    "zero-rate", "wide-thetas", "local-train",
 ])
 def test_layout_check_raises(case):
-    call = layout_check_cases()[case]
-    with pytest.raises(LayoutMismatchError):
+    call, shape = layout_check_cases()[case]
+    # a one-model call names the expected (P,) and the shape it was given
+    match = re.escape(f"shape (4,), got shape {shape}") if shape else None
+    with pytest.raises(LayoutMismatchError, match=match):
         call()
 
 
@@ -427,7 +448,7 @@ def merge(theta, fishers, thetas, eta_global=1.0, epsilon=1e-8):
         make_hp(eta_global=eta_global, epsilon=epsilon), np.random.default_rng(0),
         client_step=given_stacks,
     )
-    return new_theta.values
+    return new_theta
 
 
 class TestMerge:
@@ -435,8 +456,7 @@ class TestMerge:
     mean of the client models."""
 
     def setup_method(self):
-        layout = build_layout(pair_spec())
-        self.theta = ParameterVector(np.array([1.0, -1.0]), layout)
+        self.theta = np.array([1.0, -1.0])
 
     def test_two_clients_by_hand(self):
         # coordinate 0: (3 * 1 + 1 * 5 + eps * (1 + 5)) / (3 + 1 + 2 eps);
@@ -464,8 +484,8 @@ class TestMerge:
         assert out[0] == pytest.approx(0.9, rel=1e-8)  # (9 + eps) / (10 + 2 eps)
 
     def test_identical_client_models_are_a_fixed_point(self):
-        out = merge(self.theta, [[0.2, 3.0], [1e-9, 0.0]], [self.theta.values] * 2)
-        assert np.allclose(out, self.theta.values, rtol=1e-15, atol=0)
+        out = merge(self.theta, [[0.2, 3.0], [1e-9, 0.0]], [self.theta] * 2)
+        assert np.allclose(out, self.theta, rtol=1e-15, atol=0)
 
     def test_stays_within_the_client_models(self):
         rng = np.random.default_rng(9)
@@ -522,7 +542,7 @@ class TestSumOrder:
         rng = np.random.default_rng(100 + k)
         # 7 * 5 weights and 5 biases: the uploads' 40 coordinates
         layout = build_layout(ModelSpec(kind="mlp", input_shape=(7,), classes=5))
-        theta = ParameterVector(rng.standard_normal(layout.size), layout)
+        theta = rng.standard_normal(layout.size)
         ids = sorted(int(i) for i in rng.choice(100, size=k, replace=False))
         # the loops sort by client id, so hand them the clients reversed
         loose = [Update(*u) for u in zip(ids, counts, thetas, fishers)][::-1]
@@ -530,10 +550,10 @@ class TestSumOrder:
         pairs = [
             (fedcurv.server_step(
                 theta, ClientUpdates(3, tuple(ids), tuple(counts), thetas, fishers), hp
-            ).values, fedcurv_merge(theta.values, loose, 0.7, 1e-6)),
+            ), fedcurv_merge(theta, loose, 0.7, 1e-6)),
             (fedavg.server_step(
                 theta, ClientUpdates(3, tuple(ids), tuple(counts), thetas), hp
-            ).values, fedavg_average(loose)),
+            ), fedavg_average(loose)),
             (np.float64(fedcurv.divergence(thetas)), np.float64(divergence(loose))),
         ]
         for got, want in pairs:
@@ -612,7 +632,7 @@ class TestRunRound:
         assert updates.client_ids == (0, 1)
         assert np.allclose(updates.thetas[0], updates.thetas[1])
         assert np.allclose(updates.fishers[0], updates.fishers[1])
-        assert np.allclose(theta.values, updates.thetas[0], rtol=1e-14)
+        assert np.allclose(theta, updates.thetas[0], rtol=1e-14)
 
     def test_deterministic_under_fixed_seed(self):
         hp = make_hp(lam=0.1, eta_local=0.05, local_epochs=2, batch_size=4,
@@ -624,7 +644,7 @@ class TestRunRound:
             theta, updates, _ = fedcurv.run_round(
                 self.spec, self.theta, 0, clients, hp, rng
             )
-            runs.append((theta.values, updates.client_ids))
+            runs.append((theta, updates.client_ids))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
@@ -636,14 +656,14 @@ class TestRunRound:
             self.spec, self.theta, 0, [self.ds, self.ds], hp, rng
         )
         assert len(updates.client_ids) == 1
-        assert np.array_equal(updates.thetas[0], self.theta.values)
+        assert np.array_equal(updates.thetas[0], self.theta)
         # merging one client's model gives that model: the anchor
-        assert np.allclose(theta.values, self.theta.values, rtol=1e-15, atol=0)
+        assert np.allclose(theta, self.theta, rtol=1e-15, atol=0)
 
     def test_infinite_weight_is_an_evaluation_error(self):
         def infinite_clients(spec, theta_global, datasets, hp, client_ids,
                              round_no, seeds):
-            thetas = np.tile(theta_global.values, (len(datasets), 1))
+            thetas = np.tile(theta_global, (len(datasets), 1))
             thetas[:, -1] = np.inf  # the last logit's bias
             return thetas, None
 
@@ -712,8 +732,8 @@ def train_alone(spec, theta_g, fisher, ds, hp, seed, epoch_offset):
         lr = models.lr_schedule(hp.eta_local, epoch_offset + epoch)
         for idx in shuffled_batches(len(ds), hp.batch_size, rng):
             _, grad = loss_and_grad(spec, theta, ds.samples[idx], ds.labels[idx])
-            penalty = hp.lam * fisher.values * (theta.values - theta_g.values)
-            theta = sgd_step(theta, grad.with_values(grad.values + penalty), lr)
+            penalty = hp.lam * fisher * (theta - theta_g)
+            theta = sgd_step(theta, grad + penalty, lr)
     return theta
 
 
@@ -724,13 +744,13 @@ class TestLocalTrainInputs:
         theta_g = models.init_params(spec, 5)
         clients = ragged_clients(spec, [10, 7, 10, 9], seed=6)
         fishers = np.stack(
-            [fisher_diagonal(spec, theta_g, ds).values for ds in clients]
+            [fisher_diagonal(spec, theta_g, ds) for ds in clients]
         )
         hp = make_hp(lam=0.3, eta_local=0.05, local_epochs=2, batch_size=4)
         writable = fedcurv.local_train(
             spec, theta_g, fishers, clients, hp, [11, 12, 13, 14]
         )
-        arrays = [theta_g.values, fishers]
+        arrays = [theta_g, fishers]
         arrays += [a for ds in clients for a in (ds.samples, ds.labels)]
         before = [a.tobytes() for a in arrays]
         for a in arrays:
@@ -767,7 +787,7 @@ class TestLockstep:
             alone = train_alone(
                 spec, theta_g, fisher, ds, hp, seed, self.ROUND * hp.local_epochs
             )
-            assert np.array_equal(theta, alone.values), cid
+            assert np.array_equal(theta, alone), cid
 
     @pytest.mark.parametrize("kind", sorted(LOCKSTEP_SPECS))
     def test_round_with_sampling_matches_training_alone(self, kind, monkeypatch):
@@ -800,7 +820,7 @@ class TestLockstep:
         clients = ragged_clients(spec, [10, 7, 10, 9], seed=6)
         hp = make_hp(**self.HP)
         fishers = np.stack(
-            [fisher_diagonal(spec, theta_g, ds).values for ds in clients]
+            [fisher_diagonal(spec, theta_g, ds) for ds in clients]
         )
         seeds = [11, 12, 13, 14]
         widths = self.spy_widths(monkeypatch)

@@ -10,7 +10,6 @@ from bfel import data, fedcurv, models
 from bfel.models import (
     ModelSpec,
     NumericalError,
-    ParameterVector,
     ShapeMismatchError,
     build_layout,
 )
@@ -56,10 +55,8 @@ def max_rel_err(got, want, floor=1e-8):
 class TestForward:
     def test_identity_linear_mlp(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
-        layout = build_layout(spec)
-        values = np.zeros(layout.size)
-        params = ParameterVector(values, layout)
-        slot(params, "fc0", "weight")[...] = np.eye(2)
+        params = np.zeros(build_layout(spec).size)
+        slot(spec, params, "fc0", "weight")[...] = np.eye(2)
         logits = models.forward(spec, params, np.array([[1.0, 2.0]]), np.array([0]))
         assert np.array_equal(logits, [[1.0, 2.0]])
 
@@ -79,12 +76,12 @@ class TestForward:
     def test_logits_are_the_cached_pass_logits_bitwise(self, spec):
         params = models.init_params(spec, 5)
         x, y = random_batch(spec, 9, 6)
-        logits, caches = models._forward_cached(spec, params.values[None], x[None])
-        assert len(caches) == len(params.layout.slots) // 2
+        logits, caches = models._forward_cached(spec, params[None], x[None])
+        assert len(caches) == len(build_layout(spec).slots) // 2
         got = models.forward(spec, params, x, y)
         assert got.tobytes() == logits[0].tobytes()
         _, kept = models._forward_cached(
-            spec, params.values[None], x[None], keep=False
+            spec, params[None], x[None], keep=False
         )
         assert kept == []
 
@@ -95,10 +92,10 @@ class TestForward:
         b0 = np.array([0.1, -0.1])
         w1 = np.array([[2.0, 0.0], [-1.0, 1.0]])
         b1 = np.array([0.0, 0.5])
-        slot(params, "fc0", "weight")[...] = w0
-        slot(params, "fc0", "bias")[...] = b0
-        slot(params, "fc1", "weight")[...] = w1
-        slot(params, "fc1", "bias")[...] = b1
+        slot(spec, params, "fc0", "weight")[...] = w0
+        slot(spec, params, "fc0", "bias")[...] = b0
+        slot(spec, params, "fc1", "weight")[...] = w1
+        slot(spec, params, "fc1", "bias")[...] = b1
         x = np.array([1.0, 3.0])
         hidden = np.maximum(x @ w0 + b0, 0.0)
         expected = hidden @ w1 + b1
@@ -123,7 +120,7 @@ class TestLoss:
         for c in (2, 5, 10):
             spec = ModelSpec(kind="mlp", input_shape=(3,), classes=c)
             layout = build_layout(spec)
-            params = ParameterVector(np.zeros(layout.size), layout)
+            params = np.zeros(layout.size)
             loss, _ = loss_and_grad(spec, params, *random_batch(spec, 4, c))
             assert loss == pytest.approx(math.log(c), abs=1e-14)
 
@@ -134,11 +131,11 @@ class TestLoss:
         _, grad = loss_and_grad(spec, params, x, y)
 
         def f(v):
-            loss, _ = loss_and_grad(spec, params.with_values(v), x, y)
+            loss, _ = loss_and_grad(spec, v, x, y)
             return loss
 
-        fd = fd_gradient(f, params.values)
-        assert max_rel_err(grad.values, fd) < 1e-6
+        fd = fd_gradient(f, params)
+        assert max_rel_err(grad, fd) < 1e-6
 
     def test_duplicated_batch_mean_invariance(self):
         spec = ModelSpec(kind="mlp", input_shape=(3,), classes=3, hidden=(4,))
@@ -150,7 +147,7 @@ class TestLoss:
             spec, params, np.repeat(x, 7, axis=0), np.array([1] * 7)
         )
         assert l1 == pytest.approx(l2, rel=1e-14)
-        assert np.allclose(g1.values, g2.values, rtol=1e-13, atol=1e-15)
+        assert np.allclose(g1, g2, rtol=1e-13, atol=1e-15)
 
     def test_softmax_rows_normalized(self):
         spec = ModelSpec(kind="mlp", input_shape=(4,), classes=6, hidden=(8,))
@@ -166,12 +163,12 @@ class TestPerSampleGrad:
         params = models.init_params(spec, 1)
         x, y = random_batch(spec, 5, 2)
         _, batch_grad = loss_and_grad(spec, params, x, y)
-        acc = np.zeros_like(params.values)
+        acc = np.zeros_like(params)
         for i in range(len(y)):
             acc += models.per_sample_loglik_grad(
                 spec, params, x[i : i + 1], y[i : i + 1]
-            ).values
-        assert np.allclose(acc / len(y), -batch_grad.values, atol=1e-14)
+            )
+        assert np.allclose(acc / len(y), -batch_grad, atol=1e-14)
 
     @pytest.mark.parametrize("spec", [
         ModelSpec(kind="mlp", input_shape=(5,), classes=4, hidden=(6, 3)),
@@ -182,22 +179,22 @@ class TestPerSampleGrad:
         params = models.init_params(spec, seed)
         x, y = random_batch(spec, 1, seed + 40)
         _, grads = models.stacked_loss_and_grad(
-            spec, params.values[None], x[None], y[None]
+            spec, params[None], x[None], y[None]
         )
         got = models.per_sample_loglik_grad(spec, params, x, y)
-        assert got.layout is params.layout
-        assert same_bits(got.values, -grads[0])
+        assert got.shape == params.shape
+        assert same_bits(got, -grads[0])
 
     def test_non_finite_gradient_raises(self):
         spec = ModelSpec(kind="mlp", input_shape=(3,), classes=2)
         params = models.init_params(spec, 0)
-        values = params.values.copy()
+        values = params.copy()
         values[0] = np.inf  # a first-layer weight
         x, y = random_batch(spec, 1, 1)
         with np.errstate(all="ignore"), pytest.raises(
             NumericalError, match="loss/gradient not finite"
         ):
-            models.per_sample_loglik_grad(spec, params.with_values(values), x, y)
+            models.per_sample_loglik_grad(spec, values, x, y)
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_needs_exactly_one_sample(self, n):
@@ -211,20 +208,19 @@ class TestPerSampleGrad:
         # huge margin toward the true label makes softmax numerically one-hot
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
         layout = build_layout(spec)
-        params = ParameterVector(np.zeros(layout.size), layout)
-        slot(params, "fc0", "bias")[...] = [1000.0, -1000.0]
+        params = np.zeros(layout.size)
+        slot(spec, params, "fc0", "bias")[...] = [1000.0, -1000.0]
         g = models.per_sample_loglik_grad(
             spec, params, np.array([[1.0, 1.0]]), np.array([0])
         )
-        assert np.array_equal(g.values, np.zeros_like(g.values))
+        assert np.array_equal(g, np.zeros_like(g))
 
     def test_logistic_closed_form(self):
         # two-class softmax on scalar input reduces to logistic regression:
         # d log p(y|x) / dw_c = (1[y == c] - p_c) * x, and / db_c without the x
         spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2)
-        layout = build_layout(spec)
         w, b = np.array([0.3, -0.7]), np.array([0.2, -0.1])
-        params = ParameterVector(np.concatenate([w, b]), layout)
+        params = np.concatenate([w, b])
         x, y = 1.7, 1
         z = w * x + b
         p = np.exp(z - z.max())
@@ -232,7 +228,7 @@ class TestPerSampleGrad:
         delta = np.array([0.0, 1.0]) - p
         expected = np.concatenate([delta * x, delta])
         g = models.per_sample_loglik_grad(spec, params, np.array([[x]]), np.array([y]))
-        assert np.allclose(g.values, expected, atol=1e-15)
+        assert np.allclose(g, expected, atol=1e-15)
 
 
 class TestAccuracy:
@@ -240,7 +236,7 @@ class TestAccuracy:
         # all-zero model: every row ties, argmax resolves to class 0
         spec = ModelSpec(kind="mlp", input_shape=(4,), classes=10)
         layout = build_layout(spec)
-        params = ParameterVector(np.zeros(layout.size), layout)
+        params = np.zeros(layout.size)
         rng = np.random.default_rng(0)
         x, y = rng.random((100, 4)), np.repeat(np.arange(10), 10)
         assert models.accuracy(spec, params, x, y) == 0.1
@@ -249,9 +245,9 @@ class TestAccuracy:
         # identity model: logits == inputs, prediction = argmax of the row
         spec = ModelSpec(kind="mlp", input_shape=(3,), classes=3)
         layout = build_layout(spec)
-        params = ParameterVector(np.zeros(layout.size), layout)
-        pv = params.with_values(params.values.copy())
-        slot(pv, "fc0", "weight")[...] = np.eye(3)
+        params = np.zeros(layout.size)
+        pv = params.copy()
+        slot(spec, pv, "fc0", "weight")[...] = np.eye(3)
         x = np.array(
             [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]]
         )
@@ -310,45 +306,41 @@ class TestInputChecks:
 
     def test_infinite_weight_makes_forward_raise(self):
         params = models.init_params(self.SPEC, 0)
-        values = params.values.copy()
+        values = params.copy()
         values[-1] = np.inf  # the last logit's bias
         x, y = random_batch(self.SPEC, 4, 2)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="logits"):
-            models.forward(self.SPEC, params.with_values(values), x, y)
+            models.forward(self.SPEC, values, x, y)
 
     def test_infinite_conv_weight_makes_forward_raise(self):
         params = models.init_params(SWEEP_CNN, 0)
-        values = params.values.copy()
+        values = params.copy()
         values[0] = np.inf  # a first-stage conv weight
         x, y = random_batch(SWEEP_CNN, 4, 2)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="logits"):
-            models.forward(SWEEP_CNN, params.with_values(values), x, y)
+            models.forward(SWEEP_CNN, values, x, y)
 
 
 class TestSgdAndSchedule:
     def test_zero_grad_is_identity(self):
         spec = ModelSpec(kind="mlp", input_shape=(2,), classes=2)
         params = models.init_params(spec, 0)
-        zero = params.with_values(np.zeros_like(params.values))
+        zero = np.zeros_like(params)
         out = sgd_step(params, zero, 0.5)
-        assert np.array_equal(out.values, params.values)
+        assert np.array_equal(out, params)
 
     def test_arithmetic(self):
-        spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2)
-        layout = build_layout(spec)
-        params = ParameterVector(np.array([1.0, 1.0, 0.5, -0.5]), layout)
-        grad = ParameterVector(np.array([2.0, -2.0, 1.0, 3.0]), layout)
+        params = np.array([1.0, 1.0, 0.5, -0.5])
+        grad = np.array([2.0, -2.0, 1.0, 3.0])
         out = sgd_step(params, grad, 0.5)
-        assert np.array_equal(out.values, [0.0, 2.0, 0.0, -2.0])
+        assert np.array_equal(out, [0.0, 2.0, 0.0, -2.0])
 
     def test_two_steps_fixed_grad_compose(self):
-        spec = ModelSpec(kind="mlp", input_shape=(1,), classes=2)
-        layout = build_layout(spec)
-        params = ParameterVector(np.array([1.0, -3.0, 0.25, 2.0]), layout)
-        grad = ParameterVector(np.array([0.5, 4.0, -1.0, 0.125]), layout)
+        params = np.array([1.0, -3.0, 0.25, 2.0])
+        grad = np.array([0.5, 4.0, -1.0, 0.125])
         a, b = 0.1, 0.3
         stepped = sgd_step(sgd_step(params, grad, a), grad, b)
-        assert np.allclose(stepped.values, params.values - (a + b) * grad.values)
+        assert np.allclose(stepped, params - (a + b) * grad)
 
     def test_lr_schedule(self):
         assert models.lr_schedule(0.001, 0) == 0.001
@@ -375,14 +367,15 @@ class TestLayout:
     def test_flatten_round_trip_is_bit_exact(self):
         spec = ModelSpec(kind="cnn", input_shape=(10, 10), classes=3, hidden=(5,))
         params = models.init_params(spec, 9)
-        rebuilt = np.empty_like(params.values)
-        for (layer, role), (start, stop, _) in params.layout.slots.items():
-            rebuilt[start:stop] = slot(params, layer, role).ravel()
-        assert np.array_equal(rebuilt, params.values)
+        rebuilt = np.empty_like(params)
+        for (layer, role), (start, stop, _) in build_layout(spec).slots.items():
+            rebuilt[start:stop] = slot(spec, params, layer, role).ravel()
+        assert np.array_equal(rebuilt, params)
 
     def test_same_spec_same_layout(self):
         spec = ModelSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(5,))
-        assert models.init_params(spec, 0).layout == models.init_params(spec, 1).layout
+        shapes = {models.init_params(spec, seed).shape for seed in (0, 1)}
+        assert shapes == {(build_layout(spec).size,)}
 
     def test_layout_is_shared_between_equal_specs(self):
         a = ModelSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(5,))
@@ -405,7 +398,7 @@ class TestLayout:
     def test_unknown_segment_is_a_key_error(self):
         params = models.init_params(SWEEP_CNN, 0)
         with pytest.raises(KeyError, match="fc2"):
-            slot(params, "fc2", "weight")
+            slot(SWEEP_CNN, params, "fc2", "weight")
 
     def test_cnn_hidden_widths_shape_its_dense_layers(self):
         specs = [
@@ -432,8 +425,7 @@ class TestStackedLossAndGrad:
         SWEEP_CNN,
     ])
     def test_each_row_is_the_one_model_call_bitwise(self, spec):
-        layout = build_layout(spec)
-        thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
+        thetas = np.stack([models.init_params(spec, s) for s in range(3)])
         batches = [random_batch(spec, 6, seed=10 + k) for k in range(3)]
         losses, grads = models.stacked_loss_and_grad(
             spec, thetas,
@@ -441,11 +433,9 @@ class TestStackedLossAndGrad:
             np.stack([y for _, y in batches]),
         )
         for k, (x, y) in enumerate(batches):
-            loss, grad = loss_and_grad(
-                spec, ParameterVector(thetas[k], layout), x, y
-            )
+            loss, grad = loss_and_grad(spec, thetas[k], x, y)
             assert losses[k] == loss
-            assert np.array_equal(grads[k], grad.values)
+            assert np.array_equal(grads[k], grad)
 
 
 class TestReadOnlyInputs:
@@ -460,8 +450,7 @@ class TestReadOnlyInputs:
         "forward", "accuracy",
     ])
     def test_read_only_inputs_are_read_and_kept(self, spec, call):
-        layout = build_layout(spec)
-        thetas = np.stack([models.init_params(spec, s).values for s in range(2)])
+        thetas = np.stack([models.init_params(spec, s) for s in range(2)])
         batches = [random_batch(spec, 6, seed=20 + k) for k in range(2)]
         x = np.stack([b for b, _ in batches])
         labels = np.stack([y for _, y in batches])
@@ -471,8 +460,8 @@ class TestReadOnlyInputs:
         if call == "stacked_loss_and_grad":
             models.stacked_loss_and_grad(spec, thetas, x, labels)
         else:
-            params = ParameterVector(thetas[0], layout)
-            assert not params.values.flags.writeable  # not a copy
+            params = thetas[0]
+            assert not params.flags.writeable  # not a copy
             # loss_and_grad is the reference's K=1 stacked_loss_and_grad call
             one_model = (
                 loss_and_grad if call == "loss_and_grad" else getattr(models, call)
@@ -495,8 +484,6 @@ def result_arrays(result) -> list:
     """The arrays a public model call returned, flattened into a list."""
     if isinstance(result, tuple):
         return [a for part in result for a in result_arrays(part)]
-    if hasattr(result, "values"):  # ParameterVector
-        return [result.values]
     return [np.asarray(result)]
 
 
@@ -571,7 +558,7 @@ class TestColumnBuffers:
     def test_interleaved_sizes_match_calls_on_empty_buffers(self, empty):
         spec = ModelSpec(kind="cnn", input_shape=(12, 12), classes=4, hidden=(64,))
         params = models.init_params(spec, 2)
-        thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
+        thetas = np.stack([models.init_params(spec, s) for s in range(3)])
         x16, y16 = random_batch(spec, 16, 3)
         x20, y20 = random_batch(spec, 20, 4)
         xs, ys = random_batch(spec, 3 * 16, 5)
@@ -608,7 +595,7 @@ class TestColumnBuffers:
         # a model call reads its columns again in its backward pass, so a
         # thread must not write another thread's columns in between
         spec = SWEEP_CNN
-        thetas = np.stack([models.init_params(spec, s).values for s in range(2)])
+        thetas = np.stack([models.init_params(spec, s) for s in range(2)])
         jobs = []
         for seed in range(2):
             x, y = random_batch(spec, 2 * 6, seed)
@@ -661,20 +648,20 @@ class TestGradientExactnessSweep:
         _, grad = loss_and_grad(spec, params, x, y)
 
         def f(v):
-            loss, _ = loss_and_grad(spec, params.with_values(v), x, y)
+            loss, _ = loss_and_grad(spec, v, x, y)
             return loss
 
-        fd = fd_gradient(f, params.values)
-        assert max_rel_err(grad.values, fd) < 1e-5
+        fd = fd_gradient(f, params)
+        assert max_rel_err(grad, fd) < 1e-5
 
 
 def squared_grad_loop(spec, params, x, y):
     """Reference: Python sum of squared one-sample log-likelihood gradients."""
-    acc = np.zeros_like(params.values)
+    acc = np.zeros_like(params)
     for i in range(len(y)):
         acc += models.per_sample_loglik_grad(
             spec, params, x[i : i + 1], y[i : i + 1]
-        ).values ** 2
+        ) ** 2
     return acc
 
 
@@ -694,7 +681,7 @@ class TestSquaredGradients:
         x, y = random_batch(spec, 7, seed + 50)
         got = models.sum_squared_loglik_grads(spec, params, x, y)
         want = squared_grad_loop(spec, params, x, y)
-        for slot, (start, stop, _) in params.layout.slots.items():
+        for slot, (start, stop, _) in build_layout(spec).slots.items():
             assert np.any(want[start:stop]), slot  # no layer compares zeros only
         assert max_rel_err(got, want, floor=1e-12) <= 1e-10
 
@@ -703,11 +690,11 @@ class TestSquaredGradients:
     )
     def test_infinite_weight_raises(self, spec):
         params = models.init_params(spec, 0)
-        values = params.values.copy()
+        values = params.copy()
         values[0] = np.inf
         x, y = random_batch(spec, 4, 1)
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            models.sum_squared_loglik_grads(spec, params.with_values(values), x, y)
+            models.sum_squared_loglik_grads(spec, values, x, y)
 
     def test_cnn_fisher_makes_no_per_sample_calls(self, monkeypatch):
         spec = SWEEP_CNN
@@ -892,7 +879,7 @@ class TestReferenceCnn:
     @pytest.mark.parametrize("spec", ORACLE_CNNS, ids=lambda s: str(s.input_shape))
     def test_stacked_loss_and_grad(self, spec):
         layout = build_layout(spec)
-        thetas = np.stack([models.init_params(spec, s).values for s in range(3)])
+        thetas = np.stack([models.init_params(spec, s) for s in range(3)])
         x, y = random_batch(spec, 3 * 7, 30)
         x, y = x.reshape((3, 7) + spec.input_shape), y.reshape(3, 7)
         losses, grads = models.stacked_loss_and_grad(spec, thetas, x, y)
@@ -904,9 +891,9 @@ class TestReferenceCnn:
     @pytest.mark.parametrize("spec", ORACLE_CNNS, ids=lambda s: str(s.input_shape))
     def test_one_model_calls(self, spec):
         params = models.init_params(spec, 5)
-        layout = params.layout
+        layout = build_layout(spec)
         x, y = random_batch(spec, 9, 31)
-        thetas = params.values[None]
+        thetas = params[None]
         logits, per_sample = cnn_per_sample(spec, thetas, x[None], y[None])
         got = models.forward(spec, params, x, y)
         assert np.max(np.abs(got - logits[0])) <= 1e-12 * np.max(np.abs(logits[0]))
@@ -915,6 +902,6 @@ class TestReferenceCnn:
         )
         loss, grad = loss_and_grad(spec, params, x, y)
         assert abs(loss - want_loss) <= 1e-12 * want_loss
-        assert_close_per_segment(layout, grad.values, want_grad)
+        assert_close_per_segment(layout, grad, want_grad)
         fisher = models.sum_squared_loglik_grads(spec, params, x, y)
         assert_close_per_segment(layout, fisher, (per_sample[0] ** 2).sum(axis=0))

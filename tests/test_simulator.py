@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfel import cli, data, fedcurv, ledger, models, simulator
+from bfel import cli, data, fedcurv, gossip, ledger, models, simulator
 from bfel.data import Dataset
 from bfel.models import ModelSpec
 from bfel.simulator import ConfigError, ExperimentConfig, parse_config, run_experiment
+from reference import gossip_broadcast, sequential_broadcast
 
 
 def write_config(tmp_path, **overrides):
@@ -402,6 +403,30 @@ class TestRounds:
         assert not out.exists()
 
 
+class TestWallClock:
+    """`clock = wall` changes only the elapsed_ms column: the model, the
+    chain and every other metrics.csv column keep their bytes."""
+
+    def test_wall_run_matches_the_simulated_run_but_for_elapsed_ms(self, tmp_path):
+        out = {}
+        for clock in ("simulated", "wall"):
+            out[clock] = tmp_path / clock
+            path = tmp_path / f"{clock}.txt"
+            path.write_text(f"rounds = 3\nclock = {clock}\noutput_dir = {out[clock]}\n")
+            run_experiment(parse_config(path))
+        for name in ("model.bin", "chain.log"):
+            simulated, wall = ((out[c] / name).read_bytes() for c in out)
+            assert wall == simulated, name
+        rows = {
+            clock: [row.split(",") for row in (d / "metrics.csv").read_text().split()]
+            for clock, d in out.items()
+        }
+        assert len(rows["wall"]) == 4  # the header and three rounds
+        assert [r[:-1] for r in rows["wall"]] == [r[:-1] for r in rows["simulated"]]
+        elapsed = [float(r[-1]) for r in rows["wall"][1:]]
+        assert 0.0 <= elapsed[0] and elapsed == sorted(elapsed)
+
+
 class TestDefaultConfig:
     """A config file that sets only the seed and output_dir trains FedCurv
     as far as FedAvg, with no stiffness warning. Seed 1 is left out: at the
@@ -770,6 +795,26 @@ class TestCli:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "request_id,T,trd_ms,vtr_ms,tct_ms,end_to_end_ms"
         assert len(lines) == 5
+
+    def test_bench_latency_no_gossip_swaps_only_the_broadcast(self, tmp_path, capsys):
+        # the requests are the same; the total is the slowest request plus
+        # the last receive time of the broadcast that the flag picks
+        args = ["bench-latency", "--concurrency", "6", "--nodes", "20", "--seed", "3"]
+        for name, flags in (("gossip", []), ("sequential", ["--no-gossip"])):
+            csv = str(tmp_path / f"{name}.csv")
+            assert cli.main(args + flags + ["--output", csv]) == 0
+        totals = [
+            float(re.search(r"total_elapsed_ms=(\S+)", line).group(1))
+            for line in capsys.readouterr().out.splitlines()[::2]
+        ]
+        rows = (tmp_path / "sequential.csv").read_text().splitlines()
+        assert rows == (tmp_path / "gossip.csv").read_text().splitlines()
+        slowest = max(float(row.split(",")[-1]) for row in rows[1:])
+        net = gossip.GossipNetwork(node_count=20, fanout=2, seed=3)
+        for total, broadcast in zip(totals, (gossip_broadcast, sequential_broadcast)):
+            last = float(broadcast(net, origin=0)[1].max())
+            assert total == float(f"{slowest + last:.2f}")
+        assert totals[1] > totals[0]
 
     def test_bench_latency_prints_a_measured_verify_time(self, tmp_path, capsys):
         assert cli.main(["bench-latency", "--concurrency", "4",
