@@ -157,8 +157,13 @@ def local_train(
     clients' positions in `datasets`. An empty dataset takes no step, so
     its client gets theta_global back.
     """
-    anchor = models._check_theta(spec, theta_global)
-    thetas = np.tile(anchor, (len(datasets), 1))
+    # no model call checks theta_global when every epoch's rate is 0
+    size = models.build_layout(spec).size
+    if np.shape(theta_global) != (size,):
+        raise LayoutMismatchError(
+            f"theta shape {np.shape(theta_global)} is not ({size},)"
+        )
+    thetas = np.tile(theta_global, (len(datasets), 1))
     lam_f = None
     if fishers is not None and hp.lam != 0.0:
         if fishers.shape != thetas.shape:
@@ -184,7 +189,7 @@ def local_train(
                 positions=[ks[i] for i in np.flatnonzero(bad)],
             )
         if lam_f is not None:
-            penalty = theta - anchor
+            penalty = theta - theta_global
             penalty *= lam_f[rows]
             grads += penalty
         grads *= lr

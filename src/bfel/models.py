@@ -246,24 +246,13 @@ def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dout[..., None, :] * (idx[..., None, :] == np.arange(4)[:, None])
 
 
-def _check_theta(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
-    """theta, after the one check of one model's parameters: a (P,) array,
-    P being the size of spec's layout."""
-    size = build_layout(spec).size
-    if np.shape(theta) != (size,):
-        raise LayoutMismatchError(
-            f"expected parameters of shape ({size},), got shape {np.shape(theta)}"
-        )
-    return theta
-
-
 def _check_inputs(spec: ModelSpec, thetas, x, labels) -> None:
     """The one check of a model call's inputs, in stacked form.
 
     thetas is (K, P) in the spec's layout, x (K, N, *input_shape) and labels
-    (K, N), with N >= 1; a one-model call passes values[None], x[None] and
-    labels[None]. Samples are not checked for finiteness: a `Dataset`
-    checked them when it was built.
+    (K, N), with N >= 1; a one-model call passes theta[None], x[None] and
+    labels[None], so a theta of any shape but (P,) fails here. Samples are
+    not checked for finiteness: a `Dataset` checked them when it was built.
     """
     size = build_layout(spec).size
     if labels.ndim != 2 or labels.shape != x.shape[:2]:
@@ -437,7 +426,7 @@ def forward(
     spec: ModelSpec, theta: np.ndarray, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Logits (N, classes) for samples x (N, ...) labelled by labels (N,)."""
-    thetas, x = _check_theta(spec, theta)[None], x[None]
+    thetas, x = theta[None], x[None]
     _check_inputs(spec, thetas, x, labels[None])
     logits, _ = _forward_cached(spec, thetas, x, keep=False)
     if not np.isfinite(logits).all():
@@ -455,9 +444,7 @@ def per_sample_loglik_grad(
     """
     if labels.shape[:1] != (1,):
         raise ShapeMismatchError("per-sample gradient requires one sample")
-    losses, grads = stacked_loss_and_grad(
-        spec, _check_theta(spec, theta)[None], x[None], labels[None]
-    )
+    losses, grads = stacked_loss_and_grad(spec, theta[None], x[None], labels[None])
     if not math.isfinite(losses[0]) or not np.all(np.isfinite(grads)):
         raise NumericalError("loss/gradient not finite")
     return -grads[0]
@@ -468,7 +455,7 @@ def sum_squared_loglik_grads(
 ) -> np.ndarray:
     """Sum over the samples x of squared per-sample log-likelihood gradients,
     added up chunk by chunk from zeros."""
-    thetas = _check_theta(spec, theta)[None]
+    thetas = theta[None]
     out = np.zeros(thetas.shape[1])
     for xc, lc in _chunks(x, labels):
         _, caches, dlogits = _output_grads(spec, thetas, xc[None], lc[None])

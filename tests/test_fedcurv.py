@@ -367,11 +367,13 @@ class TestAggregation:
 
 def layout_check_cases():
     """One call per shape check, each given parameters or a stack of the
-    wrong shape, with the shape a one-model call names (None for a stack).
+    wrong shape, with the message that names the shape it expected and the
+    shape it got.
 
     theta is the logistic model's 4 values; `other` holds the 6 values of
-    another spec's model, so each one-model call must check the length.
-    With a rate of 0, local_train makes no model call that would check it.
+    another spec's model. A one-model call checks theta as the one row of a
+    stack, so it names (1, P); `local_train` checks theta itself, as with a
+    rate of 0 it makes no model call that would check it.
     """
     spec = logistic_spec()
     theta = logistic_params([0.0, 0.0, 0.0, 0.0])
@@ -380,42 +382,51 @@ def layout_check_cases():
     x, labels = ds.samples, ds.labels
     return {
         "vector-length": (
-            lambda: models.forward(spec, np.zeros(3), x, labels), (3,)
+            lambda: models.forward(spec, np.zeros(3), x, labels),
+            "thetas shape (1, 3) is not (1, 4)",
         ),
-        "two-d-theta": (lambda: models.forward(spec, theta[None], x, labels), (1, 4)),
-        "model-spec": (lambda: models.forward(spec, other, x, labels), (6,)),
+        "two-d-theta": (
+            lambda: models.forward(spec, theta[None], x, labels),
+            "thetas shape (1, 1, 4) is not (1, 4)",
+        ),
+        "model-spec": (
+            lambda: models.forward(spec, other, x, labels),
+            "thetas shape (1, 6) is not (1, 4)",
+        ),
         "model-spec-accuracy": (
-            lambda: models.accuracy(spec, other, x, labels), (6,)
+            lambda: models.accuracy(spec, other, x, labels),
+            "thetas shape (1, 6) is not (1, 4)",
         ),
         "model-spec-fisher": (
-            lambda: models.sum_squared_loglik_grads(spec, other, x, labels), (6,)
+            lambda: models.sum_squared_loglik_grads(spec, other, x, labels),
+            "thetas shape (1, 6) is not (1, 4)",
         ),
         "model-spec-per-sample": (
             lambda: models.per_sample_loglik_grad(spec, other, x[:1], labels[:1]),
-            (6,),
+            "thetas shape (1, 6) is not (1, 4)",
         ),
         "model-spec-fedavg": (
             lambda: fedcurv.local_train(spec, other, None, [ds], make_hp(), [0]),
-            (6,),
+            "theta shape (6,) is not (4,)",
         ),
         "zero-rate": (
             lambda: fedcurv.local_train(
                 spec, other, None, [ds], make_hp(eta_local=0.0), [0]
             ),
-            (6,),
+            "theta shape (6,) is not (4,)",
         ),
         "wide-thetas": (
             lambda: models.stacked_loss_and_grad(
                 spec, np.zeros((2, 4 + 5)), np.stack([x, x]),
                 np.stack([labels, labels]),
             ),
-            None,
+            "thetas shape (2, 9) is not (2, 4)",
         ),
         "local-train": (
             lambda: fedcurv.local_train(
                 spec, theta, np.ones((1, 3)), [ds], make_hp(), [0]
             ),
-            None,
+            "expected a (1, 4) Fisher stack",
         ),
     }
 
@@ -426,10 +437,8 @@ def layout_check_cases():
     "zero-rate", "wide-thetas", "local-train",
 ])
 def test_layout_check_raises(case):
-    call, shape = layout_check_cases()[case]
-    # a one-model call names the expected (P,) and the shape it was given
-    match = re.escape(f"shape (4,), got shape {shape}") if shape else None
-    with pytest.raises(LayoutMismatchError, match=match):
+    call, message = layout_check_cases()[case]
+    with pytest.raises(LayoutMismatchError, match=re.escape(message)):
         call()
 
 
