@@ -12,7 +12,7 @@ import numpy as np
 
 from . import gossip, ledger
 from .fedcurv import RoundNumericalError
-from .simulator import parse_config, run_experiment
+from .simulator import ChainSelfCheckError, parse_config, run_experiment
 
 
 def _cmd_run(args) -> int:
@@ -140,6 +140,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:  # config, data and format errors
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ChainSelfCheckError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except RoundNumericalError as e:
         print(f"error: numerical blow-up in {e}", file=sys.stderr)
         return 3

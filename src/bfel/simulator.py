@@ -31,6 +31,14 @@ class ConfigError(ValueError):
     """Bad or missing configuration; reported before any training starts."""
 
 
+class ChainSelfCheckError(RuntimeError):
+    """The chain.log a run wrote failed validation at `block_index`."""
+
+    def __init__(self, block_index: int):
+        super().__init__(f"chain failed self-validation at block {block_index}")
+        self.block_index = block_index
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(fedcurv.HyperParams):
     """A run's settings; it is the HyperParams every round is given."""
@@ -308,7 +316,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         (out_dir / "chain.log").write_bytes(blob)
         ok, bad = ledger.validate_chain_bytes(blob)  # as validate-chain reads it
         if not ok:
-            raise RuntimeError(f"chain failed self-validation at block {bad}")
+            raise ChainSelfCheckError(bad)
     return {
         "metrics_csv": str(metrics_path),
         "final_global_acc": metrics["global_accuracy"],

@@ -83,8 +83,9 @@ class TestChain:
             good.signature, 1,
         )
         chain = ledger.new_chain()
-        with pytest.raises(InvalidTransactionError, match="transaction 1"):
-            ledger.append_block(chain, [good, bad], kp, timestamp=1)
+        with pytest.raises(InvalidTransactionError, match="transaction 1") as e:
+            ledger.append_block(chain, [good, bad, good, bad], kp, timestamp=1)
+        assert e.value.index == 1  # the first bad one
 
     def test_signed_transaction_of_an_unknown_kind_is_invalid(self, tmp_path, capsys):
         # kinds 1 and 2 are the only ones; a properly signed kind-3
@@ -202,10 +203,32 @@ def assert_no_children():
 
 @pytest.fixture(scope="module")
 def long_chain():
-    """25 blocks of 11 transactions: 300 signatures, two 150-signature
-    slices on two CPUs. The parent's slice ends inside block 13."""
+    """25 blocks of 11 transactions: 300 signatures. On two CPUs the child
+    verifies (300 - HEAD_START) // 2 = 140 and the parent the first 160,
+    which end inside block 14 (block b holds triples 12(b - 1) to 12b - 1)."""
     chain, _ = build_chain(25, txs_per_block=11)
     return chain
+
+
+@pytest.fixture(scope="module")
+def mlp_chain():
+    """5 blocks of 11 transactions, the shape of a 5-round 10-client run:
+    60 signatures. On two CPUs the parent verifies the first 40, blocks 1
+    to 3 and 4 signatures of block 4, and one child the last 20."""
+    chain, _ = build_chain(5, txs_per_block=11)
+    return chain
+
+
+def count_forks(monkeypatch):
+    """The `os.fork` calls made, listed as they happen."""
+    forks, real = [], os.fork
+
+    def counting():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
 
 
 def replace_block(chain, pos, **fields):
@@ -219,8 +242,8 @@ def flip_tx_signature(chain, pos, tx):
 
 
 class TestSplitValidation:
-    """A chain of 100 or more signatures is verified on every usable CPU,
-    with the verdicts of the serial path."""
+    """A chain of 3 * HEAD_START or more signatures is verified on up to
+    every usable CPU, with the verdicts of the serial path."""
 
     def count_parent_verifies(self, monkeypatch, child_raises=False):
         """The parent's `ledger.verify` calls, listed as they happen; with
@@ -254,18 +277,18 @@ class TestSplitValidation:
         set_cpus(monkeypatch, 2)
         assert ledger.validate_chain(long_chain) == (True, None)
         assert_no_children()
-        assert len(calls) == 150
+        assert len(calls) == 160  # (300 + HEAD_START) / 2
         set_cpus(monkeypatch, 1)
         assert ledger.validate_chain(long_chain) == (True, None)
-        assert len(calls) == 150 + 300
+        assert len(calls) == 160 + 300
 
     @pytest.mark.parametrize(
         "tamper, bad",
         [
             (lambda c: flip_tx_signature(c, 3, 4), 3),  # the parent's slice
             (lambda c: flip_tx_signature(c, 20, 7), 20),  # the child's slice
-            (lambda c: replace_block(  # triple 155 of 300: the child's slice
-                c, 13, proposer_signature=flip_bit(c[13].proposer_signature)), 13),
+            (lambda c: replace_block(  # triple 167 of 300: the child's slice
+                c, 14, proposer_signature=flip_bit(c[14].proposer_signature)), 14),
             (lambda c: replace_block(
                 c, 9, previous_hash=flip_bit(c[9].previous_hash)), 9),
         ],
@@ -339,15 +362,73 @@ class TestSplitValidation:
         assert_no_children()
 
     def test_short_chain_is_verified_serially(self, monkeypatch):
-        # 33 blocks of 2 transactions: 99 signatures, below two slices
-        chain, _ = build_chain(33)
+        # one block of 58 transactions: 59 signatures, one below 3 *
+        # HEAD_START, where a child's share would be under HEAD_START
+        chain, _ = build_chain(1, txs_per_block=58)
 
         def no_fork():
-            raise AssertionError("a 99-signature chain forked")
+            raise AssertionError("a 59-signature chain forked")
 
-        set_cpus(monkeypatch, 2)
         monkeypatch.setattr(os, "fork", no_fork)
-        assert ledger.validate_chain(chain) == (True, None)
+        for cpus in (2, 8):
+            set_cpus(monkeypatch, cpus)
+            assert ledger.validate_chain(chain) == (True, None)
+
+    @pytest.mark.parametrize(
+        "tamper, bad",
+        [
+            (lambda c: c, None),
+            (lambda c: flip_tx_signature(c, 1, 3), 1),  # triple 3: the parent's
+            (lambda c: flip_tx_signature(c, 5, 2), 5),  # triple 50: the child's
+            (lambda c: replace_block(  # triple 59, the last one
+                c, 5, proposer_signature=flip_bit(c[5].proposer_signature)), 5),
+        ],
+        ids=["valid", "parent-slice-tx", "child-slice-tx", "last-proposer"],
+    )
+    def test_mlp_run_chain_forks_one_child_for_the_smaller_slice(
+        self, monkeypatch, mlp_chain, tamper, bad
+    ):
+        chain = tamper(mlp_chain)
+        set_cpus(monkeypatch, 1)
+        serial = ledger.validate_chain(chain)
+        set_cpus(monkeypatch, 2)
+        calls = self.count_parent_verifies(monkeypatch)
+        forks = count_forks(monkeypatch)
+        assert ledger.validate_chain(chain) == serial == (bad is None, bad)
+        assert_no_children()
+        assert (len(forks), len(calls)) == (1, 40)
+
+    def test_short_child_reply_is_verified_in_the_parent(
+        self, monkeypatch, mlp_chain
+    ):
+        # the child exits 0 but sends one byte fewer than its 20
+        real, parent = ledger._verify_slice, os.getpid()
+
+        def short_in_child(triples):
+            out = real(triples)
+            return out if os.getpid() == parent else out[:-1]
+
+        monkeypatch.setattr(ledger, "_verify_slice", short_in_child)
+        calls = self.count_parent_verifies(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        assert ledger.validate_chain(mlp_chain) == (True, None)
+        assert_no_children()
+        assert len(calls) == 60
+        bad = flip_tx_signature(mlp_chain, 5, 2)
+        assert ledger.validate_chain(bad) == (False, 5)
+        assert_no_children()
+
+    def test_split_after_a_threaded_matmul_returns(self, monkeypatch, mlp_chain):
+        # as in a run's self-check, which follows the training rounds: the
+        # fork happens while numpy's BLAS threads have just been busy
+        a = np.random.default_rng(0).standard_normal((256, 256))
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        for _ in range(5):
+            a @ a
+            assert ledger.validate_chain(mlp_chain) == (True, None)
+            assert_no_children()
+        assert len(forks) == 5
 
 
 class TestProposerSelection:

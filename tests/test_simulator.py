@@ -12,8 +12,27 @@ import pytest
 from bfel import cli, data, fedcurv, gossip, ledger, models, simulator
 from bfel.data import Dataset
 from bfel.models import ModelSpec
-from bfel.simulator import ConfigError, ExperimentConfig, parse_config, run_experiment
+from bfel.simulator import (
+    ChainSelfCheckError,
+    ConfigError,
+    ExperimentConfig,
+    parse_config,
+    run_experiment,
+)
 from reference import gossip_broadcast, sequential_broadcast
+
+
+def flip_written_signature(monkeypatch, block):
+    """Make `ledger.export_chain` flip a bit of `block`'s first transaction
+    signature, so that the written chain.log fails validation there."""
+    export = ledger.export_chain
+
+    def flipping(chain):
+        blob = bytearray(export(chain))
+        blob[blob.find(chain[block].transactions[0].signature)] ^= 1
+        return bytes(blob)
+
+    monkeypatch.setattr(ledger, "export_chain", flipping)
 
 
 def write_config(tmp_path, **overrides):
@@ -208,17 +227,11 @@ class TestRunExperiment:
     def test_self_check_reads_the_written_bytes(self, tmp_path, monkeypatch):
         # a signature bit flipped on the way to bytes: the in-memory chain
         # is sound, the written one fails at the flip's block
-        export = ledger.export_chain
-
-        def flipping(chain):
-            blob = bytearray(export(chain))
-            blob[blob.find(chain[2].transactions[0].signature)] ^= 1
-            return bytes(blob)
-
-        monkeypatch.setattr(ledger, "export_chain", flipping)
+        flip_written_signature(monkeypatch, block=2)
         config = parse_config(write_config(tmp_path, rounds=3, ledger="true"))
-        with pytest.raises(RuntimeError, match="self-validation at block 2$"):
+        with pytest.raises(ChainSelfCheckError, match="at block 2$") as raised:
             run_experiment(config)
+        assert raised.value.block_index == 2
 
     @pytest.mark.parametrize("algorithm, clients, setting, values", [
         # "base": the one-client baseline, run as FedAvg with clients = 1
@@ -500,6 +513,16 @@ class TestCli:
         blob[-1] ^= 0xFF
         chain_path.write_bytes(bytes(blob))
         assert cli.main(["validate-chain", "--chain", str(chain_path)]) == 1
+
+    def test_failed_self_check_exits_1_with_one_error_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        flip_written_signature(monkeypatch, block=2)
+        path = write_config(tmp_path, rounds=3)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: chain failed self-validation at block 2\n"
+        )
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
