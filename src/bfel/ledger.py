@@ -12,8 +12,8 @@ signature, while the parent verifies the largest slice. In a 54 MB bfel
 process on a 2-vCPU Linux VM, the parent spends 0.6 ms in `fork()`, the
 child runs 1.3 ms after it and is reaped 2.1 ms after it, and one verify
 takes about 110 us; so the parent verifies about 20 signatures (the head
-start) before a child is done with none. The verdict is the serial one
-whatever the split.
+start) before a child is done with none. Only that one-child split was
+measured. The verdict is the serial one whatever the split.
 """
 
 from __future__ import annotations
@@ -143,6 +143,9 @@ class SignedTransaction:
     def signed_payload(self) -> bytes:
         return _tx_body(self.kind, self.timestamp, self.payload_digest)
 
+    def verified(self) -> bool:
+        return verify(self.sender_public, self.signed_payload(), self.signature)
+
     def to_bytes(self) -> bytes:
         return (
             self.signed_payload()
@@ -237,12 +240,10 @@ def append_block(
     proposer: KeyPair,
     timestamp: int,
 ) -> tuple[Block, ...]:
-    """Return a new chain extended by one proposer-signed block; raise
-    InvalidTransactionError naming the first transaction whose signature
-    fails."""
-    bad = _verify_all(_tx_signatures(transactions)).find(0)
-    if bad >= 0:
-        raise InvalidTransactionError(bad)
+    """Return a new chain extended by one proposer-signed block."""
+    for i, tx in enumerate(transactions):
+        if not tx.verified():
+            raise InvalidTransactionError(i)
     block = Block(
         index=len(chain),
         previous_hash=chain[-1].hash(),
@@ -256,24 +257,19 @@ def append_block(
 
 
 # Signatures the parent verifies while a forked child starts, exits and is
-# reaped (2.1 ms after fork() at about 110 us a verify; see the module
-# docstring). The parent takes this many more than each child, and a child
-# is forked only when its share is at least this many.
+# reaped (2.1 ms after fork() at about 110 us a verify, measured with one
+# child on 2 CPUs; see the module docstring). The parent takes this many
+# more than each child, and a child is forked only when its share is at
+# least this many.
 HEAD_START = 20
-
-
-def _tx_signatures(transactions) -> list[tuple[bytes, bytes, bytes]]:
-    """Each transaction's (public key, message, signature) triple."""
-    return [
-        (tx.sender_public, tx.signed_payload(), tx.signature) for tx in transactions
-    ]
 
 
 def _signatures(block: Block) -> list[tuple[bytes, bytes, bytes]]:
     """A block's (public key, message, signature) triples, proposer's last."""
-    return _tx_signatures(block.transactions) + [
-        (block.proposer_public, block.header_bytes(), block.proposer_signature)
-    ]
+    return [
+        (tx.sender_public, tx.signed_payload(), tx.signature)
+        for tx in block.transactions
+    ] + [(block.proposer_public, block.header_bytes(), block.proposer_signature)]
 
 
 def _verify_slice(triples) -> bytes:
@@ -333,9 +329,12 @@ def _verify_all(triples: list) -> bytes:
     """`_verify_slice(triples)`, split over W processes, up to one per
     usable CPU: W - 1 forked children verify (S - HEAD_START) // W of the S
     triples each, and the parent the first slice, the rest. W is the
-    largest count that gives each child at least HEAD_START triples, so a
-    child saves the parent at least as many verifies as it costs; below
-    3 * HEAD_START triples, or on one CPU, the parent verifies all.
+    largest count that gives each child at least HEAD_START triples; below
+    3 * HEAD_START triples, or on one CPU, the parent verifies all. On 2
+    CPUs, the measured case, the one child saves the parent at least as
+    many verifies as it costs. Above 2, the parent forks its children one
+    after another, each fork (about 0.6 ms) costing it again; that case
+    follows the same rule but is not measured.
 
     A slice whose fork failed, or whose child exited non-zero or sent too
     few bytes, is verified in the parent.
